@@ -411,6 +411,8 @@ def run(argv=None) -> int:
         config = replace(config, **overrides)
         if config.threads < 1:
             raise DomainError("--threads must be >= 1")
+        if config.cap < 0:
+            raise DomainError("--cap must be >= 0")
         payload, csv_rows, passed = args.func(args, config)
         _emit(payload, config, csv_rows)
         return EXIT_PASS if passed else EXIT_FAIL

@@ -218,23 +218,31 @@ def _canonical_sigma(darts: int) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def _involutions(darts: int) -> Iterator[tuple[int, ...]]:
-    """All fixed-point-free involutions on 0..darts-1."""
+def _rooted_maps(darts: int) -> Iterator[tuple[int, ...]]:
+    """Alpha of each rooted connected trivalent map on _canonical_sigma, once.
+
+    Darts are paired in breadth-first order from the root dart 0.  Vertices
+    open in index order, so the open darts are 0..3*opened-1, and each
+    unpaired dart pairs with a later unpaired open dart or with the entry
+    dart 3*opened of the next vertex, which opens it.  A rooted connected
+    map has no nontrivial automorphism fixing its root, so each comes once.
+    """
     alpha = [-1] * darts
 
-    def rec(lo: int):
-        while lo < darts and alpha[lo] >= 0:
-            lo += 1
-        if lo == darts:
-            yield tuple(alpha)
+    def rec(x: int, opened: int):
+        while x < 3 * opened and alpha[x] >= 0:
+            x += 1
+        if x == 3 * opened:
+            if x == darts:
+                yield tuple(alpha)
             return
-        for hi in range(lo + 1, darts):
-            if alpha[hi] < 0:
-                alpha[lo], alpha[hi] = hi, lo
-                yield from rec(lo + 1)
-                alpha[lo] = alpha[hi] = -1
+        for y in range(x + 1, min(3 * opened + 1, darts)):
+            if alpha[y] < 0:
+                alpha[x], alpha[y] = y, x
+                yield from rec(x + 1, opened + (y == 3 * opened))
+                alpha[x] = alpha[y] = -1
 
-    yield from rec(0)
+    yield from rec(0, 1)
 
 
 def _edge_face_pairs(struct: DartStructure) -> tuple[tuple[int, int], ...]:
@@ -254,7 +262,10 @@ def enumerate_trivalent(
     """Complete duplicate-free list of labeled-face trivalent classes.
 
     Vertices V = 2(n+2g-2), edges E = 3(n+2g-2), faces n; every class is
-    connected with Euler genus g.
+    connected with Euler genus g.  Each rooted connected map with n faces is
+    generated once (_rooted_maps); its class under every face labeling is
+    the minimum encoding over all roots, so the result does not depend on
+    which map of a class comes first.
     """
     if g < 0 or n < 1:
         raise DomainError("need genus >= 0 and at least one face")
@@ -267,11 +278,9 @@ def enumerate_trivalent(
     sigma = _canonical_sigma(darts)
     classes: dict[tuple, RibbonGraphClass] = {}
     labelings = list(itertools.permutations(range(1, n + 1)))
-    for alpha in _involutions(darts):
+    for alpha in _rooted_maps(darts):
         faces = face_cycles(sigma, alpha)
         if len(faces) != n:
-            continue
-        if not _is_connected(sigma, alpha):
             continue
         face_index = [0] * darts  # unlabeled face id per dart
         for fi, cycle in enumerate(faces):

@@ -190,6 +190,8 @@ class BasedChainComplex:
 
     @classmethod
     def from_json(cls, payload: dict) -> "BasedChainComplex":
+        if not isinstance(payload, dict) or not {"ranks", "boundaries"} <= payload.keys():
+            raise DomainError("complex JSON must be an object with ranks and boundaries")
         return cls.from_matrices(
             payload["ranks"],
             [[[Fraction(x) for x in row] for row in mat] for mat in payload["boundaries"]],

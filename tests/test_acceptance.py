@@ -92,9 +92,9 @@ def test_criterion_03_kdv_residual_and_mutation(table, free_energy):
 @pytest.mark.xfail(
     strict=True,
     reason=(
-        "strict reading: perturbing the genus-1 one-point entry is invisible "
-        "because its detecting monomials need the 18-dart graph block, which "
-        "is beyond the desk-scale dart budget; documented in the build notes"
+        "strict reading: perturbing the entry <tau1 tau1>_1 (key g1:(1,1)) is "
+        "invisible because its detecting monomials need the 18-dart graph "
+        "blocks, and the default coverage stays at 12 darts; see the README"
     ),
 )
 def test_criterion_03_strict_every_entry(table):

@@ -72,6 +72,35 @@ class TestExitCodes:
         assert code == 2
         validate("error-v1", json.loads(err))
 
+    @pytest.mark.parametrize("text", ['{"ranks":[1]}', "[1,2]"])
+    def test_malformed_complex_is_two(self, capsys, tmp_path, text):
+        path = tmp_path / "complex.json"
+        path.write_text(text)
+        code, out, err = invoke(capsys, "torsion", "--complex", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "usage"
+        validate("error-v1", json.loads(err))
+
+    def test_negative_cap_is_two(self, capsys):
+        code, _, err = invoke(capsys, "virasoro", "oscillator", "--cap", "-1")
+        assert code == 2
+        assert json.loads(err)["error"] == "usage"
+
+
+class TestEighteenDarts:
+    def test_genus_two_graphs(self, capsys):
+        code, out, _ = invoke(
+            capsys, "--max-darts", "18", "graphs", "enumerate", "--genus", "2", "--faces", "1"
+        )
+        assert code == 0
+        assert json.loads(out)["count"] == 9
+
+    def test_genus_two_intersect(self, capsys):
+        code, out, _ = invoke(capsys, "--max-darts", "18", "intersect", "-g", "2", "-n", "1")
+        assert code == 0
+        assert json.loads(out)["numbers"] == {"(4)": "1/1152"}
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):

@@ -5,11 +5,14 @@ Oracles used here are independent of the production code paths:
   the full symmetric group on darts;
 - class lists are cross-checked against orbit counting over every labeled
   dart structure (all vertex permutations, not just the canonical one);
+- class lists are cross-checked against a brute-force walk over every
+  fixed-point-free involution on the canonical vertex permutation;
 - extracted amplitudes are checked against hand-frozen table values.
 """
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +21,12 @@ from hypothesis import strategies as st
 from taubench.errors import BudgetError, DomainError, PoleError, Unstable
 from taubench.ribbon import (
     DartStructure,
+    RibbonGraphClass,
+    _canonical_sigma,
+    _rooted_maps,
     automorphism_order,
     base_table,
+    canonical_encoding,
     canonicalize,
     enumerate_trivalent,
     extract_intersection_numbers,
@@ -91,6 +98,92 @@ def brute_force_labeled_count(g: int, n: int) -> int:
     return count
 
 
+def brute_force_classes(g: int, n: int) -> tuple[RibbonGraphClass, ...]:
+    """Classes from every fixed-point-free involution on the canonical sigma:
+    keep the connected ones with n faces and canonicalize each face labeling."""
+    d = 6 * (n + 2 * g - 2)
+    sigma = _canonical_sigma(d)
+    partner = [-1] * d
+    classes = {}
+
+    def involutions(lo):
+        while lo < d and partner[lo] >= 0:
+            lo += 1
+        if lo == d:
+            yield tuple(partner)
+            return
+        for hi in range(lo + 1, d):
+            if partner[hi] < 0:
+                partner[lo], partner[hi] = hi, lo
+                yield from involutions(lo + 1)
+                partner[lo] = partner[hi] = -1
+
+    for alpha in involutions(0):
+        faces = face_cycles(sigma, alpha)
+        if len(faces) != n:
+            continue
+        try:
+            DartStructure(sigma, alpha, (1,) * d).validate()
+        except DomainError:  # disconnected
+            continue
+        for lab in itertools.permutations(range(1, n + 1)):
+            labels = [0] * d
+            for fi, cycle in enumerate(faces):
+                for x in cycle:
+                    labels[x] = lab[fi]
+            struct = DartStructure(sigma, alpha, tuple(labels))
+            canon = canonical_encoding(struct)
+            if canon not in classes:
+                c = DartStructure(*canon)
+                pairs = sorted(
+                    tuple(sorted((c.face_labels[x], c.face_labels[c.alpha[x]])))
+                    for x in range(d)
+                    if x < c.alpha[x]
+                )
+                classes[canon] = RibbonGraphClass(c, automorphism_order(struct), tuple(pairs))
+    return tuple(classes[key] for key in sorted(classes))
+
+
+ROOTED_MAPS = {6: 5, 12: 60, 18: 1105}  # OEIS A062980
+BLOCKS_BY_DARTS = {6: [(0, 3), (1, 1)], 12: [(0, 4), (1, 2)], 18: [(0, 5), (1, 3), (2, 1)]}
+
+
+class TestRootedMapGeneration:
+    def test_rooted_map_counts(self):
+        for darts, count in ROOTED_MAPS.items():
+            assert sum(1 for _ in _rooted_maps(darts)) == count
+
+    def test_generated_maps_are_connected_and_distinct(self):
+        sigma = _canonical_sigma(12)
+        maps = list(_rooted_maps(12))
+        assert len(set(maps)) == len(maps)
+        for alpha in maps:
+            DartStructure(sigma, alpha, (1,) * 12).validate()
+
+    def test_orbit_count_identity(self):
+        # each class of n labeled faces and automorphism group Aut is
+        # d/|Aut| rooted maps once the n! face labelings are forgotten
+        for darts, blocks in BLOCKS_BY_DARTS.items():
+            total = sum(
+                Fraction(darts, cls.aut_order * factorial(n))
+                for g, n in blocks
+                for cls in enumerate_trivalent(g, n, 18)
+            )
+            assert total == ROOTED_MAPS[darts]
+
+    @pytest.mark.parametrize("g, n", [(0, 3), (1, 1), (1, 2)])
+    def test_classes_match_involution_walk(self, g, n):
+        assert enumerate_trivalent(g, n) == brute_force_classes(g, n)
+
+    def test_eighteen_dart_extraction(self):
+        table = extract_intersection_numbers(1, 3, 18)
+        assert table.entries == {
+            (1, (3, 0, 0)): Fraction(1, 24),
+            (1, (2, 1, 0)): Fraction(1, 12),
+            (1, (1, 1, 1)): Fraction(1, 12),
+        }
+
+
 class TestEnumeration:
     def test_unstable_cases_raise(self):
         for g, n in [(0, 1), (0, 2)]:
@@ -139,8 +232,6 @@ class TestEnumeration:
         for g, n in [(0, 3), (1, 1)]:
             classes = enumerate_trivalent(g, n)
             d = classes[0].canonical.dart_count
-            from math import factorial
-
             orbit_total = sum(factorial(d) // cls.aut_order for cls in classes)
             assert orbit_total == brute_force_labeled_count(g, n)
 

@@ -79,6 +79,11 @@ class TestComplexValidation:
         with pytest.raises(DomainError):
             BasedChainComplex.from_matrices((1, 2), [[[1]]])
 
+    @pytest.mark.parametrize("payload", [{"ranks": [1]}, [1, 2]])
+    def test_malformed_json_rejected(self, payload):
+        with pytest.raises(DomainError):
+            BasedChainComplex.from_json(payload)
+
     def test_json_roundtrip(self):
         c = BasedChainComplex.from_matrices((1, 2, 1), [[[0, 1]], [[1], [0]]])
         assert BasedChainComplex.from_json(c.to_json()).to_json() == c.to_json()
