@@ -18,6 +18,7 @@ from .errors import (
     BudgetError,
     ConventionMismatch,
     DomainError,
+    InsufficientCap,
     NumericError,
     TaubenchError,
     TruncationError,
@@ -35,14 +36,13 @@ CONFIG_ENV = "TAUBENCH_CONFIG"
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    threads: int = 1
     max_darts: int = 12
     max_matchings: int = 20_000
     cap: int = 8
     output_format: str = "json"
     output_path: str | None = None
 
-    _JSON_KEYS = ("seed", "threads", "max_darts", "max_matchings", "cap")
+    _JSON_KEYS = ("seed", "max_darts", "max_matchings", "cap")
 
     @classmethod
     def load(cls, path: str | None) -> "RunConfig":
@@ -58,7 +58,11 @@ class RunConfig:
         unknown = set(raw) - set(cls._JSON_KEYS)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        return replace(config, **{k: int(v) for k, v in raw.items()})
+        for key, value in raw.items():
+            # bool is a subclass of int, but JSON true/false are not integers
+            if type(value) is not int:
+                raise DomainError(f"config key {key!r} must be a JSON integer")
+        return replace(config, **raw)
 
 
 def _fractions(text: str) -> tuple[Fraction, ...]:
@@ -167,6 +171,8 @@ def _cmd_schur(args, config):
 def _cmd_virasoro_oscillator(args, config):
     from .fock import OscillatorParams, oscillator_commutator_check
 
+    if args.max_mode < 0:
+        raise DomainError("--max-mode must be >= 0")
     params = OscillatorParams(
         mu=Fraction(args.mu), lambda_param=Fraction(args.lambda_param)
     )
@@ -308,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file (budgets, seed)")
     parser.add_argument("--seed", type=int, help="RNG seed for numeric paths")
-    parser.add_argument("--threads", type=int, help="worker bound (modules are serial)")
     parser.add_argument("--max-darts", type=int, dest="max_darts")
     parser.add_argument("--max-matchings", type=int, dest="max_matchings")
     parser.add_argument("--cap", type=int, help="series truncation cap")
@@ -341,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     virasoro = sub.add_parser("virasoro", help="Virasoro representation checks")
     virasoro_sub = virasoro.add_subparsers(dest="virasoro_command", required=True)
     osc = virasoro_sub.add_parser("oscillator")
-    osc.add_argument("--check", action="store_true")
     osc.add_argument("--lambda", dest="lambda_param", default="0")
     osc.add_argument("--mu", default="0")
     osc.add_argument("--cap", type=int, default=10)
@@ -352,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--n1", type=int, default=-1)
     target.add_argument("--n", type=int, default=0)
     target.add_argument("--window", type=int, default=2)
-    target.add_argument("--report", dest="output_path_alias")
     target.set_defaults(func=_cmd_virasoro_target)
 
     matrix = sub.add_parser("matrix", help="Gaussian matrix-model checks")
@@ -401,16 +404,12 @@ def run(argv=None) -> int:
     try:
         config = RunConfig.load(args.config)
         overrides = {}
-        for field in ("seed", "threads", "max_darts", "max_matchings", "cap",
+        for field in ("seed", "max_darts", "max_matchings", "cap",
                       "output_format", "output_path"):
             value = getattr(args, field, None)
             if value is not None:
                 overrides[field] = value
-        if getattr(args, "output_path_alias", None):
-            overrides["output_path"] = args.output_path_alias
         config = replace(config, **overrides)
-        if config.threads < 1:
-            raise DomainError("--threads must be >= 1")
         if config.cap < 0:
             raise DomainError("--cap must be >= 0")
         payload, csv_rows, passed = args.func(args, config)
@@ -422,6 +421,9 @@ def run(argv=None) -> int:
     except NumericError as exc:
         _error(exc, "numeric")
         return EXIT_BUDGET
+    except InsufficientCap as exc:  # an empty check window: the arguments are at fault
+        _error(exc, "usage")
+        return EXIT_USAGE
     except (ConventionMismatch, TruncationError) as exc:
         _error(exc, "verification")
         return EXIT_FAIL

@@ -321,7 +321,7 @@ class TruncatedSeries:
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term, truncated at cap."""
         if self.constant_term():
-            raise DomainError("series_exp requires zero constant term")
+            raise DomainError("exp requires zero constant term")
         result = TruncatedSeries.constant(self.variables, self.weights, self.cap, 1)
         if self.is_zero():
             return result
@@ -338,7 +338,7 @@ class TruncatedSeries:
         """log of a series with constant term 1, truncated at cap."""
         c0 = self.constant_term()
         if c0 != GR_ONE:
-            raise DomainError("series_log requires constant term 1")
+            raise DomainError("log requires constant term 1")
         u = self - 1
         result = TruncatedSeries.zero(self.variables, self.weights, self.cap)
         if u.is_zero():
@@ -374,18 +374,6 @@ class TruncatedSeries:
                 rational_from_str(item["coeff_im"]),
             )
         return cls(variables, weights, cap, terms)
-
-
-def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    return s.exp()
-
-
-def series_log(s: TruncatedSeries) -> TruncatedSeries:
-    return s.log()
-
-
-def apply_diff(s: TruncatedSeries, name: str, order: int = 1) -> TruncatedSeries:
-    return s.diff(name, order)
 
 
 def t_variables(max_index: int, cap: int):

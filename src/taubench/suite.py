@@ -1,10 +1,13 @@
 """Aggregated verification suite behind `taubench suite quick|full`.
 
-Each criterion returns {id, name, pass, detail}; everything exact is
-asserted exactly, numeric paths carry their tolerances.  The mutation
-criterion treats table entries that no residual window can reach (their
-detecting monomials need graph blocks beyond the coverage cap) as
-documented exceptions rather than failures; they are listed explicitly.
+This module is the only definition of acceptance criteria 1-12:
+`tests/test_acceptance.py` runs each entry of `CRITERIA` under its time
+budget and computes nothing of its own.  Each criterion returns
+{id, name, pass, detail}; everything exact is asserted exactly, numeric
+paths carry their tolerances.  The mutation criterion treats table
+entries that no residual window can reach (their detecting monomials
+need graph blocks beyond the coverage cap) as documented exceptions
+rather than failures; they are listed explicitly.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ def _crit_string(config, full):
 
 def _crit_schur_kp(config, full):
     from .exact import x_variables, TruncatedSeries
-    from .schur import Partition, kp_checks, kp_hirota_residual, kp_pde_residual, partitions_of, schur_lambda
+    from .schur import kp_checks, kp_hirota_residual, kp_pde_residual, partitions_of, schur_lambda
 
     max_size = 5 if full else 4
     failures = []
@@ -133,10 +136,11 @@ def _crit_oscillator(config, full):
     bad = []
     for lam in (Fraction(0), Fraction(1), Fraction(2, 3)):
         params = OscillatorParams(mu=Fraction(1, 2), lambda_param=lam)
+        central_charge = str(1 + 12 * lam * lam)
         for m in range(-3, 4):
             for n in range(-3, 4):
                 report = oscillator_commutator_check(m, n, params, safe_cap=10)
-                if not report["all_zero"]:
+                if not report["all_zero"] or report["central_charge"] != central_charge:
                     bad.append({"lambda": str(lam), "m": m, "n": n})
     return _criterion(
         6,
@@ -197,6 +201,7 @@ def _crit_coefficients(config, full):
     )
     target = target_commutator_report(-1, 0, point_target_data(), window=2)
     reports_ok = bool(cd["entries"]) and bool(target["entries"])
+    reports_ok = reports_ok and all("zero" in e for e in target["entries"])
     return _criterion(
         7,
         "coefficient oracles and identity/commutator reports",
@@ -291,10 +296,11 @@ def _crit_hciz(config, full):
         hciz_check(x, y, samples, config.seed + idx)
         for idx, (x, y) in enumerate(configs)
     ]
+    repeat = hciz_check(*configs[1], samples, config.seed + 1)
     return _criterion(
         11,
         "rank-2 Harish-Chandra Monte Carlo",
-        all(r["pass"] for r in reports),
+        all(r["pass"] for r in reports) and repeat == reports[1],
         {"reports": reports},
     )
 
@@ -338,7 +344,7 @@ def _crit_torsion(config, full):
     )
 
 
-_CRITERIA = (
+CRITERIA = (
     _crit_base_cases,
     _crit_twelve_dart_blocks,
     _crit_kdv,
@@ -358,7 +364,7 @@ def run_suite(level: str, config) -> dict:
     if level not in ("quick", "full"):
         raise DomainError(f"unknown suite level {level!r}")
     full = level == "full"
-    criteria = [fn(config, full) for fn in _CRITERIA]
+    criteria = [fn(config, full) for fn in CRITERIA]
     return {
         "level": level,
         "criteria": criteria,

@@ -2,10 +2,15 @@
 emitters, file output, and schema validation of every subcommand's JSON
 output against the versioned schemas shipped in /schemas."""
 
+import contextlib
+import io
 import json
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
@@ -34,6 +39,11 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_error_line(err):
+    assert err.count("\n") == 1
+    validate("error-v1", json.loads(err))
 
 
 class TestExitCodes:
@@ -86,6 +96,32 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "virasoro", "oscillator", "--cap", "-1")
         assert code == 2
         assert json.loads(err)["error"] == "usage"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("virasoro", "oscillator", "--max-mode", "-1"),
+            # an empty check window (InsufficientCap) comes from the arguments
+            ("virasoro", "oscillator", "--max-mode", "1", "--cap", "1"),
+            ("virasoro", "target", "--window", "-1"),
+        ],
+    )
+    def test_bad_check_window_is_two(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert json.loads(err)["error"] == "usage"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--threads", "2", "intersect", "-g", "0", "-n", "3"),
+            ("virasoro", "oscillator", "--check"),
+            ("virasoro", "target", "--report", "out.json"),
+        ],
+    )
+    def test_removed_options_are_two(self, capsys, argv):
+        assert invoke(capsys, *argv)[0] == 2
 
 
 class TestEighteenDarts:
@@ -153,6 +189,41 @@ class TestConfig:
         code, _, err = invoke(capsys, "--config", str(cfg), "verify", "kdv")
         assert code == 2
         assert "sneaky" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize(
+        "raw", [{"threads": 1}, {"cap": None}, {"seed": 1.7}, {"seed": True}]
+    )
+    def test_removed_key_or_non_integer_value_rejected(self, capsys, tmp_path, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code, out, err = invoke(capsys, "--config", str(cfg), "matrix", "genus", "--word", "tr4")
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert next(iter(raw)) in json.loads(err)["message"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(("seed", "max_darts", "max_matchings", "cap")),
+            st.recursive(
+                st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+                lambda inner: st.lists(inner, max_size=3)
+                | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                max_leaves=6,
+            ),
+        )
+    )
+    def test_any_json_config_exits_by_contract(self, raw):
+        # tmp_path and capsys are per test function, not per example
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = pathlib.Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(raw))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(["--config", str(cfg), "matrix", "genus", "--word", "tr4"])
+        assert code in (0, 2, 3)
+        if code:
+            assert_one_error_line(err.getvalue())
 
 
 class TestOutputs:

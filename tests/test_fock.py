@@ -1,12 +1,13 @@
 """Tests for the oscillator/vertex/target-Virasoro module.
 
-Independent oracles: elementary-symmetric sums for coeff_C/coeff_D are
-recomputed in-test via generating-polynomial expansion; Heisenberg and
-Virasoro relations are swept over guarded monomial windows.
+Heisenberg and Virasoro relations are swept over guarded monomial
+windows.  The full closure sweep with its central charge and the
+elementary-symmetric oracle grid for coeff_C/coeff_D are acceptance
+criteria 6 and 7, defined in `taubench.suite` and run by
+`tests/test_acceptance.py`.
 """
 
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
@@ -127,15 +128,6 @@ class TestOscillatorVirasoro:
             out = oscillator_virasoro_apply(k, p, self.params)
             assert all(out.degree_of(e) == w - k for e in out.terms), (k, expo)
 
-    @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), Fraction(2, 3)])
-    def test_closure_with_central_charge(self, lam):
-        params = OscillatorParams(mu=Fraction(1, 2), lambda_param=lam)
-        for m in range(-3, 4):
-            for n in range(-3, 4):
-                report = oscillator_commutator_check(m, n, params, safe_cap=10)
-                assert report["all_zero"], (m, n, lam, report["failures"][:1])
-                assert report["central_charge"] == str(1 + 12 * lam * lam)
-
     def test_central_term_is_needed(self):
         # dropping the central term must break (2, -2): redo the sweep by
         # hand without it and observe a nonzero residual on the vacuum
@@ -215,18 +207,6 @@ class TestVertexOperator:
             vertex_operator_apply(one, -1, 2)
 
 
-def oracle_elementary_symmetric(j, values):
-    """e_j of reciprocals via generating polynomial prod (1 + y/v)."""
-    poly = [Fraction(1)]
-    for v in values:
-        nxt = [Fraction(0)] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i] += c
-            nxt[i + 1] += c / v
-        poly = nxt
-    return poly[j] if j < len(poly) else Fraction(0)
-
-
 class TestCoefficients:
     def test_coeff_c_frozen_examples(self):
         assert coeff_C(0, 0, 1, Fraction(1, 2)) == Fraction(3, 4)
@@ -245,31 +225,6 @@ class TestCoefficients:
     def test_coeff_d_empty_window_with_j(self):
         # n = 0, m = 0 makes the index window [0, -1] empty
         assert coeff_D(1, 0, 0, Fraction(1), Fraction(1)) == 0
-
-    def test_against_direct_oracles_on_grid(self):
-        bs = [Fraction(1, 2), Fraction(3, 7), Fraction(5)]
-        for j, m, n, b in itertools.product(range(3), range(4), range(1, 5), bs):
-            values = [b + l for l in range(m, m + n + 1)]
-            pref = Fraction(1)
-            for v in values:
-                pref *= v
-            for k in range(1, n + 1):
-                pref /= m + k
-            assert coeff_C(j, m, n, b) == pref * oracle_elementary_symmetric(j, values)
-        for j, m, n, b in itertools.product(range(3), range(4), range(1, 5), bs):
-            window = [b + l for l in range(-m, n - m)]
-            if j > len(window):
-                assert coeff_D(j, m, n, b, b + 1) == 0
-                continue
-            pref = Fraction(1)
-            for l in range(m + 1):
-                pref *= b + 1 + l
-            for l in range(n - m):
-                pref *= b + l
-            pref /= math.factorial(m) * math.factorial(max(0, n - m - 1))
-            assert coeff_D(j, m, n, b, b + 1) == pref * oracle_elementary_symmetric(
-                j, window
-            )
 
     @pytest.mark.parametrize("j,m,n", [(0, 0, 2), (1, 1, 3), (2, 0, 3)])
     def test_cleared_coeff_c_is_polynomial_in_b(self, j, m, n):
