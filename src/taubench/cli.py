@@ -176,15 +176,16 @@ def _cmd_virasoro_oscillator(args, config):
     params = OscillatorParams(
         mu=Fraction(args.mu), lambda_param=Fraction(args.lambda_param)
     )
+    cap = 10 if args.cap is None else args.cap
     reports = []
     for m in range(-args.max_mode, args.max_mode + 1):
         for n in range(-args.max_mode, args.max_mode + 1):
-            reports.append(oscillator_commutator_check(m, n, params, args.cap))
+            reports.append(oscillator_commutator_check(m, n, params, cap))
     passed = all(r["all_zero"] for r in reports)
     payload = {
         "lambda": str(Fraction(args.lambda_param)),
         "mu": str(Fraction(args.mu)),
-        "cap": args.cap,
+        "cap": cap,
         "max_mode": args.max_mode,
         "central_charge": reports[0]["central_charge"],
         "all_zero": passed,
@@ -348,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     osc = virasoro_sub.add_parser("oscillator")
     osc.add_argument("--lambda", dest="lambda_param", default="0")
     osc.add_argument("--mu", default="0")
-    osc.add_argument("--cap", type=int, default=10)
+    # SUPPRESS keeps a global --cap given before the subcommand
+    osc.add_argument("--cap", type=int, default=argparse.SUPPRESS)
     osc.add_argument("--max-mode", type=int, default=2, dest="max_mode")
     osc.set_defaults(func=_cmd_virasoro_oscillator)
     target = virasoro_sub.add_parser("target")

@@ -1,6 +1,9 @@
 """Heisenberg/Virasoro operators on a truncated Fock space, exactly.
 
-Two operator families live here:
+Every operator is an OperatorExpr: a normal-ordered sum of scalar *
+(variable monomial) * (derivative monomial) terms, built once and applied
+to a series by OperatorExpr.apply, the only applier here.  Two operator
+families are built:
 
 - the oscillator representation on C[x_1, x_2, ...] with a_n = d/dx_n,
   a_{-n} = hbar n x_n, a_0 = mu, and L_k built from the quadratic a-form
@@ -22,6 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
+    BudgetError,
     DomainError,
     InsufficientCap,
     PoleError,
@@ -29,11 +33,73 @@ from .errors import (
 )
 from .exact import (
     GR_I,
+    GR_ZERO,
+    ExactMatrix,
     GaussianRational,
     TruncatedSeries,
     rational_rank,
+    solve_linear_exact,
     x_variables,
 )
+
+# ---------------------------------------------------------------------------
+# Differential operators
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OperatorExpr:
+    """Finite sum of scalar * (variable monomial) * (derivative monomial) terms.
+
+    Monomials are sorted tuples of variable names; derivatives act first.
+    """
+
+    terms: tuple[tuple[GaussianRational, tuple[str, ...], tuple[str, ...]], ...]
+
+    @classmethod
+    def build(cls, raw) -> "OperatorExpr":
+        """Collect like terms among (scalar, variable names, derivative names)."""
+        combined: dict[tuple[tuple[str, ...], tuple[str, ...]], GaussianRational] = {}
+        for scalar, tmono, dmono in raw:
+            key = (tuple(sorted(tmono)), tuple(sorted(dmono)))
+            combined[key] = combined.get(key, GR_ZERO) + GaussianRational.of(scalar)
+        return cls(tuple((c, *key) for key, c in sorted(combined.items()) if c))
+
+    def apply(self, p: TruncatedSeries) -> TruncatedSeries:
+        """Apply to p by exponent arithmetic, derivatives first.
+
+        A derivative in a variable outside p's family annihilates its term.
+        A nonzero result term past the cap, or one multiplied by a variable
+        outside the family, raises TruncationError: nothing is dropped.
+        """
+        index = {name: i for i, name in enumerate(p.variables)}
+        basis = [(list(e), c, p.degree_of(e)) for e, c in p.terms.items()]
+        out: dict[tuple[int, ...], GaussianRational] = {}
+        for scalar, tmono, dmono in self.terms:
+            if any(name not in index for name in dmono):
+                continue
+            lower = [index[name] for name in dmono]
+            outside = [name for name in tmono if name not in index]
+            raise_ = [index[name] for name in tmono if name in index]
+            shift = sum(p.weights[i] for i in raise_) - sum(p.weights[i] for i in lower)
+            for expo, coeff, degree in basis:
+                expo = expo.copy()
+                factor = 1
+                for i in lower:  # repeated names give the falling factorial
+                    factor *= expo[i]
+                    expo[i] -= 1
+                if not factor:
+                    continue
+                if outside:
+                    raise TruncationError(f"operator variable {outside[0]} outside family")
+                if degree + shift > p.cap:
+                    raise TruncationError("operator application exceeds the cap")
+                for i in raise_:
+                    expo[i] += 1
+                key = tuple(expo)
+                out[key] = out.get(key, GR_ZERO) + coeff * scalar * factor
+        return TruncatedSeries(p.variables, p.weights, p.cap, out)
+
 
 # ---------------------------------------------------------------------------
 # Oscillator representation
@@ -61,48 +127,75 @@ def _max_weight(p: TruncatedSeries) -> int:
     return max((p.degree_of(e) for e in p.terms), default=0)
 
 
-def heisenberg_apply(n: int, p: TruncatedSeries, params: OscillatorParams) -> TruncatedSeries:
-    """a_n p with a_n = d/dx_n (n>0), a_{-n} = hbar n x_n, a_0 = mu."""
-    k = len(p.variables)
-    if n == 0:
-        return p.scale(params.mu)
+def heisenberg(n: int, params: OscillatorParams) -> OperatorExpr:
+    """a_n = d/dx_n (n > 0), a_{-n} = hbar n x_n, a_0 = mu."""
     if n > 0:
-        if n > k:
-            return TruncatedSeries.zero(p.variables, p.weights, p.cap)
-        return p.diff(f"x{n}")
-    j = -n
-    if p.is_zero():
-        return p
-    if j > p.cap or _max_weight(p) + j > p.cap:
-        raise TruncationError(f"multiplying by x_{j} would exceed cap {p.cap}")
-    xj = TruncatedSeries.variable(p.variables, p.weights, p.cap, f"x{j}")
-    return (xj * p).scale(params.hbar * j)
+        return OperatorExpr.build([(1, (), (f"x{n}",))])
+    if n < 0:
+        return OperatorExpr.build([(params.hbar * -n, (f"x{-n}",), ())])
+    return OperatorExpr.build([(params.mu, (), ())])
 
 
-def oscillator_virasoro_apply(
-    k: int, p: TruncatedSeries, params: OscillatorParams
-) -> TruncatedSeries:
+def oscillator_virasoro(k: int, params: OscillatorParams, cap: int) -> OperatorExpr:
     """L_0 = (mu^2 + lambda^2)/2 + sum_{j>0} a_{-j} a_j;
-    L_k = (1/2) sum_{j in Z} a_{-j} a_{j+k} + i lambda k a_k for k != 0."""
+    L_k = (1/2) sum_{j in Z} a_{-j} a_{j+k} + i lambda k a_k for k != 0,
+    with |j| <= cap + |k|.  Each product a_r a_s is written normal-ordered
+    (derivatives act first), which is exact: r = -s only when k = 0, and then
+    a_r is the raising factor.  Factors x_r with r > cap stay in, so applying
+    the operator where they survive raises TruncationError."""
     mu, lam = params.mu, params.lambda_param
     if k == 0:
-        result = p.scale(Fraction(mu * mu + lam * lam, 2))
-        for j in range(1, p.cap + 1):
-            result = result + heisenberg_apply(-j, heisenberg_apply(j, p, params), params)
-        return result
-    result = heisenberg_apply(k, p, params).scale(GR_I * lam * k)
-    for j in range(-(p.cap + abs(k)), p.cap + abs(k) + 1):
-        left, right = -j, j + k
-        # the factors commute (k != 0); apply lowering operators first so
-        # intermediate weights never exceed the final weight
-        q = p
-        for idx in sorted((left, right), reverse=True):
-            q = heisenberg_apply(idx, q, params)
-            if q.is_zero():
-                break
-        if not q.is_zero():
-            result = result + q.scale(Fraction(1, 2))
-    return result
+        raw = [(Fraction(mu * mu + lam * lam, 2), (), ())]
+        pairs = [(-j, j, Fraction(1)) for j in range(1, cap + 1)]
+    else:
+        raw = [(GR_I * lam * k * s, t, d) for s, t, d in heisenberg(k, params).terms]
+        reach = cap + abs(k)
+        pairs = [(-j, j + k, Fraction(1, 2)) for j in range(-reach, reach + 1)]
+    for r, s, weight in pairs:
+        for (s1, t1, d1), (s2, t2, d2) in itertools.product(
+            heisenberg(r, params).terms, heisenberg(s, params).terms
+        ):
+            raw.append((s1 * s2 * weight, t1 + t2, d1 + d2))
+    return OperatorExpr.build(raw)
+
+
+def bm_display(k: int, params: OscillatorParams, cap: int) -> OperatorExpr:
+    """The printed closed-form display for L_k on B^(m):
+    (1/2) sum_j j x_j d/dx_{j+k} plus i lambda k d/dx_k (k > 0) or
+    i lambda k^2 x_k (k < 0); reproduced verbatim for diffing against the
+    a-form, not for assertions."""
+    lam = params.lambda_param
+    if k == 0:
+        raw = [(Fraction(params.mu**2 + lam * lam, 2), (), ())]
+        raw += [(j, (f"x{j}",), (f"x{j}",)) for j in range(1, cap + 1)]
+        return OperatorExpr.build(raw)
+    raw = [
+        (Fraction(j, 2), (f"x{j}",), (f"x{j + k}",))
+        for j in range(1, cap + 1)
+        if 1 <= j + k <= cap
+    ]
+    if k > 0:
+        raw.append((GR_I * lam * k, (), (f"x{k}",)))
+    else:
+        raw.append((GR_I * lam * k * k, (f"x{-k}",), ()))
+    return OperatorExpr.build(raw)
+
+
+# Most basis monomials one commutator sweep may visit.  The largest window
+# any shipped check uses is 139 monomials (weight <= 10 in x_1..x_10).
+MAX_WINDOW = 1000
+
+
+def _window(weights: Sequence[int], bound: int) -> list[tuple[int, ...]]:
+    """Basis monomials of weighted degree <= bound, at most MAX_WINDOW."""
+    window = list(
+        itertools.islice(_weight_monomials(len(weights), weights, bound), MAX_WINDOW + 1)
+    )
+    if len(window) > MAX_WINDOW:
+        raise BudgetError(f"over {MAX_WINDOW} monomials of weight <= {bound} in the window")
+    if not window:
+        raise InsufficientCap(f"no monomials of weight <= {bound}")
+    return window
 
 
 def oscillator_commutator_check(
@@ -114,22 +207,17 @@ def oscillator_commutator_check(
     so no intermediate application can silently truncate.
     """
     names, weights, cap = fock_space(safe_cap)
-    bound = safe_cap - abs(m) - abs(n) - max(abs(m), abs(n))
-    window = list(_weight_monomials(len(names), weights, bound))
-    if not window:
-        raise InsufficientCap(f"no monomials of weight <= {bound}")
+    window = _window(weights, safe_cap - abs(m) - abs(n) - max(abs(m), abs(n)))
     lam = params.lambda_param
     central = Fraction(0)
     if m == -n:
         central = (1 + 12 * lam * lam) * Fraction(m**3 - m, 12)
+    l_m, l_n, l_sum = (oscillator_virasoro(k, params, safe_cap) for k in (m, n, m + n))
     failures = []
     for expo in window:
         p = TruncatedSeries(names, weights, cap, {expo: GaussianRational.of(1)})
-        lhs = oscillator_virasoro_apply(
-            m, oscillator_virasoro_apply(n, p, params), params
-        ) - oscillator_virasoro_apply(n, oscillator_virasoro_apply(m, p, params), params)
-        rhs = oscillator_virasoro_apply(m + n, p, params).scale(m - n) + p.scale(central)
-        residual = lhs - rhs
+        lhs = l_m.apply(l_n.apply(p)) - l_n.apply(l_m.apply(p))
+        residual = lhs - l_sum.apply(p).scale(m - n) - p.scale(central)
         if not residual.is_zero():
             failures.append({"monomial": list(expo), "residual": repr(residual)})
     return {
@@ -144,51 +232,25 @@ def oscillator_commutator_check(
 
 
 def _weight_monomials(arity: int, weights: Sequence[int], bound: int):
-    """All exponent tuples with weighted degree <= bound (includes 1)."""
-
-    def rec(idx, remaining, prefix):
-        if idx == arity:
-            yield tuple(prefix)
-            return
-        w = weights[idx]
-        for e in range(remaining // w + 1):
-            yield from rec(idx + 1, remaining - e * w, prefix + [e])
-
+    """All exponent tuples with weighted degree <= bound (includes 1), in
+    lexicographic order."""
     if bound < 0:
         return
-    yield from rec(0, bound, [])
-
-
-def bm_display_apply(
-    k: int, p: TruncatedSeries, params: OscillatorParams
-) -> TruncatedSeries:
-    """The printed closed-form display for L_k on B^(m):
-    (1/2) sum_j j x_j d/dx_{j+k} plus i lambda k d/dx_k (k > 0) or
-    i lambda k^2 x_k (k < 0); reproduced verbatim for diffing against the
-    a-form, not for assertions."""
-    lam = params.lambda_param
-    if k == 0:
-        result = p.scale(Fraction(params.mu**2 + lam * lam, 2))
-        for j in range(1, p.cap + 1):
-            xj = TruncatedSeries.variable(p.variables, p.weights, p.cap, f"x{j}")
-            result = result + (xj * p.diff(f"x{j}")).scale(j)
-        return result
-    result = TruncatedSeries.zero(p.variables, p.weights, p.cap)
-    for j in range(1, p.cap + 1):
-        if j + k < 1 or j + k > p.cap:
-            continue
-        d = p.diff(f"x{j + k}")
-        if d.is_zero():
-            continue
-        xj = TruncatedSeries.variable(p.variables, p.weights, p.cap, f"x{j}")
-        result = result + (xj * d).scale(Fraction(j, 2))
-    if k > 0:
-        if k <= p.cap:
-            result = result + p.diff(f"x{k}").scale(GR_I * lam * k)
-    else:
-        xk = TruncatedSeries.variable(p.variables, p.weights, p.cap, f"x{-k}")
-        result = result + (xk * p).scale(GR_I * lam * k * k)
-    return result
+    expo = [0] * arity
+    degree = 0
+    while True:
+        yield tuple(expo)
+        # odometer step: bump the last slot that still fits, zeroing the
+        # slots after it
+        for idx in reversed(range(arity)):
+            if degree + weights[idx] <= bound:
+                expo[idx] += 1
+                degree += weights[idx]
+                break
+            degree -= expo[idx] * weights[idx]
+            expo[idx] = 0
+        else:
+            return
 
 
 def bm_display_diff_report(params: OscillatorParams, cap: int = 8, k_range=(-2, -1, 1, 2)) -> dict:
@@ -196,12 +258,11 @@ def bm_display_diff_report(params: OscillatorParams, cap: int = 8, k_range=(-2, 
     names, weights, series_cap = fock_space(cap)
     out = {"cap": cap, "entries": []}
     for k in k_range:
-        bound = cap - 2 * abs(k)
-        for expo in _weight_monomials(len(names), weights, max(bound, 0)):
+        a_form = oscillator_virasoro(k, params, cap)
+        printed = bm_display(k, params, cap)
+        for expo in _window(weights, max(cap - 2 * abs(k), 0)):
             p = TruncatedSeries(names, weights, series_cap, {expo: GaussianRational.of(1)})
-            a_form = oscillator_virasoro_apply(k, p, params)
-            printed = bm_display_apply(k, p, params)
-            diff = a_form - printed
+            diff = a_form.apply(p) - printed.apply(p)
             out["entries"].append(
                 {
                     "k": k,
@@ -518,18 +579,12 @@ class CohomologyData:
         return out
 
     def eta_inverse(self) -> list[list[Fraction]]:
-        d = self.dim
-        aug = [list(map(Fraction, self.eta[i])) + [Fraction(i == k) for k in range(d)] for i in range(d)]
-        for c in range(d):
-            pivot = next(i for i in range(c, d) if aug[i][c] != 0)
-            aug[c], aug[pivot] = aug[pivot], aug[c]
-            pv = aug[c][c]
-            aug[c] = [x / pv for x in aug[c]]
-            for i in range(d):
-                if i != c and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-        return [row[d:] for row in aug]
+        # eta is symmetric, so column k of its inverse, eta x = e_k, is row k
+        eta = ExactMatrix(self.eta)
+        return [
+            solve_linear_exact(eta, [Fraction(i == k) for i in range(self.dim)])
+            for k in range(self.dim)
+        ]
 
     def to_json(self) -> dict:
         from .exact import rational_to_str as r
@@ -574,63 +629,6 @@ def target_space(data: CohomologyData, max_m: int, cap: int):
     names = tuple(t_var(m, a) for m in range(max_m + 1) for a in range(data.dim))
     weights = tuple(m + 1 for m in range(max_m + 1) for _ in range(data.dim))
     return names, weights, cap
-
-
-@dataclass(frozen=True)
-class OperatorExpr:
-    """Finite sum of scalar * (t-monomial) * (derivative-monomial) terms.
-
-    Monomials are sorted tuples of variable names; derivatives act first.
-    """
-
-    terms: tuple[tuple[GaussianRational, tuple[str, ...], tuple[str, ...]], ...]
-
-    @classmethod
-    def build(cls, raw) -> "OperatorExpr":
-        combined: dict[tuple[tuple[str, ...], tuple[str, ...]], GaussianRational] = {}
-        for scalar, tmono, dmono in raw:
-            scalar = GaussianRational.of(scalar)
-            if not scalar:
-                continue
-            key = (tuple(sorted(tmono)), tuple(sorted(dmono)))
-            acc = combined.get(key)
-            acc = scalar if acc is None else acc + scalar
-            if acc:
-                combined[key] = acc
-            else:
-                combined.pop(key, None)
-        return cls(
-            tuple(
-                (combined[key], key[0], key[1]) for key in sorted(combined)
-            )
-        )
-
-    def apply(self, p: TruncatedSeries) -> TruncatedSeries:
-        result = TruncatedSeries.zero(p.variables, p.weights, p.cap)
-        for scalar, tmono, dmono in self.terms:
-            q = p
-            for name in dmono:
-                if name not in p.variables:
-                    q = TruncatedSeries.zero(p.variables, p.weights, p.cap)
-                    break
-                q = q.diff(name)
-                if q.is_zero():
-                    break
-            if q.is_zero():
-                continue
-            for name in tmono:
-                if name not in p.variables:
-                    raise DomainError(f"operator variable {name} outside family")
-                if _max_weight(q) + p.weights[p.variables.index(name)] > p.cap:
-                    raise TruncationError("operator application exceeds the cap")
-                q = q * TruncatedSeries.variable(p.variables, p.weights, p.cap, name)
-            result = result + q.scale(scalar)
-        return result
-
-    def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return OperatorExpr.build(
-            list(self.terms) + [(-s, t, d) for s, t, d in other.terms]
-        )
 
 
 def target_virasoro_build(
@@ -761,9 +759,7 @@ def target_commutator_report(
     max_m = window + 3  # index growth is at most +1 per application
     cap = window + 6
     names, weights, series_cap = target_space(data, max_m, cap)
-    monomials = list(_weight_monomials(len(names), weights, window))
-    if not monomials:
-        raise InsufficientCap("empty commutator window")
+    monomials = _window(weights, window)
     l_n1 = target_virasoro_build(data, n1, max_m, lam)
     l_n = target_virasoro_build(data, n, max_m, lam)
     if n + n1 >= -1:

@@ -7,6 +7,7 @@ import io
 import json
 import pathlib
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,78 @@ class TestExitCodes:
     )
     def test_removed_options_are_two(self, capsys, argv):
         assert invoke(capsys, *argv)[0] == 2
+
+
+class TestVirasoroArgs:
+    @pytest.mark.parametrize(
+        "argv,cap",
+        [
+            (("--cap", "3", "virasoro", "oscillator", "--max-mode", "0"), 3),
+            (("virasoro", "oscillator", "--max-mode", "0"), 10),
+            (("virasoro", "oscillator", "--cap", "4", "--max-mode", "0"), 4),
+            (("--cap", "3", "virasoro", "oscillator", "--cap", "5", "--max-mode", "0"), 5),
+        ],
+    )
+    def test_global_cap_reaches_oscillator(self, capsys, argv, cap):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["cap"] == cap
+        # the (0, 0) check sweeps every monomial of weight <= cap
+        windows = {3: 7, 4: 12, 5: 19, 10: 139}
+        assert payload["reports"][0]["window_size"] == windows[cap]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("virasoro", "target", "--window", "200"),
+            # over 1000 variables: the window must not recurse once per variable
+            ("virasoro", "target", "--window", "1000"),
+            ("virasoro", "oscillator", "--cap", "60"),
+            ("virasoro", "oscillator", "--cap", "20", "--max-mode", "1"),
+        ],
+    )
+    def test_oversized_window_is_three(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 20
+        assert (code, out) == (3, "")
+        assert_one_error_line(err)
+        assert json.loads(err)["error"] == "budget"
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.one_of(
+            st.builds(
+                lambda cap, mode, global_cap: (
+                    ["--cap", str(cap), "virasoro", "oscillator"]
+                    if global_cap
+                    else ["virasoro", "oscillator", "--cap", str(cap)]
+                )
+                + ["--max-mode", str(mode)],
+                st.integers(-3, 80),
+                st.integers(-2, 4),
+                st.booleans(),
+            ),
+            st.builds(
+                lambda window, n1, n: [
+                    "virasoro", "target",
+                    "--window", str(window), "--n1", str(n1), "--n", str(n),
+                ],
+                st.integers(-3, 1200),
+                st.integers(-4, 6),
+                st.integers(-4, 6),
+            ),
+        )
+    )
+    def test_any_virasoro_argv_exits_by_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert "Traceback" not in err.getvalue()
+            assert_one_error_line(err.getvalue())
 
 
 class TestEighteenDarts:

@@ -1,13 +1,15 @@
 """Tests for the oscillator/vertex/target-Virasoro module.
 
 Heisenberg and Virasoro relations are swept over guarded monomial
-windows.  The full closure sweep with its central charge and the
+windows, and OperatorExpr.apply is compared with `oracle_apply`, the
+diff-and-multiply route kept here as the reference.  The full closure sweep with its central charge and the
 elementary-symmetric oracle grid for coeff_C/coeff_D are acceptance
 criteria 6 and 7, defined in `taubench.suite` and run by
 `tests/test_acceptance.py`.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,13 +29,15 @@ from taubench.fock import (
     cd_identity_check,
     coeff_C,
     coeff_D,
+    bm_display,
     fock_space,
-    heisenberg_apply,
+    heisenberg,
     oscillator_commutator_check,
-    oscillator_virasoro_apply,
+    oscillator_virasoro,
     point_target_data,
     t_var,
     target_commutator_report,
+    target_space,
     target_virasoro_build,
     vertex_diagonal_resum,
     vertex_operator_apply,
@@ -54,23 +58,145 @@ def two_class_data():
     )
 
 
+def oracle_apply(op, p):
+    """The diff-and-multiply applier that OperatorExpr.apply replaced: one
+    TruncatedSeries.diff per derivative, then one series product per
+    variable, checking the cap before each product.  A variable outside the
+    family is a truncation, as in OperatorExpr.apply."""
+    result = TruncatedSeries.zero(p.variables, p.weights, p.cap)
+    for scalar, tmono, dmono in op.terms:
+        q = p
+        for name in dmono:
+            if name not in p.variables:
+                q = TruncatedSeries.zero(p.variables, p.weights, p.cap)
+                break
+            q = q.diff(name)
+            if q.is_zero():
+                break
+        if q.is_zero():
+            continue
+        for name in tmono:
+            if name not in p.variables:
+                raise TruncationError(f"operator variable {name} outside family")
+            top = max(q.degree_of(e) for e in q.terms)
+            if top + p.weights[p.variables.index(name)] > p.cap:
+                raise TruncationError("operator application exceeds the cap")
+            q = q * TruncatedSeries.variable(p.variables, p.weights, p.cap, name)
+        result = result + q.scale(scalar)
+    return result
+
+
+def outcome(apply, op, p):
+    try:
+        return apply(op, p)
+    except TruncationError:
+        return TruncationError
+
+
+FAMILIES = {"x": fock_space(6), "t": target_space(two_class_data(), 2, 6)}
+
+
+class TestApplyAgainstOracle:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_operators(self, family, seed):
+        names, weights, cap = FAMILIES[family]
+        window = list(_weight_monomials(len(names), weights, cap))
+        rng = random.Random(seed)
+
+        def scalar():
+            return GaussianRational(
+                Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+            )
+
+        kinds = set()
+        for _ in range(60):
+            op = OperatorExpr.build(
+                [
+                    (
+                        scalar(),
+                        [rng.choice(names) for _ in range(rng.randint(0, 2))],
+                        [rng.choice(names) for _ in range(rng.randint(0, 3))],
+                    )
+                    for _ in range(rng.randint(1, 5))
+                ]
+            )
+            p = TruncatedSeries(
+                names, weights, cap,
+                {rng.choice(window): scalar() for _ in range(rng.randint(1, 4))},
+            )
+            got = outcome(OperatorExpr.apply, op, p)
+            assert got == outcome(oracle_apply, op, p), (op, p)
+            kinds.add(got is TruncationError)
+        assert kinds == {True, False}
+
+    def test_repeated_derivatives_and_tt_terms(self):
+        names, weights, cap = FAMILIES["t"]
+        s = GaussianRational(Fraction(1, 2), Fraction(3))
+        op = OperatorExpr.build(
+            [
+                (s, ("t0a0", "t0a0"), ("t1a1", "t1a1")),
+                (GaussianRational(Fraction(0), Fraction(-1)), ("t0a1", "t0a0"), ()),
+                (Fraction(2), (), ("t0a0", "t0a0", "t0a0")),
+            ]
+        )
+        for expo in [(0, 0, 0, 2, 0, 0), (3, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)]:
+            p = monomial(names, weights, cap, expo)
+            assert op.apply(p) == oracle_apply(op, p), expo
+        p = monomial(names, weights, cap, (0, 0, 0, 2, 0, 0))
+        assert op.apply(p).coefficient((2, 0, 0, 0, 0, 0)) == s * 2
+        names, weights, cap = FAMILIES["x"]
+        x1 = TruncatedSeries.variable(names, weights, cap, "x1")
+        d11 = OperatorExpr.build([(1, (), ("x1", "x1"))])
+        assert d11.apply(x1 * x1 * x1) == x1.scale(6)
+        assert OperatorExpr.build([(1, (), ("x9",))]).apply(x1).is_zero()
+
+    @pytest.mark.parametrize("k", range(-3, 4))
+    def test_builders(self, k):
+        params = OscillatorParams(
+            hbar=Fraction(1, 3), mu=Fraction(3, 2), lambda_param=Fraction(2, 3)
+        )
+        names, weights, cap = fock_space(6)
+        ops = [
+            heisenberg(k, params),
+            oscillator_virasoro(k, params, cap),
+            bm_display(k, params, cap),
+        ]
+        if k >= -1:
+            data = two_class_data()
+            t_names, t_weights, t_cap = target_space(data, 3, 6)
+            target = target_virasoro_build(data, k, 3)
+            for expo in _weight_monomials(len(t_names), t_weights, t_cap):
+                p = monomial(t_names, t_weights, t_cap, expo)
+                assert outcome(OperatorExpr.apply, target, p) == outcome(
+                    oracle_apply, target, p
+                ), expo
+        for op in ops:
+            for expo in _weight_monomials(len(names), weights, cap):
+                p = monomial(names, weights, cap, expo)
+                assert outcome(OperatorExpr.apply, op, p) == outcome(
+                    oracle_apply, op, p
+                ), (op, expo)
+
+
 class TestHeisenberg:
     def test_lowering_is_derivative(self):
         names, weights, cap = fock_space(6)
         x1 = TruncatedSeries.variable(names, weights, cap, "x1")
-        assert heisenberg_apply(1, x1, OscillatorParams()).constant_term().re == 1
+        assert heisenberg(1, OscillatorParams()).apply(x1).constant_term().re == 1
 
     def test_raising_is_multiplication(self):
         names, weights, cap = fock_space(6)
         one = TruncatedSeries.constant(names, weights, cap, 1)
-        out = heisenberg_apply(-1, one, OscillatorParams())
+        out = heisenberg(-1, OscillatorParams()).apply(one)
         assert out.coefficient((1, 0, 0, 0, 0, 0)).re == 1
 
     def test_zero_mode_is_mu(self):
         names, weights, cap = fock_space(4)
         one = TruncatedSeries.constant(names, weights, cap, 1)
         params = OscillatorParams(mu=Fraction(5, 3))
-        assert heisenberg_apply(0, one, params) == one.scale(Fraction(5, 3))
+        assert heisenberg(0, params).apply(one) == one.scale(Fraction(5, 3))
 
     @pytest.mark.parametrize("hbar", [Fraction(1), Fraction(2), Fraction(1, 3)])
     def test_commutation_relations(self, hbar):
@@ -82,8 +208,8 @@ class TestHeisenberg:
             bound = cap - abs(m) - abs(n)  # two applications never truncate
             for expo in _weight_monomials(len(names), weights, bound):
                 p = monomial(names, weights, series_cap, expo)
-                lhs = heisenberg_apply(m, heisenberg_apply(n, p, params), params)
-                lhs = lhs - heisenberg_apply(n, heisenberg_apply(m, p, params), params)
+                lhs = heisenberg(m, params).apply(heisenberg(n, params).apply(p))
+                lhs = lhs - heisenberg(n, params).apply(heisenberg(m, params).apply(p))
                 expected = p.scale(m * hbar) if m == -n else p.scale(0)
                 assert lhs == expected, (m, n, expo)
 
@@ -91,7 +217,7 @@ class TestHeisenberg:
         names, weights, cap = fock_space(3)
         x3 = TruncatedSeries.variable(names, weights, cap, "x3")
         with pytest.raises(TruncationError):
-            heisenberg_apply(-1, x3, OscillatorParams())
+            heisenberg(-1, OscillatorParams()).apply(x3)
 
 
 class TestOscillatorVirasoro:
@@ -100,13 +226,13 @@ class TestOscillatorVirasoro:
     def test_l0_vacuum(self):
         names, weights, cap = fock_space(8)
         one = TruncatedSeries.constant(names, weights, cap, 1)
-        out = oscillator_virasoro_apply(0, one, self.params)
+        out = oscillator_virasoro(0, self.params, cap).apply(one)
         assert out == one.scale((Fraction(3, 2) ** 2 + Fraction(2, 3) ** 2) / 2)
 
     def test_l1_on_x1(self):
         names, weights, cap = fock_space(8)
         x1 = TruncatedSeries.variable(names, weights, cap, "x1")
-        out = oscillator_virasoro_apply(1, x1, self.params)
+        out = oscillator_virasoro(1, self.params, cap).apply(x1)
         expected = GaussianRational(Fraction(3, 2), Fraction(2, 3))  # mu + i lambda
         assert out.constant_term() == expected
         assert len(out.terms) == 1
@@ -114,7 +240,7 @@ class TestOscillatorVirasoro:
     def test_lminus1_on_vacuum(self):
         names, weights, cap = fock_space(8)
         one = TruncatedSeries.constant(names, weights, cap, 1)
-        out = oscillator_virasoro_apply(-1, one, self.params)
+        out = oscillator_virasoro(-1, self.params, cap).apply(one)
         expected = GaussianRational(Fraction(3, 2), Fraction(-2, 3))  # mu - i lambda
         assert out.coefficient((1,) + (0,) * 7) == expected
 
@@ -125,7 +251,7 @@ class TestOscillatorVirasoro:
         for expo in _weight_monomials(len(names), weights, 4):
             p = monomial(names, weights, cap, expo)
             w = p.degree_of(expo)
-            out = oscillator_virasoro_apply(k, p, self.params)
+            out = oscillator_virasoro(k, self.params, cap).apply(p)
             assert all(out.degree_of(e) == w - k for e in out.terms), (k, expo)
 
     def test_central_term_is_needed(self):
@@ -134,12 +260,9 @@ class TestOscillatorVirasoro:
         params = OscillatorParams(lambda_param=Fraction(2, 3))
         names, weights, cap = fock_space(10)
         one = TruncatedSeries.constant(names, weights, cap, 1)
-        lhs = oscillator_virasoro_apply(
-            2, oscillator_virasoro_apply(-2, one, params), params
-        ) - oscillator_virasoro_apply(
-            -2, oscillator_virasoro_apply(2, one, params), params
-        )
-        rhs_no_central = oscillator_virasoro_apply(0, one, params).scale(4)
+        l2, lm2, l0 = (oscillator_virasoro(k, params, cap) for k in (2, -2, 0))
+        lhs = l2.apply(lm2.apply(one)) - lm2.apply(l2.apply(one))
+        rhs_no_central = l0.apply(one).scale(4)
         central = (1 + 12 * Fraction(2, 3) ** 2) * Fraction(2**3 - 2, 12)
         assert lhs != rhs_no_central
         assert lhs == rhs_no_central + one.scale(central)
@@ -147,6 +270,14 @@ class TestOscillatorVirasoro:
     def test_insufficient_cap(self):
         with pytest.raises(InsufficientCap):
             oscillator_commutator_check(3, 3, self.params, safe_cap=8)
+
+    def test_truncation_is_never_silent(self):
+        # L_{-1} x4 holds x5 d/dx4 x4 = x5, outside x_1..x_4; a builder that
+        # dropped out-of-family factors would return 0 here
+        names, weights, cap = fock_space(4)
+        x4 = TruncatedSeries.variable(names, weights, cap, "x4")
+        with pytest.raises(TruncationError):
+            oscillator_virasoro(-1, OscillatorParams(), 4).apply(x4)
 
     def test_bm_display_diff_report_structure(self):
         report = bm_display_diff_report(self.params, cap=6, k_range=(-1, 1))
@@ -188,13 +319,13 @@ class TestVertexOperator:
         p = x1 * x2 + x1.scale(Fraction(1, 3))
         orders = 6
         co = vertex_operator_apply(p, orders, orders)
-        inner = vertex_operator_apply(heisenberg_apply(j, p, params), orders, orders)
+        inner = vertex_operator_apply(heisenberg(j, params).apply(p), orders, orders)
         zero = p.scale(0)
         for a in range(-3, 3):
             for b in range(-3, 3):
                 if 3 + a + b + j > cap:  # truncation-free comparison window
                     continue
-                lhs = heisenberg_apply(j, co.get((a, b), zero), params) - inner.get(
+                lhs = heisenberg(j, params).apply(co.get((a, b), zero)) - inner.get(
                     (a, b), zero
                 )
                 rhs = co.get((a - j, b), zero) - co.get((a, b - j), zero)
