@@ -38,7 +38,7 @@ class RunConfig:
     seed: int = 0
     max_darts: int = 12
     max_matchings: int = 20_000
-    cap: int = 8
+    cap: int | None = None  # unset: each command's own default
     output_format: str = "json"
     output_path: str | None = None
 
@@ -63,6 +63,10 @@ class RunConfig:
             if type(value) is not int:
                 raise DomainError(f"config key {key!r} must be a JSON integer")
         return replace(config, **raw)
+
+    def cap_or(self, default: int) -> int:
+        """The cap a flag or the config file set, else the command's default."""
+        return default if self.cap is None else self.cap
 
 
 def _fractions(text: str) -> tuple[Fraction, ...]:
@@ -113,6 +117,7 @@ def _cmd_graphs(args, config):
 
 
 def _cmd_intersect(args, config):
+    from .exact import rational_to_str
     from .ribbon import extract_intersection_numbers
 
     if args.genus < 0 or args.n < 1:
@@ -122,24 +127,18 @@ def _cmd_intersect(args, config):
     rows = [("genus", "indices", "value")]
     for (g, dtuple), value in sorted(table.entries.items()):
         key = "(" + ",".join(str(d) for d in dtuple) + ")"
-        numbers[key] = _rat(value)
-        rows.append((g, " ".join(str(d) for d in dtuple), _rat(value)))
+        numbers[key] = rational_to_str(value)
+        rows.append((g, " ".join(str(d) for d in dtuple), rational_to_str(value)))
     payload = {"genus": args.genus, "n": args.n, "numbers": numbers}
     return payload, rows, True
 
 
-def _rat(value) -> str:
-    from .exact import rational_to_str
-
-    return rational_to_str(Fraction(value))
-
-
 def _cmd_verify(args, config):
-    from .kdv import assemble_free_energy, kdv_residual, string_residual
+    from .kdv import DEFAULT_CAP, assemble_free_energy, kdv_residual, string_residual
     from .ribbon import base_table
 
     table = base_table(max_darts=config.max_darts)
-    fe = assemble_free_energy(table, cap=config.cap)
+    fe = assemble_free_energy(table, cap=config.cap_or(DEFAULT_CAP))
     report = (kdv_residual if args.which == "kdv" else string_residual)(fe)
     payload = report.to_json()
     payload["coverage_gap"] = [
@@ -169,18 +168,15 @@ def _cmd_schur(args, config):
 
 
 def _cmd_virasoro_oscillator(args, config):
-    from .fock import OscillatorParams, oscillator_commutator_check
+    from .fock import OscillatorParams, oscillator_sweep
 
     if args.max_mode < 0:
         raise DomainError("--max-mode must be >= 0")
     params = OscillatorParams(
         mu=Fraction(args.mu), lambda_param=Fraction(args.lambda_param)
     )
-    cap = 10 if args.cap is None else args.cap
-    reports = []
-    for m in range(-args.max_mode, args.max_mode + 1):
-        for n in range(-args.max_mode, args.max_mode + 1):
-            reports.append(oscillator_commutator_check(m, n, params, cap))
+    cap = config.cap_or(10)
+    reports = oscillator_sweep(args.max_mode, params, cap)
     passed = all(r["all_zero"] for r in reports)
     payload = {
         "lambda": str(Fraction(args.lambda_param)),
@@ -208,6 +204,7 @@ def _cmd_virasoro_target(args, config):
 
 
 def _cmd_matrix_moment(args, config):
+    from .exact import rational_to_str
     from .wick import GaussianSpec, TraceWord, wick_moment
 
     word = TraceWord.from_string(args.word)
@@ -217,9 +214,9 @@ def _cmd_matrix_moment(args, config):
         payload = {
             "mode": "diagonal",
             "N": args.N,
-            "lambda": [_rat(v) for v in spec.lambda_diag],
+            "lambda": [rational_to_str(v) for v in spec.lambda_diag],
             "word": list(word.powers),
-            "moment": _rat(value),
+            "moment": rational_to_str(value),
         }
         return payload, None, True
     value = wick_moment(GaussianSpec(args.N), word, config.max_matchings)
@@ -227,22 +224,23 @@ def _cmd_matrix_moment(args, config):
         "mode": "scalar",
         "N": args.N,
         "word": list(word.powers),
-        "laurent": {str(p): _rat(c) for p, c in value.items()},
+        "laurent": {str(p): rational_to_str(c) for p, c in value.items()},
     }
     return payload, None, True
 
 
 def _cmd_matrix_genus(args, config):
+    from .exact import rational_to_str
     from .wick import TraceWord, genus_expansion
 
     word = TraceWord.from_string(args.word)
     expansion = genus_expansion(word, config.max_matchings)
     rows = [("genus", "coefficient")] + [
-        (g, _rat(c)) for g, c in sorted(expansion.items())
+        (g, rational_to_str(c)) for g, c in sorted(expansion.items())
     ]
     payload = {
         "word": list(word.powers),
-        "expansion": {str(g): _rat(c) for g, c in expansion.items()},
+        "expansion": {str(g): rational_to_str(c) for g, c in expansion.items()},
     }
     return payload, rows, True
 
@@ -412,7 +410,7 @@ def run(argv=None) -> int:
             if value is not None:
                 overrides[field] = value
         config = replace(config, **overrides)
-        if config.cap < 0:
+        if config.cap is not None and config.cap < 0:
             raise DomainError("--cap must be >= 0")
         payload, csv_rows, passed = args.func(args, config)
         _emit(payload, config, csv_rows)

@@ -1,10 +1,14 @@
-"""Exact arithmetic substrate: Gaussian rationals, truncated series, linear solving.
+"""Exact arithmetic substrate: Gaussian rationals, truncated series, linear algebra.
 
 All coefficients live in Q(i) so that imaginary couplings (i*lambda terms,
 the cubic vertex weight i/6) need no special casing anywhere downstream.
 Series are multivariate polynomials truncated at a configurable weighted
 total degree; arithmetic drops every term whose weighted degree exceeds the
 cap, consistently on both sides of products.
+
+Matrices over Q are plain lists of Fraction rows (`Matrix`).  Solving, rank,
+determinant and the torsion lifts all rest on one Gauss-Jordan elimination,
+`row_reduce`, which also fixes the pivot order.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InconsistentSystem, RankDeficient
 
@@ -288,12 +292,8 @@ class TruncatedSeries:
             return "<series 0>"
         bits = []
         for expo in sorted(self.terms):
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.variables, expo)
-                if e
-            )
-            bits.append(f"({self.terms[expo]}){('*' + mono) if mono else ''}")
+            mono = "*" + monomial_name(self.variables, expo) if any(expo) else ""
+            bits.append(f"({self.terms[expo]}){mono}")
         return "<series " + " + ".join(bits) + ">"
 
     # -- calculus -----------------------------------------------------
@@ -388,99 +388,129 @@ def x_variables(max_index: int, cap: int):
     return names, tuple(range(1, max_index + 1)), cap
 
 
+def weight_monomials(weights: Sequence[int], bound: int) -> Iterator[Exponents]:
+    """All exponent tuples with weighted degree <= bound (includes 1), in
+    lexicographic order."""
+    if bound < 0:
+        return
+    expo = [0] * len(weights)
+    degree = 0
+    while True:
+        yield tuple(expo)
+        # odometer step: bump the last slot that still fits, zeroing the
+        # slots after it
+        for idx in reversed(range(len(weights))):
+            if degree + weights[idx] <= bound:
+                expo[idx] += 1
+                degree += weights[idx]
+                break
+            degree -= expo[idx] * weights[idx]
+            expo[idx] = 0
+        else:
+            return
+
+
+def monomial_name(variables: Sequence[str], expo: Exponents) -> str:
+    """Display name of a monomial, e.g. t0^2*t3; "1" for the constant."""
+    bits = [f"{v}^{e}" if e > 1 else v for v, e in zip(variables, expo) if e]
+    return "*".join(bits) if bits else "1"
+
+
 # ---------------------------------------------------------------------------
 # Exact linear algebra over Q
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExactMatrix:
-    """Dense matrix of Fractions with shape checking."""
-
-    entries: list[list[Fraction]]
-
-    def __post_init__(self):
-        rows = self.entries
-        self.entries = [[Fraction(x) for x in row] for row in rows]
-        widths = {len(row) for row in self.entries}
-        if len(widths) > 1:
-            raise DomainError("ragged matrix")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+Matrix = list[list[Fraction]]
 
 
-def solve_linear_exact(a: ExactMatrix, y: Sequence[Fraction]) -> list[Fraction]:
+def row_reduce(
+    rows: Sequence[Sequence[Fraction]], ncols: int | None = None
+) -> tuple[Matrix, list[int], Fraction]:
+    """Gauss-Jordan reduction of a copy of `rows`; the only elimination over Q.
+
+    Each of the first `ncols` columns (default: all) in turn pivots on its
+    first nonzero entry at or below the next unpivoted row: that row is
+    swapped up, scaled to a leading 1, and the column is cleared in every
+    other row.  Stops once every row has a pivot.  Returns the reduced rows,
+    the pivot columns in order, and the product of the pivots negated once
+    per row swap -- the determinant when the pivoted block is square and of
+    full rank.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    width = len(mat[0]) if mat else 0
+    if any(len(row) != width for row in mat):
+        raise DomainError("ragged matrix")
+    pivots: list[int] = []
+    det = Fraction(1)
+    for c in range(width if ncols is None else ncols):
+        r = len(pivots)
+        if r == len(mat):
+            break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            mat[r], mat[pivot] = mat[pivot], mat[r]
+            det = -det
+        pv = mat[r][c]
+        det *= pv
+        mat[r] = [x / pv for x in mat[r]]
+        for i, row in enumerate(mat):
+            if i != r and row[c]:
+                factor = row[c]
+                mat[i] = [x - factor * p for x, p in zip(row, mat[r])]
+        pivots.append(c)
+    return mat, pivots, det
+
+
+def solve_linear_exact(
+    a: Sequence[Sequence[Fraction]], y: Sequence[Fraction]
+) -> list[Fraction]:
     """Solve A x = y exactly; the system may be overdetermined but consistent.
 
     Raises InconsistentSystem (with the offending residual) when no solution
     exists and RankDeficient when the solution is not unique.
     """
-    if a.rows != len(y):
+    if len(a) != len(y):
         raise DomainError("right-hand side length mismatch")
-    m, n = a.rows, a.cols
-    aug = [list(row) + [Fraction(y[i])] for i, row in enumerate(a.entries)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [x - factor * p for x, p in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            raise InconsistentSystem(
-                "no exact solution", residual=aug[i][n]
-            )
-    if len(pivot_cols) < n:
-        raise RankDeficient(f"rank {len(pivot_cols)} < {n} unknowns")
-    solution = [Fraction(0)] * n
-    for i, c in enumerate(pivot_cols):
-        solution[c] = aug[i][n]
+    n = len(a[0]) if a else 0
+    reduced, pivots, _ = row_reduce([list(row) + [y_i] for row, y_i in zip(a, y)], n)
+    for row in reduced[len(pivots):]:
+        if row[n]:
+            raise InconsistentSystem("no exact solution", residual=row[n])
+    if len(pivots) < n:
+        raise RankDeficient(f"rank {len(pivots)} < {n} unknowns")
+    solution = [row[n] for row in reduced[:n]]
     # exact residual audit for the overdetermined rows
-    for i, row in enumerate(a.entries):
-        lhs = sum((row[j] * solution[j] for j in range(n)), Fraction(0))
-        if lhs != Fraction(y[i]):
-            raise InconsistentSystem("nonzero residual", residual=lhs - Fraction(y[i]))
+    for row, y_i in zip(a, y):
+        lhs = sum((x * s for x, s in zip(row, solution)), Fraction(0))
+        if lhs != y_i:
+            raise InconsistentSystem("nonzero residual", residual=lhs - y_i)
     return solution
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a matrix over Q by fraction-free-ish elimination."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    if not mat or not mat[0]:
-        return 0
-    m, n = len(mat), len(mat[0])
-    rank = 0
-    for c in range(n):
-        pivot = next((i for i in range(rank, m) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][c]
-        for i in range(rank + 1, m):
-            if mat[i][c] != 0:
-                factor = mat[i][c] / pv
-                mat[i] = [x - factor * p for x, p in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    """Rank of a matrix over Q."""
+    return len(row_reduce(rows)[1])
+
+
+def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a square matrix over Q; 0 when the rank is short."""
+    if any(len(row) != len(rows) for row in rows):
+        raise DomainError("determinant needs a square matrix")
+    _, pivots, det = row_reduce(rows)
+    return det if len(pivots) == len(rows) else Fraction(0)
+
+
+def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
+    if a and b and len(a[0]) != len(b):
+        raise DomainError("matrix shape mismatch")
+    cols = len(b[0]) if b else 0
+    return [
+        [sum((x * b_row[j] for x, b_row in zip(row, b)), Fraction(0)) for j in range(cols)]
+        for row in a
+    ]
 
 
 def binomial(n: int, k: int) -> int:

@@ -34,11 +34,13 @@ from .errors import (
 from .exact import (
     GR_I,
     GR_ZERO,
-    ExactMatrix,
     GaussianRational,
     TruncatedSeries,
+    mat_mul,
+    monomial_name,
     rational_rank,
-    solve_linear_exact,
+    row_reduce,
+    weight_monomials,
     x_variables,
 )
 
@@ -185,12 +187,15 @@ def bm_display(k: int, params: OscillatorParams, cap: int) -> OperatorExpr:
 # any shipped check uses is 139 monomials (weight <= 10 in x_1..x_10).
 MAX_WINDOW = 1000
 
+# Most monomial visits times arity all the sweeps of one oscillator_sweep may
+# make together.  Cap 10 needs 9070 at max mode 2 (the default run) and 10510
+# at 3 (criterion 6's grid); cap 12 at most 30672, cap 14 at mode 2 55664.
+MAX_SWEEP_WORK = 50_000
+
 
 def _window(weights: Sequence[int], bound: int) -> list[tuple[int, ...]]:
     """Basis monomials of weighted degree <= bound, at most MAX_WINDOW."""
-    window = list(
-        itertools.islice(_weight_monomials(len(weights), weights, bound), MAX_WINDOW + 1)
-    )
+    window = list(itertools.islice(weight_monomials(weights, bound), MAX_WINDOW + 1))
     if len(window) > MAX_WINDOW:
         raise BudgetError(f"over {MAX_WINDOW} monomials of weight <= {bound} in the window")
     if not window:
@@ -207,7 +212,7 @@ def oscillator_commutator_check(
     so no intermediate application can silently truncate.
     """
     names, weights, cap = fock_space(safe_cap)
-    window = _window(weights, safe_cap - abs(m) - abs(n) - max(abs(m), abs(n)))
+    window = _window(weights, _sweep_bound(m, n, safe_cap))
     lam = params.lambda_param
     central = Fraction(0)
     if m == -n:
@@ -231,26 +236,36 @@ def oscillator_commutator_check(
     }
 
 
-def _weight_monomials(arity: int, weights: Sequence[int], bound: int):
-    """All exponent tuples with weighted degree <= bound (includes 1), in
-    lexicographic order."""
-    if bound < 0:
-        return
-    expo = [0] * arity
-    degree = 0
-    while True:
-        yield tuple(expo)
-        # odometer step: bump the last slot that still fits, zeroing the
-        # slots after it
-        for idx in reversed(range(arity)):
-            if degree + weights[idx] <= bound:
-                expo[idx] += 1
-                degree += weights[idx]
-                break
-            degree -= expo[idx] * weights[idx]
-            expo[idx] = 0
-        else:
-            return
+def _sweep_bound(m: int, n: int, safe_cap: int) -> int:
+    return safe_cap - abs(m) - abs(n) - max(abs(m), abs(n))
+
+
+def oscillator_sweep(max_mode: int, params: OscillatorParams, safe_cap: int = 10) -> list[dict]:
+    """oscillator_commutator_check for every m, n in [-max_mode, max_mode].
+
+    Before the first sweep, the windows are walked in sweep order and their
+    monomial visits times the arity (cap) are summed; past MAX_SWEEP_WORK
+    this raises BudgetError.  The walk stops at the first empty window,
+    where the sweep itself raises InsufficientCap.
+    """
+    if safe_cap > MAX_SWEEP_WORK:  # one x_1..x_cap tuple is already too long
+        raise BudgetError(f"cap {safe_cap} is over the sweep budget {MAX_SWEEP_WORK}")
+    weights = range(1, safe_cap + 1)
+    max_visits = MAX_SWEEP_WORK // max(1, safe_cap)
+    modes = range(-max_mode, max_mode + 1)
+    visits = 0
+    for m, n in ((m, n) for m in modes for n in modes):
+        window = weight_monomials(weights, _sweep_bound(m, n, safe_cap))
+        count = sum(1 for _ in itertools.islice(window, max_visits - visits + 1))
+        if count == 0:
+            break
+        visits += count
+        if visits > max_visits:
+            raise BudgetError(
+                f"the sweeps over modes up to {max_mode} at cap {safe_cap} need"
+                f" over {MAX_SWEEP_WORK} monomial visits times arity"
+            )
+    return [oscillator_commutator_check(m, n, params, safe_cap) for m in modes for n in modes]
 
 
 def bm_display_diff_report(params: OscillatorParams, cap: int = 8, k_range=(-2, -1, 1, 2)) -> dict:
@@ -569,22 +584,14 @@ class CohomologyData:
         d = self.dim
         out = [[Fraction(i == k) for k in range(d)] for i in range(d)]
         for _ in range(j):
-            out = [
-                [
-                    sum((out[i][l] * self.cmat[l][k] for l in range(d)), Fraction(0))
-                    for k in range(d)
-                ]
-                for i in range(d)
-            ]
+            out = mat_mul(out, self.cmat)
         return out
 
     def eta_inverse(self) -> list[list[Fraction]]:
-        # eta is symmetric, so column k of its inverse, eta x = e_k, is row k
-        eta = ExactMatrix(self.eta)
-        return [
-            solve_linear_exact(eta, [Fraction(i == k) for i in range(self.dim)])
-            for k in range(self.dim)
-        ]
+        # validate() checked eta invertible: reducing [eta | 1] leaves [1 | eta^-1]
+        d = self.dim
+        augmented = [row + [Fraction(i == k) for k in range(d)] for i, row in enumerate(self.eta)]
+        return [row[d:] for row in row_reduce(augmented, d)[0]]
 
     def to_json(self) -> dict:
         from .exact import rational_to_str as r
@@ -779,7 +786,7 @@ def target_commutator_report(
         residual_swapped = lhs - structure.scale(n1 - n)
         entries.append(
             {
-                "monomial": _target_monomial_name(names, expo),
+                "monomial": monomial_name(names, expo),
                 "zero": residual.is_zero(),
                 "zero_swapped_sign": residual_swapped.is_zero(),
                 "residual": residual.to_json(),
@@ -794,7 +801,3 @@ def target_commutator_report(
         "entries": entries,
     }
 
-
-def _target_monomial_name(names, expo) -> str:
-    bits = [f"{v}^{e}" if e > 1 else v for v, e in zip(names, expo) if e]
-    return "*".join(bits) if bits else "1"

@@ -12,15 +12,27 @@ uncovered or nonzero accordingly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError
-from .exact import Exponents, TruncatedSeries, rational_to_str, t_variables
+from .errors import BudgetError, DomainError
+from .exact import (
+    Exponents,
+    TruncatedSeries,
+    monomial_name,
+    rational_to_str,
+    t_variables,
+    weight_monomials,
+)
 from .ribbon import IntersectionTable
 
 DEFAULT_CAP = 8
 DEFAULT_MAX_INDEX = 4
+# Most t-monomials a free energy may span: C(cap + K + 1, K + 1) over
+# t_0..t_K.  With K = 4 that is 1287 at cap 8, 3003 at cap 10 and 4368 at
+# cap 11; cap 12 (6188) is refused.
+MAX_FREE_ENERGY_MONOMIALS = 5000
 
 
 def _forced_genus(dsum: int, n: int) -> int | None:
@@ -100,13 +112,6 @@ class FreeEnergy:
         return MaskedSeries(self.series, self.mask)
 
 
-def _monomial_name(variables, expo) -> str:
-    bits = [
-        f"{v}^{e}" if e > 1 else v for v, e in zip(variables, expo) if e
-    ]
-    return "*".join(bits) if bits else "1"
-
-
 def assemble_free_energy(
     table: IntersectionTable,
     max_genus: int = 1,
@@ -116,38 +121,45 @@ def assemble_free_energy(
     """Build F from the table; monomials the table cannot determine are
     masked and listed in the coverage gap (no exception: the gap report is
     the contract, since no finite table covers every monomial in the cap)."""
+    monomials = math.comb(cap + max_index + 1, max_index + 1)
+    if monomials > MAX_FREE_ENERGY_MONOMIALS:
+        raise BudgetError(
+            f"{monomials} t-monomials up to degree {cap} in t0..t{max_index}"
+            f" exceed {MAX_FREE_ENERGY_MONOMIALS}"
+        )
     names, weights, cap = t_variables(max_index, cap)
     provenance = table.fragments()
     terms: dict[Exponents, Fraction] = {}
     mask: set[Exponents] = set()
     gap: list[tuple[int, int, tuple[int, ...]]] = []
-    for total in range(1, cap + 1):
-        for expo in _exponents_of_degree(len(names), total):
-            n = sum(expo)
-            dsum = sum(i * k for i, k in enumerate(expo))
-            g = _forced_genus(dsum, n)
-            if g is None:
-                continue  # dimension constraint forces an exact zero
-            dtuple = tuple(
-                sorted(
-                    itertools.chain.from_iterable([i] * k for i, k in enumerate(expo)),
-                    reverse=True,
-                )
+    for expo in weight_monomials(weights, cap):
+        n = sum(expo)
+        if n == 0:
+            continue  # F has no constant term
+        dsum = sum(i * k for i, k in enumerate(expo))
+        g = _forced_genus(dsum, n)
+        if g is None:
+            continue  # dimension constraint forces an exact zero
+        dtuple = tuple(
+            sorted(
+                itertools.chain.from_iterable([i] * k for i, k in enumerate(expo)),
+                reverse=True,
             )
-            if g <= max_genus and (g, n) in provenance:
-                key = (g, dtuple)
-                if key not in table.entries:
-                    raise DomainError(f"table fragment ({g},{n}) missing {dtuple}")
-                denom = 1
-                for k in expo:
-                    for j in range(2, k + 1):
-                        denom *= j
-                value = table.entries[key] / denom
-                if value:
-                    terms[expo] = value
-            else:
-                mask.add(expo)
-                gap.append((g, n, dtuple))
+        )
+        if g <= max_genus and (g, n) in provenance:
+            key = (g, dtuple)
+            if key not in table.entries:
+                raise DomainError(f"table fragment ({g},{n}) missing {dtuple}")
+            denom = 1
+            for k in expo:
+                for j in range(2, k + 1):
+                    denom *= j
+            value = table.entries[key] / denom
+            if value:
+                terms[expo] = value
+        else:
+            mask.add(expo)
+            gap.append((g, n, dtuple))
     series = TruncatedSeries(names, weights, cap, terms)
     # provenance audit: every used entry was routed to its unique forced genus
     for expo in series.terms:
@@ -164,20 +176,6 @@ def assemble_free_energy(
         max_index=max_index,
         cap=cap,
     )
-
-
-def _exponents_of_degree(arity: int, total: int):
-    if arity == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _exponents_of_degree(arity - 1, total - first):
-            yield (first,) + rest
-
-
-def _all_exponents_up_to(arity: int, max_total: int):
-    for total in range(max_total + 1):
-        yield from _exponents_of_degree(arity, total)
 
 
 @dataclass
@@ -222,9 +220,9 @@ def _classify(name: str, residual: MaskedSeries, window: int) -> ResidualReport:
     if window < 0:
         raise DomainError("series cap too small for a reliable window")
     entries = []
-    for expo in _all_exponents_up_to(len(series.variables), window):
-        if series.degree_of(expo) > window:
-            continue
+    for expo in sorted(
+        weight_monomials(series.weights, window), key=lambda e: (series.degree_of(e), e)
+    ):
         coeff = series.coefficient(expo)
         if expo in residual.mask:
             status = "uncovered"
@@ -234,7 +232,7 @@ def _classify(name: str, residual: MaskedSeries, window: int) -> ResidualReport:
             status = "verified_zero"
         entries.append(
             {
-                "monomial": _monomial_name(series.variables, expo),
+                "monomial": monomial_name(series.variables, expo),
                 "exponents": list(expo),
                 "status": status,
                 "value": str(coeff) if coeff.im else rational_to_str(coeff.re),

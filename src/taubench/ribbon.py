@@ -23,7 +23,7 @@ from .errors import (
     PoleError,
     Unstable,
 )
-from .exact import ExactMatrix, double_factorial, solve_linear_exact
+from .exact import double_factorial, solve_linear_exact
 
 DEFAULT_MAX_DARTS = 12
 
@@ -436,7 +436,7 @@ def extract_intersection_numbers(
             row.append(acc * factor)
         rows.append(row)
         rhs.append(kontsevich_sum(g, n, lams, max_darts))
-    solution = solve_linear_exact(ExactMatrix(rows), rhs)
+    solution = solve_linear_exact(rows, rhs)
     return IntersectionTable(
         {(g, ms): value for ms, value in zip(multisets, solution)}
     )

@@ -61,11 +61,11 @@ def _crit_twelve_dart_blocks(config, full):
 
 
 def _table_and_energy(config):
-    from .kdv import assemble_free_energy
+    from .kdv import DEFAULT_CAP, assemble_free_energy
     from .ribbon import base_table
 
     table = base_table(max_darts=config.max_darts)
-    return table, assemble_free_energy(table, cap=config.cap)
+    return table, assemble_free_energy(table, cap=config.cap_or(DEFAULT_CAP))
 
 
 def _crit_kdv(config, full):
@@ -74,7 +74,7 @@ def _crit_kdv(config, full):
     table, fe = _table_and_energy(config)
     report = kdv_residual(fe)
     zeros_ok = not report.covered_nonzero()
-    flips = mutation_report(table, cap=config.cap)
+    flips = mutation_report(table, cap=fe.cap)
     invisible = sorted(k for k, v in flips.items() if not v)
     reachable_ok = all(v for k, v in flips.items() if k not in invisible)
     return _criterion(

@@ -5,7 +5,8 @@ C_{i-1} (n_{i-1} x n_i, column-vector convention), every C_i carrying the
 standard unit-vector basis.  The torsion is the alternating product of the
 determinants of the based change-of-basis matrices [b_i | lift of b_{i-1}],
 with b_i a pivot-column basis of im d_{i+1}; the sign is pinned by the
-deterministic pivot order.
+deterministic pivot order, which is set in exact.row_reduce (the leftmost
+independent columns).
 
 Smith normal form over the integers supplies ord H_i for the
 torsion-vs-homology-order theorem.
@@ -25,9 +26,7 @@ from .errors import (
     NotExact,
     NotRationallyAcyclic,
 )
-from .exact import rational_rank
-
-Matrix = list[list[Fraction]]
+from .exact import Matrix, determinant, mat_mul, rational_rank, rational_to_str, row_reduce
 
 
 def _mat(rows: int, cols: int, entries=None) -> Matrix:
@@ -39,97 +38,20 @@ def _mat(rows: int, cols: int, entries=None) -> Matrix:
     return out
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise DomainError("matrix shape mismatch")
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    return [
-        [sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
-        for row in a
-    ]
-
-
 def _is_zero(a: Matrix) -> bool:
     return all(not x for row in a for x in row)
 
 
-def determinant(a: Matrix) -> Fraction:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise DomainError("determinant needs a square matrix")
-    m = [row[:] for row in a]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                for k in range(c, n):
-                    m[r][k] -= f * m[c][k]
-    return det
-
-
-def _pivot_columns(a: Matrix) -> list[int]:
-    """Column indices of a row-echelon pivot basis, deterministic order."""
-    if not a:
-        return []
-    m = [row[:] for row in a]
-    rows, cols = len(m), len(m[0])
-    pivots, r = [], 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c] * inv
-                for k in range(c, cols):
-                    m[i][k] -= f * m[r][k]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
-
-
 def _particular_solution(a: Matrix, rhs: Matrix) -> Matrix:
     """One exact solution X of A X = RHS with free variables set to zero."""
-    rows = len(a)
     cols = len(a[0]) if a else 0
     k = len(rhs[0]) if rhs else 0
-    aug = [a[i][:] + rhs[i][:] for i in range(rows)]
-    pivots, r = [], 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if any(aug[i][cols:]):
-            raise DomainError("inconsistent lift system")
+    reduced, pivots, _ = row_reduce([a_row + r_row for a_row, r_row in zip(a, rhs)], cols)
+    if any(any(row[cols:]) for row in reduced[len(pivots):]):
+        raise DomainError("inconsistent lift system")
     x = _mat(cols, k)
-    for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][cols:]
+    for row, c in zip(reduced, pivots):
+        x[c] = row[cols:]
     return x
 
 
@@ -153,12 +75,16 @@ class BasedChainComplex:
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "boundaries", tuple(mats))
         for i in range(len(mats) - 1):
-            if not _is_zero(_mat_mul(self.boundary(i + 1), self.boundary(i + 2))):
+            if not _is_zero(mat_mul(self.boundary(i + 1), self.boundary(i + 2))):
                 raise InvalidComplex("boundary maps do not compose to zero")
 
     @property
     def length(self) -> int:
         return len(self.ranks) - 1
+
+    def rank(self, i: int) -> int:
+        """n_i; 0 above the top degree."""
+        return self.ranks[i] if i <= self.length else 0
 
     def boundary(self, i: int) -> Matrix:
         """d_i: C_i -> C_{i-1}; zero map outside 1..length."""
@@ -178,13 +104,10 @@ class BasedChainComplex:
         )
 
     def to_json(self) -> dict:
-        from .exact import rational_to_str as r
-
         return {
             "ranks": list(self.ranks),
             "boundaries": [
-                [[r(Fraction(x)) for x in row] for row in mat]
-                for mat in self.boundaries
+                [[rational_to_str(x) for x in row] for row in mat] for mat in self.boundaries
             ],
         }
 
@@ -222,7 +145,7 @@ def torsion(c: BasedChainComplex, lift_rng: random.Random | None = None) -> Frac
     image_bases: list[Matrix] = []  # basis of im d_{i+1} inside C_i, per degree
     for i in range(c.length + 1):
         d_next = c.boundary(i + 1)
-        cols = _pivot_columns(d_next)
+        cols = row_reduce(d_next)[1]
         image_bases.append([[d_next[r][j] for j in cols] for r in range(c.ranks[i])])
     tau = Fraction(1)
     for i in range(c.length + 1):
@@ -413,24 +336,15 @@ def torsion_order_check(c: BasedChainComplex) -> dict:
 def direct_sum(cp: BasedChainComplex, cpp: BasedChainComplex) -> BasedChainComplex:
     """C' (+) C'' with the concatenated standard basis (C' block first)."""
     m = max(cp.length, cpp.length)
-
-    def rank(c, i):
-        return c.ranks[i] if i <= c.length else 0
-
-    ranks = [rank(cp, i) + rank(cpp, i) for i in range(m + 1)]
+    ranks = [cp.rank(i) + cpp.rank(i) for i in range(m + 1)]
     boundaries = []
     for i in range(1, m + 1):
-        a = cp.boundary(i) if i <= cp.length else _mat(rank(cp, i - 1), 0)
-        b = cpp.boundary(i) if i <= cpp.length else _mat(rank(cpp, i - 1), 0)
-        rows_a, rows_b = rank(cp, i - 1), rank(cpp, i - 1)
-        cols_a, cols_b = rank(cp, i), rank(cpp, i)
-        block = _mat(rows_a + rows_b, cols_a + cols_b)
-        for r in range(rows_a):
-            for ccol in range(cols_a):
-                block[r][ccol] = a[r][ccol]
-        for r in range(rows_b):
-            for ccol in range(cols_b):
-                block[rows_a + r][cols_a + ccol] = b[r][ccol]
+        rows_a, cols_a = cp.rank(i - 1), cp.rank(i)
+        block = _mat(rows_a + cpp.rank(i - 1), cols_a + cpp.rank(i))
+        for r, row in enumerate(cp.boundary(i)):
+            block[r][:cols_a] = row
+        for r, row in enumerate(cpp.boundary(i)):
+            block[rows_a + r][cols_a:] = row
         boundaries.append(block)
     return BasedChainComplex.from_matrices(ranks, boundaries)
 
@@ -445,15 +359,11 @@ def ses_multiplicativity_check(
     """Verify |tau(C)| = |prod det A_i| |tau(C')| |tau(C'')| for a degreewise
     short exact sequence, A_i = [inclusion | lift of the quotient basis]."""
     m = c.length
-
-    def rank(cc, i):
-        return cc.ranks[i] if i <= cc.length else 0
-
     if len(inclusions) != m + 1 or len(projections) != m + 1:
         raise NotExact("need one inclusion and one projection per degree")
     basis_factor = Fraction(1)
     for i in range(m + 1):
-        n_p, n, n_pp = rank(cp, i), c.ranks[i], rank(cpp, i)
+        n_p, n, n_pp = cp.rank(i), c.ranks[i], cpp.rank(i)
         incl = _mat(n, n_p, inclusions[i])
         proj = _mat(n_pp, n, projections[i])
         if n_p + n_pp != n:
@@ -462,7 +372,7 @@ def ses_multiplicativity_check(
             raise NotExact(f"inclusion not injective in degree {i}")
         if n_pp and rational_rank(proj) != n_pp:
             raise NotExact(f"projection not surjective in degree {i}")
-        if n_p and n_pp and not _is_zero(_mat_mul(proj, incl)):
+        if n_p and n_pp and not _is_zero(mat_mul(proj, incl)):
             raise NotExact(f"projection o inclusion != 0 in degree {i}")
         lift = (
             _particular_solution(proj, [[Fraction(r == s) for s in range(n_pp)] for r in range(n_pp)])
@@ -492,17 +402,10 @@ def ses_multiplicativity_check(
 def standard_sum_maps(cp: BasedChainComplex, cpp: BasedChainComplex, c: BasedChainComplex):
     """Inclusion/projection matrices for the standard direct-sum splitting."""
     inclusions, projections = [], []
-
-    def rank(cc, i):
-        return cc.ranks[i] if i <= cc.length else 0
-
     for i in range(c.length + 1):
-        n_p, n_pp = rank(cp, i), rank(cpp, i)
-        n = c.ranks[i]
-        incl = [[Fraction(r == s) for s in range(n_p)] for r in range(n)]
-        proj = [[Fraction(s == n_p + r) for s in range(n)] for r in range(n_pp)]
-        inclusions.append(incl)
-        projections.append(proj)
+        n_p, n, n_pp = cp.rank(i), c.ranks[i], cpp.rank(i)
+        inclusions.append([[Fraction(r == s) for s in range(n_p)] for r in range(n)])
+        projections.append([[Fraction(s == n_p + r) for s in range(n)] for r in range(n_pp)])
     return inclusions, projections
 
 

@@ -104,6 +104,8 @@ class TestExitCodes:
             ("virasoro", "oscillator", "--max-mode", "-1"),
             # an empty check window (InsufficientCap) comes from the arguments
             ("virasoro", "oscillator", "--max-mode", "1", "--cap", "1"),
+            # the first window is already empty; no list of modes is built
+            ("virasoro", "oscillator", "--max-mode", "1000000000"),
             ("virasoro", "target", "--window", "-1"),
         ],
     )
@@ -143,6 +145,48 @@ class TestVirasoroArgs:
         # the (0, 0) check sweeps every monomial of weight <= cap
         windows = {3: 7, 4: 12, 5: 19, 10: 139}
         assert payload["reports"][0]["window_size"] == windows[cap]
+
+    @pytest.mark.parametrize(
+        "argv,cap",
+        [
+            (("virasoro", "oscillator", "--max-mode", "0"), 3),
+            (("--cap", "4", "virasoro", "oscillator", "--max-mode", "0"), 4),
+            (("--cap", "4", "virasoro", "oscillator", "--cap", "5", "--max-mode", "0"), 5),
+        ],
+    )
+    def test_config_cap_reaches_oscillator(self, capsys, tmp_path, argv, cap):
+        # order: the subcommand's --cap, the global --cap, the config cap, 10
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cap": 3}))
+        code, out, _ = invoke(capsys, "--config", str(cfg), *argv)
+        assert code == 0
+        assert json.loads(out)["cap"] == cap
+
+    def test_verify_cap_defaults_to_eight(self, capsys, tmp_path):
+        # the KdV report window is cap - 5
+        assert json.loads(invoke(capsys, "verify", "kdv")[1])["window"] == 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cap": 6}))
+        assert json.loads(invoke(capsys, "--config", str(cfg), "verify", "kdv")[1])["window"] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 121 sweeps, each under MAX_WINDOW, but over the total budget
+            ("virasoro", "oscillator", "--cap", "16", "--max-mode", "5"),
+            # refused before one monomial tuple of the cap's length is built
+            ("virasoro", "oscillator", "--cap", "1000000"),
+            # C(21, 5) = 20349 free-energy monomials in t0..t4
+            ("--cap", "16", "verify", "kdv"),
+        ],
+    )
+    def test_oversized_run_is_three_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (3, "")
+        assert_one_error_line(err)
+        assert json.loads(err)["error"] == "budget"
 
     @pytest.mark.parametrize(
         "argv",

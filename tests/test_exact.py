@@ -1,5 +1,11 @@
-"""Tests for the exact arithmetic substrate."""
+"""Tests for the exact arithmetic substrate.
 
+The one row reduction, `row_reduce`, is checked against oracles that share
+no code with it: ranks and pivot columns from permutation-expansion minors,
+and particular solutions by multiplying them back out.
+"""
+
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,19 +14,23 @@ from hypothesis import strategies as st
 
 from taubench.errors import DomainError, InconsistentSystem, RankDeficient
 from taubench.exact import (
-    ExactMatrix,
     GaussianRational,
     GR_I,
     GR_ONE,
     TruncatedSeries,
+    determinant,
     double_factorial,
+    monomial_name,
     rational_from_str,
     rational_to_str,
     rational_rank,
+    row_reduce,
     solve_linear_exact,
     t_variables,
+    weight_monomials,
     x_variables,
 )
+from taubench.torsion import _particular_solution
 
 fractions = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -140,6 +150,30 @@ class TestTruncatedSeries:
             expected = expected * s
         assert s**n == expected
 
+    def test_repr_names_monomials(self):
+        names, weights, cap = _series()
+        t0 = TruncatedSeries.variable(names, weights, cap, "t0")
+        t2 = TruncatedSeries.variable(names, weights, cap, "t2")
+        s = (t0 * t0 * t2).scale(GaussianRational(Fraction(1, 2), Fraction(-1))) + 5 + t2
+        assert repr(s) == "<series (5) + (1)*t2 + (1/2+-1i)*t0^2*t2>"
+
+
+class TestMonomials:
+    def test_monomial_name(self):
+        assert monomial_name(("t0", "t1", "t2"), (2, 0, 1)) == "t0^2*t2"
+        assert monomial_name(("t0", "t1"), (0, 0)) == "1"
+
+    def test_weight_monomials_lexicographic_and_complete(self):
+        weights = (1, 2, 3)
+        window = list(weight_monomials(weights, 4))
+        assert window == sorted(window)
+        every = [
+            e for e in itertools.product(range(5), repeat=3)
+            if sum(k * w for k, w in zip(e, weights)) <= 4
+        ]
+        assert sorted(every) == window
+        assert list(weight_monomials(weights, -1)) == []
+
 
 class TestSolveLinearExact:
     @given(
@@ -150,18 +184,18 @@ class TestSolveLinearExact:
     def test_recovers_planted_solution(self, x, spread):
         # Vandermonde rows are exactly independent at distinct nodes
         nodes = [Fraction(k + 1, spread) for k in range(5)]
-        a = ExactMatrix([[node**j for j in range(3)] for node in nodes])
-        y = [sum(row[j] * x[j] for j in range(3)) for row in a.entries]
+        a = [[node**j for j in range(3)] for node in nodes]
+        y = [sum(row[j] * x[j] for j in range(3)) for row in a]
         assert solve_linear_exact(a, y) == x
 
     def test_inconsistent_reports_residual(self):
-        a = ExactMatrix([[Fraction(1)], [Fraction(1)]])
+        a = [[Fraction(1)], [Fraction(1)]]
         with pytest.raises(InconsistentSystem) as err:
             solve_linear_exact(a, [Fraction(1), Fraction(2)])
         assert err.value.residual != 0
 
     def test_rank_deficient(self):
-        a = ExactMatrix([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+        a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
         with pytest.raises(RankDeficient):
             solve_linear_exact(a, [Fraction(1), Fraction(2)])
 
@@ -172,3 +206,112 @@ class TestSolveLinearExact:
             [Fraction(0), Fraction(1), Fraction(0)],
         ]
         assert rational_rank(rows) == 2
+
+
+# ---------------------------------------------------------------------------
+# row_reduce against independent oracles
+# ---------------------------------------------------------------------------
+
+
+def minor_det(m):
+    """Permutation-expansion determinant."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))
+        )
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def rank_oracle(rows, ncols):
+    """Size of the largest nonzero minor among the first ncols columns."""
+    for k in range(min(len(rows), ncols), 0, -1):
+        for r in itertools.combinations(range(len(rows)), k):
+            for c in itertools.combinations(range(ncols), k):
+                if minor_det([[rows[i][j] for j in c] for i in r]):
+                    return k
+    return 0
+
+
+# small entries with many zeros, so rank-deficient matrices are common
+entries = st.sampled_from(
+    [Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-2, 3)]
+)
+
+
+def matrices(max_rows=4, max_cols=5):
+    return st.integers(1, max_rows).flatmap(
+        lambda m: st.integers(1, max_cols).flatmap(
+            lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)
+        )
+    )
+
+
+class TestRowReduce:
+    @given(matrices())
+    @settings(max_examples=60)
+    def test_rank_is_largest_nonzero_minor(self, a):
+        assert rational_rank(a) == rank_oracle(a, len(a[0]))
+
+    @given(matrices())
+    @settings(max_examples=60)
+    def test_pivots_are_leftmost_independent_columns(self, a):
+        expected = [
+            c for c in range(len(a[0])) if rank_oracle(a, c + 1) > rank_oracle(a, c)
+        ]
+        assert row_reduce(a)[1] == expected
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+        )
+    )
+    @settings(max_examples=60)
+    def test_determinant_is_permutation_expansion(self, a):
+        assert determinant(a) == minor_det(a)
+
+    @given(matrices(), st.data())
+    @settings(max_examples=60)
+    def test_particular_solution_solves_consistent_systems(self, a, data):
+        cols = len(a[0])
+        k = data.draw(st.integers(1, 3))
+        planted = data.draw(
+            st.lists(st.lists(entries, min_size=k, max_size=k), min_size=cols, max_size=cols)
+        )
+        rhs = [
+            [sum((row[i] * planted[i][j] for i in range(cols)), Fraction(0)) for j in range(k)]
+            for row in a
+        ]
+        x = _particular_solution(a, rhs)
+        assert [
+            [sum((row[i] * x[i][j] for i in range(cols)), Fraction(0)) for j in range(k)]
+            for row in a
+        ] == rhs
+        pivots = row_reduce(a)[1]
+        assert all(not any(x[i]) for i in range(cols) if i not in pivots)
+
+    def test_inconsistent_residual_is_pinned(self):
+        # residuals as the elimination reports them for the last zero row
+        cases = [
+            ([[1, 2], [3, 4], [5, 6]], [1, 2, 4], Fraction(1)),
+            (
+                [[Fraction(1, 2), 1], [1, Fraction(1, 3)], [2, 3]],
+                [1, Fraction(2, 5), 7],
+                Fraction(99, 25),
+            ),
+        ]
+        for a, y, residual in cases:
+            with pytest.raises(InconsistentSystem) as err:
+                solve_linear_exact(a, y)
+            assert err.value.residual == residual
+
+    @pytest.mark.parametrize(
+        "a", [[[1, 2], [3]], [[1], [2, 3]]], ids=["short-last", "short-first"]
+    )
+    def test_ragged_input_rejected(self, a):
+        with pytest.raises(DomainError):
+            solve_linear_exact(a, [1, 2])

@@ -14,13 +14,15 @@ from fractions import Fraction
 
 import pytest
 
+from taubench import fock
 from taubench.errors import (
+    BudgetError,
     DomainError,
     InsufficientCap,
     PoleError,
     TruncationError,
 )
-from taubench.exact import GaussianRational, TruncatedSeries
+from taubench.exact import GaussianRational, TruncatedSeries, weight_monomials
 from taubench.fock import (
     CohomologyData,
     OperatorExpr,
@@ -41,7 +43,6 @@ from taubench.fock import (
     target_virasoro_build,
     vertex_diagonal_resum,
     vertex_operator_apply,
-    _weight_monomials,
 )
 
 
@@ -101,7 +102,7 @@ class TestApplyAgainstOracle:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_operators(self, family, seed):
         names, weights, cap = FAMILIES[family]
-        window = list(_weight_monomials(len(names), weights, cap))
+        window = list(weight_monomials(weights, cap))
         rng = random.Random(seed)
 
         def scalar():
@@ -167,13 +168,13 @@ class TestApplyAgainstOracle:
             data = two_class_data()
             t_names, t_weights, t_cap = target_space(data, 3, 6)
             target = target_virasoro_build(data, k, 3)
-            for expo in _weight_monomials(len(t_names), t_weights, t_cap):
+            for expo in weight_monomials(t_weights, t_cap):
                 p = monomial(t_names, t_weights, t_cap, expo)
                 assert outcome(OperatorExpr.apply, target, p) == outcome(
                     oracle_apply, target, p
                 ), expo
         for op in ops:
-            for expo in _weight_monomials(len(names), weights, cap):
+            for expo in weight_monomials(weights, cap):
                 p = monomial(names, weights, cap, expo)
                 assert outcome(OperatorExpr.apply, op, p) == outcome(
                     oracle_apply, op, p
@@ -206,7 +207,7 @@ class TestHeisenberg:
         params = OscillatorParams(hbar=hbar)
         for m, n in itertools.product(range(-4, 5), repeat=2):
             bound = cap - abs(m) - abs(n)  # two applications never truncate
-            for expo in _weight_monomials(len(names), weights, bound):
+            for expo in weight_monomials(weights, bound):
                 p = monomial(names, weights, series_cap, expo)
                 lhs = heisenberg(m, params).apply(heisenberg(n, params).apply(p))
                 lhs = lhs - heisenberg(n, params).apply(heisenberg(m, params).apply(p))
@@ -248,7 +249,7 @@ class TestOscillatorVirasoro:
     def test_weight_bookkeeping(self, k):
         # L_k maps weight w monomials into weight w - k
         names, weights, cap = fock_space(10)
-        for expo in _weight_monomials(len(names), weights, 4):
+        for expo in weight_monomials(weights, 4):
             p = monomial(names, weights, cap, expo)
             w = p.degree_of(expo)
             out = oscillator_virasoro(k, self.params, cap).apply(p)
@@ -270,6 +271,19 @@ class TestOscillatorVirasoro:
     def test_insufficient_cap(self):
         with pytest.raises(InsufficientCap):
             oscillator_commutator_check(3, 3, self.params, safe_cap=8)
+
+    def test_sweep_budget(self, monkeypatch):
+        monkeypatch.setattr(fock, "oscillator_commutator_check", lambda m, n, params, cap: (m, n))
+        # the default run, the README run and criterion 6's grid are accepted,
+        # in sweep order
+        for max_mode, cap in ((2, 10), (3, 10), (4, 12)):
+            modes = range(-max_mode, max_mode + 1)
+            assert fock.oscillator_sweep(max_mode, self.params, cap) == list(
+                itertools.product(modes, modes)
+            )
+        for max_mode, cap in ((5, 16), (2, 14), (0, fock.MAX_SWEEP_WORK + 1)):
+            with pytest.raises(BudgetError):
+                fock.oscillator_sweep(max_mode, self.params, cap)
 
     def test_truncation_is_never_silent(self):
         # L_{-1} x4 holds x5 d/dx4 x4 = x5, outside x_1..x_4; a builder that
