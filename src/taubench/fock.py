@@ -700,9 +700,10 @@ def target_virasoro_build(
         return OperatorExpr.build(raw)
     # n >= 1
     eta_inv = data.eta_inverse()
-    powers = {j: data.matrix_power(j) for j in range(0, d + n + 2)}
-    for j in range(0, min(n + 1, d - 1) + 1):
-        cj = powers[j]
+    powers = [data.matrix_power(0)]  # C^j for j <= min(n + 1, dim - 1)
+    for _ in range(min(n + 1, d - 1)):
+        powers.append(mat_mul(powers[-1], data.cmat))
+    for j, cj in enumerate(powers):
         if not any(x for row in cj for x in row):
             continue
         for alpha in range(d):
@@ -721,10 +722,9 @@ def target_virasoro_build(
                             )
                         )
                 # d d block: (lam^2/2) D^(j)(m, n) d^alpha_m d_{n-m-j-1, beta}
-                for m in range(0, n - j):
+                # m and its target n - m - j - 1 both in [0, max_m]
+                for m in range(max(0, n - j - 1 - max_m), min(n - j, max_m + 1)):
                     target = n - m - j - 1
-                    if target < 0 or target > max_m or m > max_m:
-                        continue
                     dval = coeff_D(j, m, n, data.b[alpha], data.b_raised[alpha])
                     if not dval:
                         continue
@@ -737,7 +737,8 @@ def target_virasoro_build(
                                     (t_var(m, gamma), t_var(target, beta)),
                                 )
                             )
-    cn1 = data.matrix_power(n + 1)
+    # validate() checked C^dim = 0, so C^(n+1) is the last power or zero
+    cn1 = powers[-1] if n + 1 < d else [[0] * d for _ in range(d)]
     for alpha in range(d):
         for beta in range(d):
             if not cn1[alpha][beta]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -70,6 +71,13 @@ class MaskedSeries:
         return MaskedSeries(self.series.scale(value), self.mask)
 
     def __mul__(self, other: "MaskedSeries") -> "MaskedSeries":
+        """Product; its mask is every ea + eb of degree <= cap with ea masked
+        on one side and eb in the other side's support (terms or mask).
+
+        Degrees add, so each support is bucketed by degree once and a masked
+        ea visits only the buckets of degree <= cap - deg(ea).  The cost is
+        the number of pairs that fit under the cap, not |mask| x |support|.
+        """
         series = self.series * other.series
         cap = series.cap
         mask: set[Exponents] = set()
@@ -77,11 +85,14 @@ class MaskedSeries:
             (self.mask, other._supports()),
             (other.mask, self._supports()),
         ):
+            buckets: dict[int, list[Exponents]] = {}
+            for eb in support_side:
+                buckets.setdefault(series.degree_of(eb), []).append(eb)
             for ea in mask_side:
-                for eb in support_side:
-                    expo = tuple(x + y for x, y in zip(ea, eb))
-                    if series.degree_of(expo) <= cap:
-                        mask.add(expo)
+                room = cap - series.degree_of(ea)
+                for degree, group in buckets.items():
+                    if degree <= room:
+                        mask.update(tuple(map(operator.add, ea, eb)) for eb in group)
         return MaskedSeries(series, frozenset(mask))
 
     def diff(self, name: str, order: int = 1) -> "MaskedSeries":

@@ -115,6 +115,27 @@ class TestExitCodes:
         assert_one_error_line(err)
         assert json.loads(err)["error"] == "usage"
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["intersect", "graphs"]),
+        st.integers(-2, 6),
+        st.integers(-2, 6),
+        st.integers(-2, 12),
+    )
+    def test_any_graph_argv_exits_by_contract(self, command, genus, faces, max_darts):
+        argv = ["--max-darts", str(max_darts)] + (
+            ["intersect", "-g", str(genus), "-n", str(faces)]
+            if command == "intersect"
+            else ["graphs", "enumerate", "--genus", str(genus), "--faces", str(faces)]
+        )
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 2, 3)
+        if code:
+            assert "Traceback" not in err.getvalue()
+            assert_one_error_line(err.getvalue())
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -205,6 +226,29 @@ class TestVirasoroArgs:
         assert (code, out) == (3, "")
         assert_one_error_line(err)
         assert json.loads(err)["error"] == "budget"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("virasoro", "target", "--n", "100000"),
+            ("virasoro", "target", "--n1", "3", "--n", "1000000"),
+            # C^2 = 0 on the two-class data, so no power past C is built
+            ("virasoro", "target", "--data", "two_class.json", "--n", "1000000000"),
+        ],
+    )
+    def test_large_target_index_exits_zero_at_once(self, capsys, tmp_path, monkeypatch, argv):
+        (tmp_path / "two_class.json").write_text(json.dumps({
+            "eta": [[0, 1], [1, 0]],
+            "cmat": [[0, 0], [1, 0]],
+            "b": ["-1/2", "1/2"],
+            "b_raised": ["-1/2", "1/2"],
+        }))
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert (code, err) == (0, "")
+        validate("virasoro-target-v1", json.loads(out))
 
     @settings(max_examples=20, deadline=None)
     @given(

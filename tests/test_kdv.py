@@ -1,11 +1,15 @@
 """Tests for free-energy assembly and the KdV / string residual reports."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from taubench.errors import DomainError
-from taubench.exact import TruncatedSeries, t_variables
+from taubench.exact import TruncatedSeries, t_variables, weight_monomials, x_variables
 from taubench.kdv import (
     MaskedSeries,
     assemble_free_energy,
@@ -58,6 +62,46 @@ class TestAssembly:
         assert free_energy.provenance == {(0, 3), (0, 4), (1, 1), (1, 2)}
 
 
+def all_pairs_mask(a, b):
+    """Reference mask rule: every masked ea on one side plus every eb in the
+    other side's terms or mask, kept when the sum's degree is <= cap."""
+    series = a.series * b.series
+    mask = set()
+    for mask_side, support_side in (
+        (a.mask, set(b.series.terms) | b.mask),
+        (b.mask, set(a.series.terms) | a.mask),
+    ):
+        for ea in mask_side:
+            for eb in support_side:
+                expo = tuple(x + y for x, y in zip(ea, eb))
+                if series.degree_of(expo) <= series.cap:
+                    mask.add(expo)
+    return frozenset(mask)
+
+
+@st.composite
+def masked_pairs(draw):
+    """Two compatible masked series over t-variables (weight 1) or
+    x-variables (weights 1..3), caps 0..8; either side may be empty."""
+    family = draw(st.sampled_from(["t", "x"]))
+    arity = draw(st.integers(1, 3))
+    cap = draw(st.integers(0, 8))
+    names, weights, cap = (
+        t_variables(arity - 1, cap) if family == "t" else x_variables(arity, cap)
+    )
+    monomials = st.sampled_from(list(weight_monomials(weights, cap)))
+    sides = []
+    for _ in range(2):
+        terms = draw(st.dictionaries(monomials, st.integers(1, 3), max_size=6))
+        mask = draw(st.frozensets(monomials, max_size=6))
+        sides.append(MaskedSeries(TruncatedSeries(names, weights, cap, terms), mask))
+    return tuple(sides)
+
+
+def _series(names, weights, cap, *expos):
+    return TruncatedSeries(names, weights, cap, {e: 1 for e in expos})
+
+
 class TestMaskedSeries:
     def _vars(self):
         return t_variables(1, 4)
@@ -84,6 +128,25 @@ class TestMaskedSeries:
         masked = MaskedSeries(zero, frozenset({(1, 0)}))
         certain = MaskedSeries(zero, frozenset())
         assert (masked * certain).mask == frozenset()
+
+    @settings(max_examples=300, deadline=None)
+    @given(masked_pairs())
+    # x1^2 masked times x1 and x2 (weights 1, 2): degree 3 lands on the cap,
+    # degree 4 falls one past it
+    @example((
+        MaskedSeries(_series(("x1", "x2"), (1, 2), 3), frozenset({(2, 0)})),
+        MaskedSeries(_series(("x1", "x2"), (1, 2), 3, (1, 0), (0, 1)), frozenset()),
+    ))
+    # a certain zero times a fully masked side
+    @example((
+        MaskedSeries(_series(("t0",), (1,), 2), frozenset()),
+        MaskedSeries(_series(("t0",), (1,), 2), frozenset({(0,), (1,), (2,)})),
+    ))
+    def test_mul_matches_all_pairs_reference(self, pair):
+        a, b = pair
+        prod = a * b
+        assert prod.mask == all_pairs_mask(a, b)
+        assert prod.series == a.series * b.series
 
     def test_diff_shifts_and_drops_mask(self):
         names, weights, cap = self._vars()
@@ -139,6 +202,56 @@ class TestResiduals:
         assert set(payload["counts"]) == {"verified_zero", "uncovered", "nonzero"}
         for item in payload["monomials"]:
             assert set(item) == {"monomial", "exponents", "status", "value"}
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+# Residuals of the 12-dart base table, computed with the all-pairs mask
+# product: (mask size, digest of the sorted mask, digest of the report JSON).
+PINNED_RESIDUALS = {
+    (8, "kdv"): (
+        414,
+        "ba6b5f810f5832a89138329c0cc5ab93660b74eafc3c392a2428fcb6f6577fea",
+        "ce0c4366992e5d66d51766dd06be7067f1e3afb9ea7fb3a1bb5c829748c04fc8",
+    ),
+    (8, "string"): (
+        412,
+        "54d7b81ba0e386443e37a07a810c91bfca3b5e2baa7478f8e4f3da4e72990c3c",
+        "a9ec13b58a7d073ca90334606530429c3e81297538d081a441330373d8242fac",
+    ),
+    (10, "kdv"): (
+        965,
+        "7eb9ce0613d6cacd0e4621019d461a5b027ac18cb2f1134f1586c1f7649c53cc",
+        "9cfac7cad23c4bfe9ad3c8861b64f97e7e552bbde39e37c21f982030dea29507",
+    ),
+    (10, "string"): (
+        966,
+        "0048e3de496c55f1f36a8385c714d1e2ae3441603939030628f0e036a99fed9e",
+        "09e2a79e79a7f23c0fe267842b5bb545f8a8ea86d77c6ea86618064cdaec6b01",
+    ),
+}
+
+
+class TestPinnedResiduals:
+    @pytest.mark.parametrize("cap,name", sorted(PINNED_RESIDUALS))
+    def test_report_and_mask(self, table, cap, name):
+        residual = {"kdv": kdv_residual, "string": string_residual}[name]
+        report = residual(assemble_free_energy(table, cap=cap))
+        mask = report.residual.mask
+        assert (len(mask), _digest(sorted(mask)), _digest(report.to_json())) == (
+            PINNED_RESIDUALS[cap, name]
+        )
+
+    def test_mutation_report_at_cap_ten(self, table):
+        assert mutation_report(table, cap=10) == {
+            "g0:(0,0,0)": ["kdv:t0", "string:t0^2", "string:t0^2*t1"],
+            "g0:(1,0,0,0)": ["kdv:t0", "string:t0^2*t1"],
+            "g1:(1)": ["string:t2"],
+            "g1:(1,1)": [],
+            "g1:(2,0)": ["string:t2"],
+        }
 
 
 class TestMutation:
