@@ -1,10 +1,10 @@
-"""Exact arithmetic substrate: Gaussian rationals, truncated series, linear algebra.
+"""Exact arithmetic substrate: truncated series and linear algebra over Q.
 
-All coefficients live in Q(i) so that imaginary couplings (i*lambda terms,
-the cubic vertex weight i/6) need no special casing anywhere downstream.
 Series are multivariate polynomials truncated at a configurable weighted
 total degree; arithmetic drops every term whose weighted degree exceeds the
-cap, consistently on both sides of products.
+cap, consistently on both sides of products.  A series stores the
+coefficients it is given (int or Fraction; fock's Q(i) type where an i*lambda
+term enters) and only drops zeros.
 
 Matrices over Q are plain lists of Fraction rows (`Matrix`).  Solving, rank,
 determinant and the torsion lifts all rest on one Gauss-Jordan elimination,
@@ -14,7 +14,6 @@ determinant and the torsion lifts all rest on one Gauss-Jordan elimination,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -31,10 +30,6 @@ def rational_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def double_factorial(n: int) -> int:
     """Odd double factorial with the convention (-1)!! = 1."""
     if n < -1:
@@ -46,75 +41,8 @@ def double_factorial(n: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Element of Q(i), always stored with reduced Fraction parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    @staticmethod
-    def of(value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        return GaussianRational(Fraction(value))
-
-    def __add__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-GaussianRational.of(other))
-
-    def __rsub__(self, other):
-        return GaussianRational.of(other) + (-self)
-
-    def __mul__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = GaussianRational.of(other)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return self * GaussianRational(other.re / norm, -other.im / norm)
-
-    def __rtruediv__(self, other):
-        return GaussianRational.of(other) / self
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
-
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return rational_to_str(self.re)
-        return f"{rational_to_str(self.re)}+{rational_to_str(self.im)}i"
-
-
-GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(Fraction(1))
-GR_I = GaussianRational(Fraction(0), Fraction(1))
-
-
 class TruncatedSeries:
-    """Multivariate polynomial over Q(i) truncated at a weighted degree cap.
+    """Multivariate polynomial truncated at a weighted degree cap.
 
     Terms map exponent tuples (one slot per variable) to nonzero coefficients.
     Two series are compatible when their variable names, weights and cap agree.
@@ -127,7 +55,7 @@ class TruncatedSeries:
         variables: Sequence[str],
         weights: Sequence[int],
         cap: int,
-        terms: Mapping[Exponents, GaussianRational] | None = None,
+        terms: Mapping[Exponents, Fraction] | None = None,
     ):
         if len(variables) != len(weights):
             raise DomainError("variables and weights must have equal length")
@@ -136,10 +64,9 @@ class TruncatedSeries:
         self.variables = tuple(variables)
         self.weights = tuple(weights)
         self.cap = int(cap)
-        clean: dict[Exponents, GaussianRational] = {}
+        clean: dict[Exponents, Fraction] = {}
         if terms:
             for expo, coeff in terms.items():
-                coeff = GaussianRational.of(coeff)
                 if not coeff:
                     continue
                 expo = tuple(expo)
@@ -158,13 +85,13 @@ class TruncatedSeries:
     @classmethod
     def constant(cls, variables, weights, cap, value) -> "TruncatedSeries":
         zero_expo = (0,) * len(variables)
-        return cls(variables, weights, cap, {zero_expo: GaussianRational.of(value)})
+        return cls(variables, weights, cap, {zero_expo: value})
 
     @classmethod
     def variable(cls, variables, weights, cap, name) -> "TruncatedSeries":
         idx = list(variables).index(name)
         expo = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, weights, cap, {expo: GR_ONE})
+        return cls(variables, weights, cap, {expo: 1})
 
     # -- structure ----------------------------------------------------
 
@@ -182,10 +109,10 @@ class TruncatedSeries:
         if not self.compatible(other):
             raise DomainError("incompatible series (variables/weights/cap differ)")
 
-    def coefficient(self, expo: Iterable[int]) -> GaussianRational:
-        return self.terms.get(tuple(expo), GR_ZERO)
+    def coefficient(self, expo: Iterable[int]) -> Fraction:
+        return self.terms.get(tuple(expo), 0)
 
-    def constant_term(self) -> GaussianRational:
+    def constant_term(self) -> Fraction:
         return self.coefficient((0,) * len(self.variables))
 
     def is_zero(self) -> bool:
@@ -215,7 +142,7 @@ class TruncatedSeries:
         self._require_compatible(other)
         terms = dict(self.terms)
         for expo, coeff in other.terms.items():
-            acc = terms.get(expo, GR_ZERO) + coeff
+            acc = terms.get(expo, 0) + coeff
             if acc:
                 terms[expo] = acc
             else:
@@ -239,7 +166,6 @@ class TruncatedSeries:
         return (-self) + other
 
     def scale(self, value) -> "TruncatedSeries":
-        value = GaussianRational.of(value)
         if not value:
             return TruncatedSeries.zero(self.variables, self.weights, self.cap)
         return TruncatedSeries(
@@ -251,7 +177,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._require_compatible(other)
-        terms: dict[Exponents, GaussianRational] = {}
+        terms: dict[Exponents, Fraction] = {}
         degrees_b = {e: other.degree_of(e) for e in other.terms}
         for ea, ca in self.terms.items():
             da = self.degree_of(ea)
@@ -259,7 +185,7 @@ class TruncatedSeries:
                 if da + degrees_b[eb] > self.cap:
                     continue
                 expo = tuple(x + y for x, y in zip(ea, eb))
-                acc = terms.get(expo, GR_ZERO) + ca * cb
+                acc = terms.get(expo, 0) + ca * cb
                 if acc:
                     terms[expo] = acc
                 else:
@@ -307,7 +233,7 @@ class TruncatedSeries:
         idx = self.variables.index(name)
         terms = dict(self.terms)
         for _ in range(order):
-            nxt: dict[Exponents, GaussianRational] = {}
+            nxt: dict[Exponents, Fraction] = {}
             for expo, coeff in terms.items():
                 k = expo[idx]
                 if k == 0:
@@ -336,8 +262,7 @@ class TruncatedSeries:
 
     def log(self) -> "TruncatedSeries":
         """log of a series with constant term 1, truncated at cap."""
-        c0 = self.constant_term()
-        if c0 != GR_ONE:
+        if self.constant_term() != 1:
             raise DomainError("log requires constant term 1")
         u = self - 1
         result = TruncatedSeries.zero(self.variables, self.weights, self.cap)
@@ -359,21 +284,11 @@ class TruncatedSeries:
             out.append(
                 {
                     "exponents": list(expo),
-                    "coeff_re": rational_to_str(coeff.re),
-                    "coeff_im": rational_to_str(coeff.im),
+                    "coeff_re": rational_to_str(coeff.real),
+                    "coeff_im": rational_to_str(coeff.imag),
                 }
             )
         return out
-
-    @classmethod
-    def from_json(cls, variables, weights, cap, payload) -> "TruncatedSeries":
-        terms = {}
-        for item in payload:
-            terms[tuple(item["exponents"])] = GaussianRational(
-                rational_from_str(item["coeff_re"]),
-                rational_from_str(item["coeff_im"]),
-            )
-        return cls(variables, weights, cap, terms)
 
 
 def t_variables(max_index: int, cap: int):

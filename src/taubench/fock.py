@@ -13,8 +13,9 @@ families are built:
   with D^(j) coefficients, and a t.t block, over cohomology data
   (eta, nilpotent C, b_alpha, independent b^alpha).
 
-Everything is exact over Gaussian rationals; i*lambda terms use the
-imaginary unit of the coefficient field.
+Q(i) lives here and only here: GaussianRational is born where the i*lambda
+terms of the oscillator L_k multiply in GR_I.  Every other coefficient stays
+an exact rational (int or Fraction).
 """
 
 from __future__ import annotations
@@ -32,17 +33,72 @@ from .errors import (
     TruncationError,
 )
 from .exact import (
-    GR_I,
-    GR_ZERO,
-    GaussianRational,
     TruncatedSeries,
     mat_mul,
     monomial_name,
     rational_rank,
+    rational_to_str,
     row_reduce,
     weight_monomials,
     x_variables,
 )
+
+# ---------------------------------------------------------------------------
+# Gaussian rationals
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianRational:
+    """Element real + imag*i of Q(i) with rational parts.
+
+    Mixes with int and Fraction in either order through their own .real and
+    .imag; a real element equals, and hashes like, the matching Fraction.
+    """
+
+    real: Fraction = Fraction(0)
+    imag: Fraction = Fraction(0)
+
+    def __add__(self, other):
+        return GaussianRational(self.real + other.real, self.imag + other.imag)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussianRational(-self.real, -self.imag)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        return GaussianRational(
+            self.real * other.real - self.imag * other.imag,
+            self.real * other.imag + self.imag * other.real,
+        )
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, (GaussianRational, int, Fraction)):
+            return NotImplemented
+        return self.real == other.real and self.imag == other.imag
+
+    def __hash__(self):
+        return hash((self.real, self.imag)) if self.imag else hash(self.real)
+
+    def __bool__(self) -> bool:
+        return self.real != 0 or self.imag != 0
+
+    def __str__(self) -> str:
+        if self.imag == 0:
+            return rational_to_str(self.real)
+        return f"{rational_to_str(self.real)}+{rational_to_str(self.imag)}i"
+
+
+GR_I = GaussianRational(Fraction(0), Fraction(1))
 
 # ---------------------------------------------------------------------------
 # Differential operators
@@ -56,15 +112,19 @@ class OperatorExpr:
     Monomials are sorted tuples of variable names; derivatives act first.
     """
 
-    terms: tuple[tuple[GaussianRational, tuple[str, ...], tuple[str, ...]], ...]
+    terms: tuple[tuple[Fraction | GaussianRational, tuple[str, ...], tuple[str, ...]], ...]
 
     @classmethod
     def build(cls, raw) -> "OperatorExpr":
-        """Collect like terms among (scalar, variable names, derivative names)."""
-        combined: dict[tuple[tuple[str, ...], tuple[str, ...]], GaussianRational] = {}
+        """Collect like terms among (scalar, variable names, derivative names).
+
+        Zero scalars are skipped, so an i*lambda term at lambda = 0 brings no
+        Q(i) coefficient in."""
+        combined: dict[tuple[tuple[str, ...], tuple[str, ...]], Fraction] = {}
         for scalar, tmono, dmono in raw:
-            key = (tuple(sorted(tmono)), tuple(sorted(dmono)))
-            combined[key] = combined.get(key, GR_ZERO) + GaussianRational.of(scalar)
+            if scalar:
+                key = (tuple(sorted(tmono)), tuple(sorted(dmono)))
+                combined[key] = combined.get(key, 0) + scalar
         return cls(tuple((c, *key) for key, c in sorted(combined.items()) if c))
 
     def apply(self, p: TruncatedSeries) -> TruncatedSeries:
@@ -76,7 +136,7 @@ class OperatorExpr:
         """
         index = {name: i for i, name in enumerate(p.variables)}
         basis = [(list(e), c, p.degree_of(e)) for e, c in p.terms.items()]
-        out: dict[tuple[int, ...], GaussianRational] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for scalar, tmono, dmono in self.terms:
             if any(name not in index for name in dmono):
                 continue
@@ -99,7 +159,7 @@ class OperatorExpr:
                 for i in raise_:
                     expo[i] += 1
                 key = tuple(expo)
-                out[key] = out.get(key, GR_ZERO) + coeff * scalar * factor
+                out[key] = out.get(key, 0) + coeff * scalar * factor
         return TruncatedSeries(p.variables, p.weights, p.cap, out)
 
 
@@ -220,7 +280,7 @@ def oscillator_commutator_check(
     l_m, l_n, l_sum = (oscillator_virasoro(k, params, safe_cap) for k in (m, n, m + n))
     failures = []
     for expo in window:
-        p = TruncatedSeries(names, weights, cap, {expo: GaussianRational.of(1)})
+        p = TruncatedSeries(names, weights, cap, {expo: 1})
         lhs = l_m.apply(l_n.apply(p)) - l_n.apply(l_m.apply(p))
         residual = lhs - l_sum.apply(p).scale(m - n) - p.scale(central)
         if not residual.is_zero():
@@ -276,7 +336,7 @@ def bm_display_diff_report(params: OscillatorParams, cap: int = 8, k_range=(-2, 
         a_form = oscillator_virasoro(k, params, cap)
         printed = bm_display(k, params, cap)
         for expo in _window(weights, max(cap - 2 * abs(k), 0)):
-            p = TruncatedSeries(names, weights, series_cap, {expo: GaussianRational.of(1)})
+            p = TruncatedSeries(names, weights, series_cap, {expo: 1})
             diff = a_form.apply(p) - printed.apply(p)
             out["entries"].append(
                 {
@@ -778,7 +838,7 @@ def target_commutator_report(
         l_sum = OperatorExpr.build([])
     entries = []
     for expo in monomials:
-        p = TruncatedSeries(names, weights, series_cap, {expo: GaussianRational.of(1)})
+        p = TruncatedSeries(names, weights, series_cap, {expo: 1})
         lhs = l_n1.apply(l_n.apply(p)) - l_n.apply(l_n1.apply(p))
         structure = l_sum.apply(p)
         residual = lhs - structure.scale(n - n1)

@@ -22,7 +22,6 @@ from .exact import (
     Exponents,
     TruncatedSeries,
     monomial_name,
-    rational_to_str,
     t_variables,
     weight_monomials,
 )
@@ -246,7 +245,7 @@ def _classify(name: str, residual: MaskedSeries, window: int) -> ResidualReport:
                 "monomial": monomial_name(series.variables, expo),
                 "exponents": list(expo),
                 "status": status,
-                "value": str(coeff) if coeff.im else rational_to_str(coeff.re),
+                "value": str(coeff),
             }
         )
     return ResidualReport(name=name, residual=residual, window=window, entries=entries)

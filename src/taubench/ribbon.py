@@ -172,11 +172,6 @@ def canonical_encoding(struct: DartStructure):
     return best
 
 
-def canonicalize(struct: DartStructure) -> DartStructure:
-    sig2, alf2, labels = canonical_encoding(struct)
-    return DartStructure(sig2, alf2, labels)
-
-
 def automorphism_order(struct: DartStructure) -> int:
     """Order of the dart-permutation group commuting with sigma and alpha
     and fixing every face label.
@@ -255,6 +250,19 @@ def _edge_face_pairs(struct: DartStructure) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
+def _trivalent_darts(g: int, n: int, max_darts: int) -> int:
+    """Dart count 6(n + 2g - 2) of a trivalent (g, n) graph, within max_darts."""
+    if g < 0 or n < 1:
+        raise DomainError("need genus >= 0 and at least one face")
+    k = n + 2 * g - 2
+    if k < 1:
+        raise Unstable(f"no trivalent graph for (g, n) = ({g}, {n})")
+    darts = 6 * k
+    if darts > max_darts:
+        raise BudgetError(f"{darts} darts exceeds budget {max_darts}")
+    return darts
+
+
 @lru_cache(maxsize=None)
 def enumerate_trivalent(
     g: int, n: int, max_darts: int = DEFAULT_MAX_DARTS
@@ -267,14 +275,7 @@ def enumerate_trivalent(
     the minimum encoding over all roots, so the result does not depend on
     which map of a class comes first.
     """
-    if g < 0 or n < 1:
-        raise DomainError("need genus >= 0 and at least one face")
-    k = n + 2 * g - 2
-    if k < 1:
-        raise Unstable(f"no trivalent graph for (g, n) = ({g}, {n})")
-    darts = 6 * k
-    if darts > max_darts:
-        raise BudgetError(f"{darts} darts exceeds budget {max_darts}")
+    darts = _trivalent_darts(g, n, max_darts)
     sigma = _canonical_sigma(darts)
     classes: dict[tuple, RibbonGraphClass] = {}
     labelings = list(itertools.permutations(range(1, n + 1)))
@@ -415,6 +416,7 @@ def extract_intersection_numbers(
     total = 3 * g - 3 + n
     if total < 0:
         raise Unstable(f"negative dimension for (g, n) = ({g}, {n})")
+    _trivalent_darts(g, n, max_darts)  # refuse an over-budget block before any row
     multisets = _exponent_multisets(total, n)
     unknowns = len(multisets)
     count = max(unknowns + 1, -(-unknowns * 5 // 4))

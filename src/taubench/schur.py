@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DegenerateSlice, DomainError
-from .exact import GR_ONE, TruncatedSeries, binomial, x_variables
+from .exact import TruncatedSeries, binomial, x_variables
 
 
 @dataclass(frozen=True)

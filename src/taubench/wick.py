@@ -29,7 +29,7 @@ from .errors import (
     NumericError,
     Unsupported,
 )
-from .exact import double_factorial
+from .exact import TruncatedSeries, double_factorial
 from .ribbon import kontsevich_sum
 
 DEFAULT_MAX_MATCHINGS = 20_000
@@ -252,31 +252,6 @@ def genus_expansion(
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_log(series, order):
-    """log(series) for series with constant term 1, truncated at `order`."""
-    a = [series[0] - 1] + list(series[1:])
-    out = [Fraction(0)] * (order + 1)
-    power = [Fraction(1)] + [Fraction(0)] * order
-    for k in range(1, order + 1):
-        power = _poly_mul(power, a, order)
-        sign = Fraction((-1) ** (k + 1), k)
-        for i, c in enumerate(power):
-            out[i] += sign * c
-    return out
-
-
 def source_times(lams: Sequence[Fraction], count: int) -> list[Fraction]:
     """t_i(Lambda) = -(2i-1)!! sum_r lambda_r^{-(2i+1)} for i < count."""
     return [
@@ -310,12 +285,12 @@ def kontsevich_match(
     spec = GaussianSpec(N, tuple(lambda_diag))
     lams = spec.lambda_diag
 
-    wick = [Fraction(0)] * (vertex_order + 1)
-    wick[0] = Fraction(1)
+    wick = {(0,): 1}  # series in eps, truncated at eps^vertex_order
     for v in range(2, vertex_order + 1, 2):
         moment = wick_moment(spec, TraceWord((3,) * v), max_matchings)
-        wick[v] = Fraction((-1) ** (v // 2), 6**v * math.factorial(v)) * moment
-    wick_log = _poly_log(wick, vertex_order)
+        wick[(v,)] = Fraction((-1) ** (v // 2), 6**v * math.factorial(v)) * moment
+    log_series = TruncatedSeries(("eps",), (1,), vertex_order, wick).log()
+    wick_log = [log_series.coefficient((v,)) for v in range(vertex_order + 1)]
 
     graph = {v: Fraction(0) for v in range(2, vertex_order + 1, 2)}
     for v in graph:

@@ -199,6 +199,10 @@ class TestVirasoroArgs:
             ("virasoro", "oscillator", "--cap", "1000000"),
             # C(21, 5) = 20349 free-energy monomials in t0..t4
             ("--cap", "16", "verify", "kdv"),
+            # 120 darts: refused before the first sample row is built
+            ("intersect", "-g", "8", "-n", "6"),
+            # 66 darts, and more faces than there are sample primes
+            ("intersect", "-g", "0", "-n", "13"),
         ],
     )
     def test_oversized_run_is_three_at_once(self, capsys, argv):

@@ -33,16 +33,16 @@ def free_energy(table):
 class TestAssembly:
     def test_low_order_coefficients(self, free_energy):
         s = free_energy.series
-        assert s.coefficient((3, 0, 0, 0, 0)).re == Fraction(1, 6)  # t0^3
-        assert s.coefficient((0, 1, 0, 0, 0)).re == Fraction(1, 24)  # t1
-        assert s.coefficient((3, 1, 0, 0, 0)).re == Fraction(1, 6)  # t0^3 t1
-        assert s.coefficient((1, 0, 1, 0, 0)).re == Fraction(1, 24)  # t0 t2
-        assert s.coefficient((0, 2, 0, 0, 0)).re == Fraction(1, 48)  # t1^2
+        assert s.coefficient((3, 0, 0, 0, 0)).real == Fraction(1, 6)  # t0^3
+        assert s.coefficient((0, 1, 0, 0, 0)).real == Fraction(1, 24)  # t1
+        assert s.coefficient((3, 1, 0, 0, 0)).real == Fraction(1, 6)  # t0^3 t1
+        assert s.coefficient((1, 0, 1, 0, 0)).real == Fraction(1, 24)  # t0 t2
+        assert s.coefficient((0, 2, 0, 0, 0)).real == Fraction(1, 48)  # t1^2
 
     def test_dimension_forced_zeros_are_not_masked(self, free_energy):
         # t0^2: no genus satisfies 0 = 3g - 3 + 2, so the coefficient is an
         # exact zero, not a coverage gap
-        assert free_energy.series.coefficient((2, 0, 0, 0, 0)).re == 0
+        assert free_energy.series.coefficient((2, 0, 0, 0, 0)).real == 0
         assert (2, 0, 0, 0, 0) not in free_energy.mask
 
     def test_gap_lists_missing_fragments(self, free_energy):
@@ -164,7 +164,7 @@ class TestResiduals:
     def test_zero_free_energy_string_keeps_inhomogeneous_term(self):
         fe = assemble_free_energy(IntersectionTable({}))
         report = string_residual(fe)
-        assert report.series.coefficient((2, 0, 0, 0, 0)).re == Fraction(-1, 2)
+        assert report.series.coefficient((2, 0, 0, 0, 0)).real == Fraction(-1, 2)
         # the missing <tau_0^3> contribution could cancel it, so the status
         # is uncovered rather than nonzero
         assert report.status_of((2, 0, 0, 0, 0)) == "uncovered"

@@ -27,7 +27,6 @@ from taubench.ribbon import (
     automorphism_order,
     base_table,
     canonical_encoding,
-    canonicalize,
     enumerate_trivalent,
     extract_intersection_numbers,
     face_cycles,
@@ -209,7 +208,8 @@ class TestEnumeration:
 
     def test_canonicalize_is_idempotent(self):
         for cls in enumerate_trivalent(1, 2):
-            assert canonicalize(cls.canonical) == cls.canonical
+            c = cls.canonical
+            assert canonical_encoding(c) == (c.sigma, c.alpha, c.face_labels)
 
     def test_no_duplicate_classes(self):
         for g, n in [(0, 3), (1, 1), (0, 4), (1, 2)]:

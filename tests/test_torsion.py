@@ -217,9 +217,17 @@ class TestOrderTheorem:
 
     def test_twenty_randomized_complexes(self):
         rng = random.Random(11)
-        for trial in range(20):
+        # ord H_i per complex, as the kernel-lattice computation gave them
+        expected = [
+            [225, 3, 1], [12, 1], [6, 1, 1], [1, 1], [3, 1, 1, 1],
+            [1, 30, 1], [1, 1], [1, 18, 1], [18, 1], [18, 1],
+            [1, 1], [10, 1], [6, 1], [25, 1], [8, 10, 1],
+            [3, 1], [9, 3, 1], [3, 1, 1], [3, 1, 1], [3, 1, 3, 1],
+        ]
+        for trial, orders in enumerate(expected):
             report = torsion_order_check(random_acyclic_complex(rng))
             assert report["pass"], (trial, report)
+            assert report["orders"] == orders, (trial, report)
 
 
 class TestSesMultiplicativity:
