@@ -536,6 +536,12 @@ def cd_identity_check(
         j_values, m_values, n_values, n1_values, b_samples
     ):
         for which in (1, 2):
+            entry = {
+                "identity": which,
+                "j": j, "m": m, "n": n, "n1": n1,
+                "b_low": str(b_low), "b_high": str(b_high),
+            }
+            entries.append(entry)
             try:
                 if which == 1:
                     # sum_{j1} C^(j-j1)(m, n1) C^(j1)(m+n1-j1, n)
@@ -560,38 +566,16 @@ def cd_identity_check(
                             j - 1, m, n + n1, b_low, b_high
                         )
             except PoleError as exc:
-                entries.append(
-                    {
-                        "identity": which,
-                        "j": j, "m": m, "n": n, "n1": n1,
-                        "b_low": str(b_low), "b_high": str(b_high),
-                        "status": "pole_excluded",
-                        "detail": str(exc),
-                    }
-                )
-                continue
+                entry.update(status="pole_excluded", detail=str(exc))
             except DomainError as exc:
-                entries.append(
-                    {
-                        "identity": which,
-                        "j": j, "m": m, "n": n, "n1": n1,
-                        "b_low": str(b_low), "b_high": str(b_high),
-                        "status": "out_of_domain",
-                        "detail": str(exc),
-                    }
+                entry.update(status="out_of_domain", detail=str(exc))
+            else:
+                entry.update(
+                    status="pass" if lhs == rhs else "fail",
+                    lhs=str(lhs),
+                    rhs=str(rhs),
+                    discrepancy=str(lhs - rhs),
                 )
-                continue
-            entries.append(
-                {
-                    "identity": which,
-                    "j": j, "m": m, "n": n, "n1": n1,
-                    "b_low": str(b_low), "b_high": str(b_high),
-                    "status": "pass" if lhs == rhs else "fail",
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                    "discrepancy": str(lhs - rhs),
-                }
-            )
     counts = {"pass": 0, "fail": 0, "pole_excluded": 0, "out_of_domain": 0}
     for e in entries:
         counts[e["status"]] += 1
@@ -698,6 +682,16 @@ def target_space(data: CohomologyData, max_m: int, cap: int):
     return names, weights, cap
 
 
+def _t0_pairs(matrix: list[list[Fraction]], scale: Fraction) -> list:
+    """Raw terms scale * matrix[alpha][gamma] t^alpha_0 t^gamma_0."""
+    return [
+        (scale * x, (t_var(0, alpha), t_var(0, gamma)), ())
+        for alpha, row in enumerate(matrix)
+        for gamma, x in enumerate(row)
+        if x
+    ]
+
+
 def target_virasoro_build(
     data: CohomologyData,
     n: int,
@@ -716,16 +710,7 @@ def target_virasoro_build(
         for alpha in range(d):
             for m in range(1, max_m + 1):
                 raw.append((Fraction(m), (t_var(m, alpha),), (t_var(m - 1, alpha),)))
-        for alpha in range(d):
-            for beta in range(d):
-                if data.eta[alpha][beta]:
-                    raw.append(
-                        (
-                            inv2lam2 * data.eta[alpha][beta],
-                            (t_var(0, alpha), t_var(0, beta)),
-                            (),
-                        )
-                    )
+        raw += _t0_pairs(data.eta, inv2lam2)
         return OperatorExpr.build(raw)
     if n == 0:
         for alpha in range(d):
@@ -740,16 +725,8 @@ def target_virasoro_build(
                         (t_var(m - 1, alpha + 1),),
                     )
                 )
-        for alpha in range(big_n):
-            for gamma in range(d):
-                if data.eta[alpha + 1][gamma]:
-                    raw.append(
-                        (
-                            inv2lam2 * (big_n - 1) * data.eta[alpha + 1][gamma],
-                            (t_var(0, alpha), t_var(0, gamma)),
-                            (),
-                        )
-                    )
+        # rows 1..N of eta, row alpha + 1 paired with t^alpha_0
+        raw += _t0_pairs(data.eta[1:], inv2lam2 * (big_n - 1))
         raw.append(
             (
                 Fraction(-(big_n - 1) * (big_n + 1) * (big_n + 3), 48),
@@ -798,20 +775,8 @@ def target_virasoro_build(
                                 )
                             )
     # validate() checked C^dim = 0, so C^(n+1) is the last power or zero
-    cn1 = powers[-1] if n + 1 < d else [[0] * d for _ in range(d)]
-    for alpha in range(d):
-        for beta in range(d):
-            if not cn1[alpha][beta]:
-                continue
-            for gamma in range(d):
-                if data.eta[beta][gamma]:
-                    raw.append(
-                        (
-                            inv2lam2 * cn1[alpha][beta] * data.eta[beta][gamma],
-                            (t_var(0, alpha), t_var(0, gamma)),
-                            (),
-                        )
-                    )
+    if n + 1 < d:
+        raw += _t0_pairs(mat_mul(powers[-1], data.eta), inv2lam2)
     return OperatorExpr.build(raw)
 
 

@@ -11,6 +11,7 @@ every face label.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,6 +27,9 @@ from .errors import (
 from .exact import double_factorial, solve_linear_exact
 
 DEFAULT_MAX_DARTS = 12
+# rooted maps x face labelings x roots; the 18-dart block (0, 5) needs
+# 1105 x 5! x 18 = 2386800
+MAX_GRAPH_WORK = 2_500_000
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -250,8 +254,39 @@ def _edge_face_pairs(struct: DartStructure) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
+def _rooted_map_counts() -> Iterator[int]:
+    """a(0), a(1), ...: rooted connected trivalent maps on 6k darts, all
+    genera (OEIS A062980).
+
+    a(0) = 1, a(k) = (6k - 2) a(k-1) + sum_{i<k} a(i) a(k-1-i).
+    """
+    a = [1]
+    while True:
+        yield a[-1]
+        k = len(a)
+        a.append((6 * k - 2) * a[-1] + sum(a[i] * a[k - 1 - i] for i in range(k)))
+
+
+def _graph_work_fits(k: int, n: int) -> bool:
+    """Whether rooted maps x n! face labelings x 6k roots <= MAX_GRAPH_WORK.
+
+    a(k) grows with k, so the count stops at the first term whose maps
+    times roots alone pass the budget; n! is formed only for small k,
+    since n <= k + 2.
+    """
+    for j, maps in enumerate(_rooted_map_counts()):
+        if maps * 6 * k > MAX_GRAPH_WORK:
+            return False
+        if j == k:
+            return maps * math.factorial(n) * 6 * k <= MAX_GRAPH_WORK
+
+
 def _trivalent_darts(g: int, n: int, max_darts: int) -> int:
-    """Dart count 6(n + 2g - 2) of a trivalent (g, n) graph, within max_darts."""
+    """Dart count 6(n + 2g - 2) of a trivalent (g, n) graph, within budget.
+
+    Besides max_darts, the enumeration work (rooted maps x n! labelings x
+    roots) must fit MAX_GRAPH_WORK.
+    """
     if g < 0 or n < 1:
         raise DomainError("need genus >= 0 and at least one face")
     k = n + 2 * g - 2
@@ -260,6 +295,11 @@ def _trivalent_darts(g: int, n: int, max_darts: int) -> int:
     darts = 6 * k
     if darts > max_darts:
         raise BudgetError(f"{darts} darts exceeds budget {max_darts}")
+    if not _graph_work_fits(k, n):
+        raise BudgetError(
+            f"(g, n) = ({g}, {n}) needs more than {MAX_GRAPH_WORK} rooted maps "
+            f"x face labelings x roots"
+        )
     return darts
 
 

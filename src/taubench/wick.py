@@ -8,8 +8,10 @@ and tracks moments as exact Laurent polynomials in N.
 
 Also here: the 't Hooft genus regrouping, the perturbative match between
 the Wick expansion of the cubic matrix integral and the ribbon-graph sum,
-and two numeric cross-checks (normalization constant, rank-2
-Harish-Chandra/Itzykson-Zuber formula by Monte Carlo over Haar unitaries).
+and two numeric cross-checks: the normalization constant by a product of
+one-dimensional Gauss-Legendre rules, one per independent real coordinate
+of M, and the rank-2 Harish-Chandra/Itzykson-Zuber formula by Monte Carlo
+over Haar unitaries.
 """
 
 from __future__ import annotations
@@ -91,16 +93,13 @@ class GaussianSpec:
         return self.lambda_diag is None
 
 
-def _slot_cycles(word: TraceWord) -> tuple[list[list[int]], list[int]]:
-    """Slots 0..d-1 grouped into trace cycles, plus the successor map."""
-    cycles, nxt, base = [], [0] * word.degree, 0
+def _slot_cycles(word: TraceWord) -> list[int]:
+    """Successor of each slot 0..d-1 around its trace cycle."""
+    nxt, base = [], 0
     for k in word.powers:
-        cycle = list(range(base, base + k))
-        for idx, s in enumerate(cycle):
-            nxt[s] = cycle[(idx + 1) % k]
-        cycles.append(cycle)
+        nxt.extend(base + (i + 1) % k for i in range(k))
         base += k
-    return cycles, nxt
+    return nxt
 
 
 def _matchings(slots: list[int]):
@@ -115,42 +114,31 @@ def _matchings(slots: list[int]):
             yield [(first, partner)] + tail
 
 
-class _Faces:
-    """Union-find over slot corners; classes are index loops (faces)."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def _matching_faces(pairs, nxt):
     """Face structure of one Wick matching.
 
     Slot s carries the entry M_{a_s b_s} with b_s = a_{nxt(s)}; pairing s~t
-    forces a_s = b_t and b_s = a_t, so corners merge into index loops.
-    Returns (edge list as face-root pairs, face count).
+    forces a_s = b_t = a_{nxt(t)}, so the index loops (faces) are the cycles
+    of s -> nxt(partner(s)).  Returns (edge list as face-id pairs, face count).
     """
-    uf = _Faces(len(nxt))
+    partner = [0] * len(nxt)
     for s, t in pairs:
-        uf.union(s, nxt[t])
-        uf.union(nxt[s], t)
-    edges = [(uf.find(s), uf.find(nxt[s])) for s, t in pairs]
-    roots = {uf.find(c) for c in range(len(nxt))}
-    return edges, len(roots)
+        partner[s], partner[t] = t, s
+    face = [-1] * len(nxt)
+    faces = 0
+    for start in range(len(nxt)):
+        if face[start] >= 0:
+            continue
+        s = start
+        while face[s] < 0:
+            face[s] = faces
+            s = nxt[partner[s]]
+        faces += 1
+    return [(face[s], face[nxt[s]]) for s, _ in pairs], faces
 
 
 def _canonical_edges(edges) -> tuple[tuple[int, int], ...]:
-    """Relabel face roots by first appearance so equal shapes share a key."""
+    """Relabel face ids by first appearance so equal shapes share a key."""
     relabel: dict[int, int] = {}
     out = []
     for a, b in edges:
@@ -198,7 +186,7 @@ def wick_moment(
     if word.degree % 2:
         return {} if spec.scalar_mode else Fraction(0)
     _check_budget(word, max_matchings)
-    _, nxt = _slot_cycles(word)
+    nxt = _slot_cycles(word)
     slots = list(range(word.degree))
     if spec.scalar_mode:
         laurent: dict[int, Fraction] = {}
@@ -345,29 +333,28 @@ def _formula_value(lams: Sequence[float]) -> float:
     return value
 
 
-def _quad_n2(lams: Sequence[float], points: int) -> float:
-    """Tensor Gauss-Legendre for the full 4-dim N = 2 integral."""
-    lam1, lam2 = (float(v) for v in lams)
+def _gauss_legendre(scale: float, points: int) -> float:
+    """Gauss-Legendre rule for int exp(-scale x^2/2) dx over +-14 std devs."""
     nodes, weights = np.polynomial.legendre.leggauss(points)
+    half = 14.0 / math.sqrt(scale)
+    x = nodes * half
+    return float(np.dot(weights * half, np.exp(-0.5 * scale * x * x)))
 
-    def axis(scale):
-        half = 14.0 / math.sqrt(scale)
-        return nodes * half, weights * half
 
-    xa, wa = axis(lam1)
-    xb, wb = axis(lam2)
-    xc, wc = axis(lam1 + lam2)
-    xd, wd = axis(lam1 + lam2)
-    total = 0.0
-    for a, w_a in zip(xa, wa):
-        expo = (
-            lam1 * a * a
-            + lam2 * xb[:, None, None] ** 2
-            + (lam1 + lam2) * (xc[None, :, None] ** 2 + xd[None, None, :] ** 2)
-        )
-        block = np.exp(-0.5 * expo)
-        total += w_a * np.einsum("b,c,d,bcd->", wb, wc, wd, block)
-    return 2.0 * total  # measure factor for the single off-diagonal pair
+def _quadrature(lams: Sequence[float], points: int) -> float:
+    """Tensor Gauss-Legendre rule for int exp(-tr(Lambda M^2)/2) dM.
+
+    tr(Lambda M^2) = sum_i lambda_i M_ii^2 + sum_{i<j} (lambda_i + lambda_j)
+    (Re^2 + Im^2)(M_ij), a sum over independent coordinates, so the tensor
+    rule is the product of one 1-dim rule per coordinate.
+    """
+    value = 1.0
+    for i, lam in enumerate(lams):
+        value *= _gauss_legendre(lam, points)
+        for other in lams[i + 1 :]:
+            # MEASURE_CONVENTION: factor 2 per off-diagonal pair
+            value *= 2.0 * _gauss_legendre(lam + other, points) ** 2
+    return value
 
 
 def gaussian_normalization_check(
@@ -379,26 +366,11 @@ def gaussian_normalization_check(
     lams = [float(Fraction(v)) for v in lambda_diag]
     if len(lams) != N or any(v <= 0 for v in lams):
         raise DomainError("need N positive diagonal entries")
-    if N == 1:
-        from scipy.integrate import quad
-
-        value, abserr = quad(
-            lambda x: math.exp(-0.5 * lams[0] * x * x), -np.inf, np.inf
-        )
-        # quad's abserr estimate is conservative; treat anything better
-        # than 1e-6 relative as converged (accuracy is checked against
-        # the closed form below at the caller's tol)
-        if abserr > 1e-6 * abs(value):
-            raise NumericError("1-dim quadrature did not converge")
-    else:
-        coarse = _quad_n2(lams, 60)
-        value = _quad_n2(lams, 80)
-        if not math.isfinite(value) or abs(value - coarse) > max(
-            tol, 1e-9
-        ) * abs(value):
-            raise NumericError("4-dim quadrature did not converge")
+    coarse = _quadrature(lams, 60)
+    value = _quadrature(lams, 80)
+    if not math.isfinite(value) or abs(value - coarse) > max(tol, 1e-9) * abs(value):
+        raise NumericError(f"{N * N}-dim quadrature did not converge")
     formula = _formula_value(lams)
-    value = float(value)
     rel = abs(value - formula) / abs(formula)
     return {
         "N": N,

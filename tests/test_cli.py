@@ -203,6 +203,13 @@ class TestVirasoroArgs:
             ("intersect", "-g", "8", "-n", "6"),
             # 66 darts, and more faces than there are sample primes
             ("intersect", "-g", "0", "-n", "13"),
+            # within --max-darts, but over the graph work budget
+            ("--max-darts", "66", "intersect", "-g", "0", "-n", "13"),
+            ("--max-darts", "30", "graphs", "enumerate", "--genus", "3", "--faces", "1"),
+            ("--max-darts", "24", "intersect", "-g", "0", "-n", "6"),
+            # the budget is priced without forming a huge count or factorial
+            ("--max-darts", "600000", "intersect", "-g", "0", "-n", "100000"),
+            ("--max-darts", "600000", "graphs", "enumerate", "--genus", "0", "--faces", "100000"),
         ],
     )
     def test_oversized_run_is_three_at_once(self, capsys, argv):

@@ -7,8 +7,14 @@ consistency relation.
 """
 
 import itertools
+import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from taubench.errors import BudgetError, DomainError, Unsupported
@@ -16,6 +22,7 @@ from taubench.exact import double_factorial
 from taubench.wick import (
     GaussianSpec,
     TraceWord,
+    _quadrature,
     gaussian_normalization_check,
     genus_expansion,
     hciz_check,
@@ -158,6 +165,25 @@ class TestKontsevichMatch:
         assert t[2] == Fraction(-3, 32)  # -(3)!! / 2^5
 
 
+def tensor_rule_n2(lams, points):
+    """Gauss-Legendre on the full 4-dim N = 2 grid, every node summed."""
+    lam1, lam2 = lams
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    axes = []
+    for scale in (lam1, lam2, lam1 + lam2, lam1 + lam2):
+        half = 14.0 / math.sqrt(scale)
+        axes.append((nodes * half, weights * half))
+    (xa, wa), (xb, wb), (xc, wc), (xd, wd) = axes
+    expo = (
+        lam1 * xa[:, None, None, None] ** 2
+        + lam2 * xb[None, :, None, None] ** 2
+        + (lam1 + lam2) * (xc[None, None, :, None] ** 2 + xd[None, None, None, :] ** 2)
+    )
+    grid = np.exp(-0.5 * expo)
+    # factor 2 for the single off-diagonal pair (MEASURE_CONVENTION)
+    return 2.0 * float(np.einsum("a,b,c,d,abcd->", wa, wb, wc, wd, grid))
+
+
 class TestGaussianNormalization:
     def test_n1(self):
         report = gaussian_normalization_check(1, (Fraction(1),), 1e-10)
@@ -180,6 +206,33 @@ class TestGaussianNormalization:
             gaussian_normalization_check(3, (1, 1, 1), 1e-6)
         with pytest.raises(DomainError):
             gaussian_normalization_check(2, (Fraction(1),), 1e-6)
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 10**6), Fraction(1, 3), Fraction(2), Fraction(10**6)])
+    def test_n1_matches_closed_form(self, lam):
+        report = gaussian_normalization_check(1, (lam,), 1e-13)
+        expected = math.sqrt(2 * math.pi / float(lam))
+        assert abs(float(report["quadrature"]) - expected) <= 1e-13 * expected
+        assert report["pass"]
+
+    @pytest.mark.parametrize("lams", [(1.0, 2.0), (0.25, 3.0), (1e-3, 7.5)])
+    def test_product_rule_matches_tensor_rule(self, lams):
+        oracle = tensor_rule_n2(lams, 24)
+        assert abs(_quadrature(lams, 24) - oracle) <= 1e-13 * oracle
+
+    def test_numeric_paths_do_not_import_scipy(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "from taubench.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert run(['matrix', 'normalization', '--N', '1', '--lambda', '2']) == 0\n"
+            "    assert run(['matrix', 'normalization', '--N', '2', '--lambda', '1,2']) == 0\n"
+            "assert 'scipy' not in sys.modules\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        subprocess.run(
+            [sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path}
+        )
 
 
 class TestHciz:

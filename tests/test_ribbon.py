@@ -23,6 +23,7 @@ from taubench.ribbon import (
     DartStructure,
     RibbonGraphClass,
     _canonical_sigma,
+    _rooted_map_counts,
     _rooted_maps,
     automorphism_order,
     base_table,
@@ -149,8 +150,11 @@ BLOCKS_BY_DARTS = {6: [(0, 3), (1, 1)], 12: [(0, 4), (1, 2)], 18: [(0, 5), (1, 3
 
 class TestRootedMapGeneration:
     def test_rooted_map_counts(self):
+        # the recurrence prices the graph work budget; 27120 is at 24 darts
+        recurrence = list(itertools.islice(_rooted_map_counts(), 5))
+        assert recurrence[4] == 27120
         for darts, count in ROOTED_MAPS.items():
-            assert sum(1 for _ in _rooted_maps(darts)) == count
+            assert sum(1 for _ in _rooted_maps(darts)) == count == recurrence[darts // 6]
 
     def test_generated_maps_are_connected_and_distinct(self):
         sigma = _canonical_sigma(12)
