@@ -2,8 +2,9 @@
 
 Every operator is an OperatorExpr: a normal-ordered sum of scalar *
 (variable monomial) * (derivative monomial) terms, built once and applied
-to a series by OperatorExpr.apply, the only applier here.  Two operator
-families are built:
+to a series by OperatorExpr.apply, the only applier here, as a sum of
+memoized basis columns: each monomial's image is computed once per operator
+and series family.  Two operator families are built:
 
 - the oscillator representation on C[x_1, x_2, ...] with a_n = d/dx_n,
   a_{-n} = hbar n x_n, a_0 = mu, and L_k built from the quadratic a-form
@@ -20,8 +21,9 @@ an exact rational (int or Fraction).
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -110,9 +112,12 @@ class OperatorExpr:
     """Finite sum of scalar * (variable monomial) * (derivative monomial) terms.
 
     Monomials are sorted tuples of variable names; derivatives act first.
+    Basis columns, filled lazily per (family, exponent), sit outside
+    equality, hash and repr.
     """
 
     terms: tuple[tuple[Fraction | GaussianRational, tuple[str, ...], tuple[str, ...]], ...]
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, raw) -> "OperatorExpr":
@@ -128,14 +133,35 @@ class OperatorExpr:
         return cls(tuple((c, *key) for key, c in sorted(combined.items()) if c))
 
     def apply(self, p: TruncatedSeries) -> TruncatedSeries:
-        """Apply to p by exponent arithmetic, derivatives first.
+        """Apply to p: the sum of c * column(e) over the terms c * x^e of p.
 
         A derivative in a variable outside p's family annihilates its term.
         A nonzero result term past the cap, or one multiplied by a variable
         outside the family, raises TruncationError: nothing is dropped.
         """
-        index = {name: i for i, name in enumerate(p.variables)}
-        basis = [(list(e), c, p.degree_of(e)) for e, c in p.terms.items()]
+        family = (p.variables, p.weights, p.cap)
+        return TruncatedSeries(*family, self.image(family, p.terms))
+
+    def image(self, family, vector: dict) -> dict:
+        """The operator on a plain {exponent: coeff} vector over family
+        (variables, weights, cap); zero coefficients are skipped."""
+        columns = self._columns.setdefault(family, {})
+        out: dict[tuple[int, ...], Fraction] = {}
+        for expo, coeff in vector.items():
+            if not coeff:
+                continue
+            column = columns.get(expo)
+            if column is None:  # a column that raises is never stored
+                column = columns[expo] = self._column(family, expo)
+            for key, c in column.items():
+                out[key] = out.get(key, 0) + coeff * c
+        return out
+
+    def _column(self, family, expo: tuple[int, ...]) -> dict:
+        """The image of one basis monomial, by exponent arithmetic."""
+        variables, weights, cap = family
+        index = {name: i for i, name in enumerate(variables)}
+        degree = sum(e * w for e, w in zip(expo, weights))
         out: dict[tuple[int, ...], Fraction] = {}
         for scalar, tmono, dmono in self.terms:
             if any(name not in index for name in dmono):
@@ -143,24 +169,23 @@ class OperatorExpr:
             lower = [index[name] for name in dmono]
             outside = [name for name in tmono if name not in index]
             raise_ = [index[name] for name in tmono if name in index]
-            shift = sum(p.weights[i] for i in raise_) - sum(p.weights[i] for i in lower)
-            for expo, coeff, degree in basis:
-                expo = expo.copy()
-                factor = 1
-                for i in lower:  # repeated names give the falling factorial
-                    factor *= expo[i]
-                    expo[i] -= 1
-                if not factor:
-                    continue
-                if outside:
-                    raise TruncationError(f"operator variable {outside[0]} outside family")
-                if degree + shift > p.cap:
-                    raise TruncationError("operator application exceeds the cap")
-                for i in raise_:
-                    expo[i] += 1
-                key = tuple(expo)
-                out[key] = out.get(key, 0) + coeff * scalar * factor
-        return TruncatedSeries(p.variables, p.weights, p.cap, out)
+            shifted = list(expo)
+            factor = 1
+            for i in lower:  # repeated names give the falling factorial
+                factor *= shifted[i]
+                shifted[i] -= 1
+            if not factor:
+                continue
+            if outside:
+                raise TruncationError(f"operator variable {outside[0]} outside family")
+            shift = sum(weights[i] for i in raise_) - sum(weights[i] for i in lower)
+            if degree + shift > cap:
+                raise TruncationError("operator application exceeds the cap")
+            for i in raise_:
+                shifted[i] += 1
+            key = tuple(shifted)
+            out[key] = out.get(key, 0) + scalar * factor
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +223,15 @@ def heisenberg(n: int, params: OscillatorParams) -> OperatorExpr:
     return OperatorExpr.build([(params.mu, (), ())])
 
 
+@functools.lru_cache(maxsize=128)
 def oscillator_virasoro(k: int, params: OscillatorParams, cap: int) -> OperatorExpr:
     """L_0 = (mu^2 + lambda^2)/2 + sum_{j>0} a_{-j} a_j;
     L_k = (1/2) sum_{j in Z} a_{-j} a_{j+k} + i lambda k a_k for k != 0,
     with |j| <= cap + |k|.  Each product a_r a_s is written normal-ordered
     (derivatives act first), which is exact: r = -s only when k = 0, and then
     a_r is the raising factor.  Factors x_r with r > cap stay in, so applying
-    the operator where they survive raises TruncationError."""
+    the operator where they survive raises TruncationError.  Cached per
+    (k, params, cap), so each column is computed once per process."""
     mu, lam = params.mu, params.lambda_param
     if k == 0:
         raw = [(Fraction(mu * mu + lam * lam, 2), (), ())]
@@ -271,8 +298,8 @@ def oscillator_commutator_check(
     Window: basis monomials of weight <= safe_cap - |m| - |n| - max(|m|,|n|),
     so no intermediate application can silently truncate.
     """
-    names, weights, cap = fock_space(safe_cap)
-    window = _window(weights, _sweep_bound(m, n, safe_cap))
+    family = fock_space(safe_cap)
+    window = _window(family[1], _sweep_bound(m, n, safe_cap))
     lam = params.lambda_param
     central = Fraction(0)
     if m == -n:
@@ -280,10 +307,17 @@ def oscillator_commutator_check(
     l_m, l_n, l_sum = (oscillator_virasoro(k, params, safe_cap) for k in (m, n, m + n))
     failures = []
     for expo in window:
-        p = TruncatedSeries(names, weights, cap, {expo: 1})
-        lhs = l_m.apply(l_n.apply(p)) - l_n.apply(l_m.apply(p))
-        residual = lhs - l_sum.apply(p).scale(m - n) - p.scale(central)
-        if not residual.is_zero():
+        basis = {expo: 1}
+        residual = l_m.image(family, l_n.image(family, basis))
+        for part, scale in (
+            (l_n.image(family, l_m.image(family, basis)), -1),
+            (l_sum.image(family, basis), n - m),
+            ({expo: central}, -1),
+        ):
+            for key, c in part.items():
+                residual[key] = residual.get(key, 0) + scale * c
+        if any(residual.values()):
+            residual = TruncatedSeries(*family, residual)
             failures.append({"monomial": list(expo), "residual": repr(residual)})
     return {
         "m": m,

@@ -131,17 +131,16 @@ def _crit_schur_kp(config, full):
 
 
 def _crit_oscillator(config, full):
-    from .fock import OscillatorParams, oscillator_commutator_check
+    from .fock import OscillatorParams, oscillator_sweep
 
     bad = []
     for lam in (Fraction(0), Fraction(1), Fraction(2, 3)):
         params = OscillatorParams(mu=Fraction(1, 2), lambda_param=lam)
         central_charge = str(1 + 12 * lam * lam)
-        for m in range(-3, 4):
-            for n in range(-3, 4):
-                report = oscillator_commutator_check(m, n, params, safe_cap=10)
-                if not report["all_zero"] or report["central_charge"] != central_charge:
-                    bad.append({"lambda": str(lam), "m": m, "n": n})
+        reports = oscillator_sweep(3, params, safe_cap=10)
+        for (m, n), report in zip(itertools.product(range(-3, 4), repeat=2), reports):
+            if not report["all_zero"] or report["central_charge"] != central_charge:
+                bad.append({"lambda": str(lam), "m": m, "n": n})
     return _criterion(
         6,
         "oscillator Virasoro closure, c = 1 + 12 lambda^2",

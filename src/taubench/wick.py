@@ -363,9 +363,15 @@ def gaussian_normalization_check(
     """Quadrature of int exp(-tr(Lambda M^2)/2) dM against the closed form."""
     if N not in (1, 2):
         raise Unsupported("quadrature check is guarded to N <= 2")
-    lams = [float(Fraction(v)) for v in lambda_diag]
-    if len(lams) != N or any(v <= 0 for v in lams):
+    exact = [Fraction(v) for v in lambda_diag]
+    if len(exact) != N or any(v <= 0 for v in exact):
         raise DomainError("need N positive diagonal entries")
+    try:
+        lams = [float(v) for v in exact]
+    except OverflowError:
+        lams = [math.inf]
+    if not all(0 < v < math.inf for v in lams):
+        raise DomainError("lambda out of float range")
     coarse = _quadrature(lams, 60)
     value = _quadrature(lams, 80)
     if not math.isfinite(value) or abs(value - coarse) > max(tol, 1e-9) * abs(value):
@@ -419,6 +425,13 @@ def hciz_check(
         raise DomainError("rank-2 check needs two x values and two y values")
     if sample_count < 2:
         raise DomainError("need at least two samples")
+    try:  # a zero division is (x1 - x2)(y1 - y2) underflowing
+        peak = math.exp(max(a * b for a in x for b in y))
+        closed = hciz_closed_form(x, y)
+    except (OverflowError, ZeroDivisionError):
+        peak = closed = math.inf
+    if not (math.isfinite(peak) and math.isfinite(closed)):
+        raise DomainError("exp(x_i y_j) or the closed form is out of float range")
     rng = np.random.default_rng(seed)
     values = np.empty(sample_count)
     chunk = 50_000
@@ -433,7 +446,6 @@ def hciz_check(
         done += size
     estimate = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(sample_count))
-    closed = hciz_closed_form(x, y)
     diff = abs(estimate - closed)
     return {
         "x": [format(v, ".17g") for v in x],

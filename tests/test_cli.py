@@ -115,6 +115,30 @@ class TestExitCodes:
         assert_one_error_line(err)
         assert json.loads(err)["error"] == "usage"
 
+    HUGE = "1" + "0" * 400
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("matrix", "normalization", "--N", "1", "--lambda", HUGE),
+             "lambda out of float range"),
+            # positive, but it rounds to 0.0
+            (("matrix", "normalization", "--N", "1", "--lambda", "1/" + HUGE),
+             "lambda out of float range"),
+            # refused before sampling: no inf estimate and no numpy warning
+            (("matrix", "hciz", "--x", HUGE + ",1", "--y", "1,2", "--samples", "10"),
+             "exp(x_i y_j) or the closed form is out of float range"),
+            # (x1 - x2)(y1 - y2) underflows to 0.0 in the closed form
+            (("matrix", "hciz", "--x", "1e-200,2e-200", "--y", "1e-200,2e-200"),
+             "exp(x_i y_j) or the closed form is out of float range"),
+        ],
+    )
+    def test_out_of_float_range_is_two(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert json.loads(err) == {"error": "usage", "message": message}
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from(["intersect", "graphs"]),

@@ -128,10 +128,48 @@ class TestApplyAgainstOracle:
                 names, weights, cap,
                 {rng.choice(window): scalar() for _ in range(rng.randint(1, 4))},
             )
-            got = outcome(OperatorExpr.apply, op, p)
-            assert got == outcome(oracle_apply, op, p), (op, p)
-            kinds.add(got is TruncationError)
+            # q shares p's monomials, so its columns come warm from the memo
+            shared = {expo: scalar() for expo in p.terms}
+            shared[rng.choice(window)] = scalar()
+            q = TruncatedSeries(names, weights, cap, shared)
+            for series in (p, q):
+                got = outcome(OperatorExpr.apply, op, series)
+                assert got == outcome(oracle_apply, op, series), (op, series)
+                kinds.add(got is TruncationError)
         assert kinds == {True, False}
+
+    def test_truncating_column_is_not_memoized(self):
+        names, weights, cap = fock_space(3)
+        one = TruncatedSeries.constant(names, weights, cap, 1)
+        x3 = TruncatedSeries.variable(names, weights, cap, "x3")
+        op = OperatorExpr.build([(1, ("x1",), ()), (1, (), ("x3",))])
+        # the same monomial under a larger cap is another column
+        wide = TruncatedSeries.variable(names, weights, cap + 1, "x3")
+        assert op.apply(wide).terms == {(1, 0, 1): 1, (0, 0, 0): 1}
+        for _ in range(2):
+            with pytest.raises(TruncationError):
+                op.apply(x3)
+        assert op.apply(one) == TruncatedSeries.variable(names, weights, cap, "x1")
+        with pytest.raises(TruncationError):
+            op.apply(x3 + one)
+
+    def test_memo_is_outside_equality_hash_and_repr(self):
+        params = OscillatorParams(mu=Fraction(1, 2), lambda_param=Fraction(2, 3))
+        names, weights, cap = fock_space(6)
+        t_names, t_weights, t_cap = target_space(two_class_data(), 3, 6)
+        cases = [
+            (oscillator_virasoro(k, params, cap), names, weights, cap) for k in (-2, 0, 1)
+        ] + [
+            (target_virasoro_build(two_class_data(), k, 3), t_names, t_weights, t_cap)
+            for k in (-1, 0, 2)
+        ]
+        for op, *family in cases:
+            before = (repr(op), hash(op))
+            for expo in weight_monomials(family[1], 2):
+                op.apply(monomial(*family, expo))
+            assert op._columns
+            fresh = OperatorExpr(op.terms)
+            assert op == fresh and (repr(op), hash(op)) == before == (repr(fresh), hash(fresh))
 
     def test_repeated_derivatives_and_tt_terms(self):
         names, weights, cap = FAMILIES["t"]
@@ -268,6 +306,30 @@ class TestOscillatorVirasoro:
         central = (1 + 12 * Fraction(2, 3) ** 2) * Fraction(2**3 - 2, 12)
         assert lhs != rhs_no_central
         assert lhs == rhs_no_central + one.scale(central)
+
+    def test_shifted_l0_fails_with_the_applied_residual(self, monkeypatch):
+        # negative control through the column composition: L_0 + 1 breaks
+        # [L_2, L_-2] = 4 L_0 + central; each failure's residual is the one
+        # that apply gives by hand
+        built = fock.oscillator_virasoro
+
+        def shifted(k, params, cap):
+            op = built(k, params, cap)
+            return OperatorExpr.build([*op.terms, (1, (), ())]) if k == 0 else op
+
+        monkeypatch.setattr(fock, "oscillator_virasoro", shifted)
+        m, n, cap = 2, -2, 8
+        report = oscillator_commutator_check(m, n, self.params, safe_cap=cap)
+        assert report["all_zero"] is False
+        assert len(report["failures"]) == report["window_size"]
+        names, weights, series_cap = fock_space(cap)
+        l_m, l_n, l_sum = (shifted(k, self.params, cap) for k in (m, n, m + n))
+        central = (1 + 12 * self.params.lambda_param**2) * Fraction(m**3 - m, 12)
+        for failure in report["failures"]:
+            p = monomial(names, weights, series_cap, failure["monomial"])
+            residual = l_m.apply(l_n.apply(p)) - l_n.apply(l_m.apply(p))
+            residual = residual - l_sum.apply(p).scale(m - n) - p.scale(central)
+            assert failure["residual"] == repr(residual) == repr(p.scale(n - m))
 
     def test_insufficient_cap(self):
         with pytest.raises(InsufficientCap):
