@@ -364,13 +364,18 @@ def kontsevich_sum(
     if len(lams) != n:
         raise DomainError("need one lambda per face")
     total = Fraction(0)
+    pair_weight: dict[tuple[int, int], Fraction] = {}  # 2/(lambda_i + lambda_j)
     for cls in enumerate_trivalent(g, n, max_darts):
         weight = Fraction(1, 2 ** cls.canonical.vertex_count * cls.aut_order)
-        for f1, f2 in cls.edge_face_pairs:
-            denom = lams[f1 - 1] + lams[f2 - 1]
-            if denom == 0:
-                raise PoleError(f"lambda_{f1} + lambda_{f2} = 0")
-            weight *= Fraction(2) / denom
+        for pair in cls.edge_face_pairs:
+            factor = pair_weight.get(pair)
+            if factor is None:
+                f1, f2 = pair
+                denom = lams[f1 - 1] + lams[f2 - 1]
+                if denom == 0:
+                    raise PoleError(f"lambda_{f1} + lambda_{f2} = 0")
+                factor = pair_weight[pair] = Fraction(2) / denom
+            weight *= factor
         total += weight
     return total
 

@@ -6,6 +6,12 @@ the propagator is <M_ij M_kl> = 2 delta_il delta_jk / (lambda_i + lambda_j)
 gaussian_normalization_check).  Scalar mode replaces the propagator by 1/N
 and tracks moments as exact Laurent polynomials in N.
 
+Both modes read one memoized shape table per trace word: a single walk over
+the (d-1)!! Wick matchings counts how many give each face multigraph (edges
+between index loops, up to relabeling).  Scalar mode sums mult * N^{faces -
+pairs}; diagonal mode sums the face colorings of each shape in integers,
+after scaling the lambda_i to a common denominator, and divides once.
+
 Also here: the 't Hooft genus regrouping, the perturbative match between
 the Wick expansion of the cubic matrix integral and the ribbon-graph sum,
 and two numeric cross-checks: the normalization constant by a product of
@@ -16,6 +22,7 @@ over Haar unitaries.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -102,28 +109,15 @@ def _slot_cycles(word: TraceWord) -> list[int]:
     return nxt
 
 
-def _matchings(slots: list[int]):
-    """All perfect matchings of the given slots as lists of pairs."""
-    if not slots:
-        yield []
-        return
-    first, rest = slots[0], slots[1:]
-    for i, partner in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1 :]
-        for tail in _matchings(remaining):
-            yield [(first, partner)] + tail
-
-
-def _matching_faces(pairs, nxt):
-    """Face structure of one Wick matching.
+def _shape(partner: list[int], nxt: list[int]) -> tuple:
+    """Face multigraph of one Wick matching, as a key shared by equal shapes.
 
     Slot s carries the entry M_{a_s b_s} with b_s = a_{nxt(s)}; pairing s~t
     forces a_s = b_t = a_{nxt(t)}, so the index loops (faces) are the cycles
-    of s -> nxt(partner(s)).  Returns (edge list as face-id pairs, face count).
+    of s -> nxt(partner(s)), and the pair s~t is an edge between the faces
+    of s and t.  Face ids are relabeled by first appearance and the edge
+    list is sorted.  Returns (edges as face-id pairs, face count).
     """
-    partner = [0] * len(nxt)
-    for s, t in pairs:
-        partner[s], partner[t] = t, s
     face = [-1] * len(nxt)
     faces = 0
     for start in range(len(nxt)):
@@ -134,33 +128,65 @@ def _matching_faces(pairs, nxt):
             face[s] = faces
             s = nxt[partner[s]]
         faces += 1
-    return [(face[s], face[nxt[s]]) for s, _ in pairs], faces
-
-
-def _canonical_edges(edges) -> tuple[tuple[int, int], ...]:
-    """Relabel face ids by first appearance so equal shapes share a key."""
     relabel: dict[int, int] = {}
-    out = []
-    for a, b in edges:
-        for r in (a, b):
-            if r not in relabel:
-                relabel[r] = len(relabel)
-        ra, rb = relabel[a], relabel[b]
-        out.append((ra, rb) if ra <= rb else (rb, ra))
-    return tuple(out)
+    edges = []
+    for s, t in enumerate(partner):
+        if s < t:
+            a = relabel.setdefault(face[s], len(relabel))
+            b = relabel.setdefault(face[t], len(relabel))
+            edges.append((a, b) if a <= b else (b, a))
+    return tuple(sorted(edges)), faces
 
 
-def _colored_sum(
-    edges: tuple[tuple[int, int], ...], faces: int, weight: list[list[Fraction]]
-) -> Fraction:
-    """Sum over face colorings 1..N of the product of edge propagators."""
-    total = Fraction(0)
-    for colors in itertools.product(range(len(weight)), repeat=faces):
-        prod = Fraction(1)
-        for a, b in edges:
-            prod *= weight[colors[a]][colors[b]]
-        total += prod
-    return total
+@functools.lru_cache(maxsize=32)
+def _shape_table(word: TraceWord) -> tuple[tuple[tuple, int, int], ...]:
+    """(edges, faces, matchings) for each shape of the word's Wick matchings.
+
+    The one walk over all (d-1)!! perfect matchings of the d slots; both
+    modes of wick_moment read its result.
+    """
+    nxt = _slot_cycles(word)
+    partner = [-1] * len(nxt)
+    counts: dict[tuple, int] = {}
+
+    def walk(first: int) -> None:
+        while first < len(partner) and partner[first] >= 0:
+            first += 1
+        if first == len(partner):
+            key = _shape(partner, nxt)
+            counts[key] = counts.get(key, 0) + 1
+            return
+        for t in range(first + 1, len(partner)):
+            if partner[t] < 0:
+                partner[first], partner[t] = t, first
+                walk(first + 1)
+                partner[first] = partner[t] = -1
+
+    walk(0)
+    return tuple((edges, faces, mult) for (edges, faces), mult in counts.items())
+
+
+def _diagonal_sum(table, lams: Sequence[Fraction], pairs: int) -> Fraction:
+    """Sum over shapes and face colorings of prod_e 2/(lambda_a + lambda_b).
+
+    With lambda_i = P_i/D and L = lcm(P_a + P_b), each edge factor is
+    (2D/L) * L/(P_a + P_b), so the colorings are summed in integers and
+    divided once.
+    """
+    denom = math.lcm(*(v.denominator for v in lams))
+    scaled = [v.numerator * (denom // v.denominator) for v in lams]
+    lcm = math.lcm(*(a + b for a in scaled for b in scaled))
+    weight = [[lcm // (a + b) for b in scaled] for a in scaled]
+    total = 0
+    for edges, faces, mult in table:
+        colored = 0
+        for colors in itertools.product(range(len(weight)), repeat=faces):
+            prod = 1
+            for a, b in edges:
+                prod *= weight[colors[a]][colors[b]]
+            colored += prod
+        total += mult * colored
+    return Fraction(total * (2 * denom) ** pairs, lcm**pairs)
 
 
 def _check_budget(word: TraceWord, max_matchings: int) -> None:
@@ -181,38 +207,20 @@ def wick_moment(
     Diagonal mode: exact Fraction, summing 2/(lambda_i + lambda_j) edge
     factors over all matchings and index-loop colorings.  Scalar mode:
     Laurent polynomial in N as a dict {power: coefficient}, each matching
-    contributing N^{faces - pairs}.
+    contributing N^{faces - pairs}.  The budget counts the (d-1)!! matchings
+    the shape table walks, and is checked even when the table is cached.
     """
     if word.degree % 2:
         return {} if spec.scalar_mode else Fraction(0)
     _check_budget(word, max_matchings)
-    nxt = _slot_cycles(word)
-    slots = list(range(word.degree))
-    if spec.scalar_mode:
-        laurent: dict[int, Fraction] = {}
-        pair_count = word.degree // 2
-        for pairs in _matchings(slots):
-            _, faces = _matching_faces(pairs, nxt)
-            power = faces - pair_count
-            laurent[power] = laurent.get(power, Fraction(0)) + 1
-        return {p: c for p, c in sorted(laurent.items()) if c}
-    lams = spec.lambda_diag
-    weight = [[Fraction(2, 1) / (a + b) for b in lams] for a in lams]
-    cache: dict[tuple, Fraction] = {}
-    total = Fraction(0)
-    for pairs in _matchings(slots):
-        edges, faces = _matching_faces(pairs, nxt)
-        key = _canonical_edges(edges)
-        value = cache.get(key)
-        if value is None:
-            value = _colored_sum(key, faces, weight)
-            cache[key] = value
-        total += value
-    return total
-
-
-def laurent_eval(laurent: dict[int, Fraction], n: Fraction) -> Fraction:
-    return sum((c * Fraction(n) ** p for p, c in laurent.items()), Fraction(0))
+    table = _shape_table(word)
+    pairs = word.degree // 2
+    if not spec.scalar_mode:
+        return _diagonal_sum(table, spec.lambda_diag, pairs)
+    laurent: dict[int, int] = {}
+    for _, faces, mult in table:
+        laurent[faces - pairs] = laurent.get(faces - pairs, 0) + mult
+    return {p: Fraction(c) for p, c in sorted(laurent.items())}
 
 
 def genus_expansion(
@@ -263,7 +271,8 @@ def kontsevich_match(
     rational (i^V is real at even V, odd moments vanish).  Graph side: for
     2(n + 2g - 2) = V, sum over face colorings r in {1..N}^n of the
     trivalent graph sum at (lambda_{r_1}, ..., lambda_{r_n}) times
-    (-1)^n / n!.  At V = 2 also compares with t_0^3/6 + t_1/24.
+    (-1)^n / n!, summed as one call per multiset of colors.  At V = 2 also
+    compares with t_0^3/6 + t_1/24.
     Raises ConventionMismatch (report attached) if any side disagrees.
     """
     if vertex_order < 0 or vertex_order % 2:
@@ -287,9 +296,14 @@ def kontsevich_match(
             if g2 < 0 or g2 % 2:
                 continue
             g = g2 // 2
+            # the graph sum is symmetric in lambda: one call per multiset of
+            # colors, weighted by its n!/prod m_i! orderings
             block = Fraction(0)
-            for colors in itertools.product(range(N), repeat=n):
-                block += kontsevich_sum(
+            for colors in itertools.combinations_with_replacement(range(N), n):
+                orderings = math.factorial(n)
+                for r in set(colors):
+                    orderings //= math.factorial(colors.count(r))
+                block += orderings * kontsevich_sum(
                     g, n, tuple(lams[r] for r in colors), max_darts
                 )
             graph[v] += block * Fraction((-1) ** n, math.factorial(n))
@@ -444,8 +458,12 @@ def hciz_check(
         trace = np.einsum("i,j,sij->s", np.asarray(x), np.asarray(y), absq)
         values[done : done + size] = np.exp(trace)
         done += size
-    estimate = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(sample_count))
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate = float(values.mean())
+        stderr = float(values.std(ddof=1) / math.sqrt(sample_count))
+    # an infinite stderr would make the 5 * stderr tolerance pass anything
+    if not (math.isfinite(estimate) and math.isfinite(stderr)):
+        raise DomainError("the sample mean or variance is out of float range")
     diff = abs(estimate - closed)
     return {
         "x": [format(v, ".17g") for v in x],

@@ -8,6 +8,7 @@ import json
 import pathlib
 import tempfile
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,22 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert_one_error_line(err)
         assert json.loads(err) == {"error": "usage", "message": message}
+
+    def test_overflowing_sample_variance_is_two(self, capsys):
+        # every exp(x_i y_j) and the closed form are finite, but the sample
+        # variance is not: an infinite stderr must not pass, and no numpy
+        # RuntimeWarning may reach stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(
+                capsys, "matrix", "hciz", "--x", "300,1", "--y", "1,2", "--samples", "10"
+            )
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert json.loads(err) == {
+            "error": "usage",
+            "message": "the sample mean or variance is out of float range",
+        }
 
     @settings(max_examples=60, deadline=None)
     @given(

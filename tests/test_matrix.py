@@ -2,10 +2,13 @@
 Kontsevich match, and the numeric normalization/HCIZ checks.
 
 Independent oracles: one-dimensional Gaussian moments (2k-1)!!/c^k, the
-Catalan recurrence for planar counts, and the diagonal/scalar propagator
-consistency relation.
+Catalan recurrence for planar counts, the diagonal/scalar propagator
+consistency relation, and a per-matching walk with Fraction edge products
+(`oracle_moment`) against the shape table of `wick_moment`.
 """
 
+import contextlib
+import io
 import itertools
 import math
 import os
@@ -16,8 +19,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from taubench.cli import run
 from taubench.errors import BudgetError, DomainError, Unsupported
+from taubench.ribbon import kontsevich_sum
 from taubench.exact import double_factorial
 from taubench.wick import (
     GaussianSpec,
@@ -28,10 +35,86 @@ from taubench.wick import (
     hciz_check,
     hciz_closed_form,
     kontsevich_match,
-    laurent_eval,
     source_times,
     wick_moment,
 )
+
+
+def laurent_eval(laurent: dict[int, Fraction], n: Fraction) -> Fraction:
+    return sum((c * Fraction(n) ** p for p, c in laurent.items()), Fraction(0))
+
+
+def _slot_successors(powers):
+    nxt, base = [], 0
+    for k in powers:
+        nxt.extend(base + (i + 1) % k for i in range(k))
+        base += k
+    return nxt
+
+
+def _matchings(slots):
+    """All perfect matchings of the given slots as lists of pairs."""
+    if not slots:
+        yield []
+        return
+    first, rest = slots[0], slots[1:]
+    for i, partner in enumerate(rest):
+        remaining = rest[:i] + rest[i + 1 :]
+        for tail in _matchings(remaining):
+            yield [(first, partner)] + tail
+
+
+def _matching_faces(pairs, nxt):
+    """(edges as face-id pairs, face count) of one matching: the faces are
+    the cycles of s -> nxt(partner(s))."""
+    partner = [0] * len(nxt)
+    for s, t in pairs:
+        partner[s], partner[t] = t, s
+    face = [-1] * len(nxt)
+    faces = 0
+    for start in range(len(nxt)):
+        if face[start] >= 0:
+            continue
+        s = start
+        while face[s] < 0:
+            face[s] = faces
+            s = nxt[partner[s]]
+        faces += 1
+    return [(face[s], face[nxt[s]]) for s, _ in pairs], faces
+
+
+def _colored_sum(edges, faces, weight):
+    """Sum over face colorings of the product of Fraction edge propagators."""
+    total = Fraction(0)
+    for colors in itertools.product(range(len(weight)), repeat=faces):
+        prod = Fraction(1)
+        for a, b in edges:
+            prod *= weight[colors[a]][colors[b]]
+        total += prod
+    return total
+
+
+def oracle_moment(spec, word):
+    """wick_moment matching by matching: N^{faces - pairs} per matching in
+    scalar mode, the Fraction colored sum of 2/(lambda_a + lambda_b) per
+    matching in diagonal mode."""
+    if word.degree % 2:
+        return {} if spec.scalar_mode else Fraction(0)
+    nxt = _slot_successors(word.powers)
+    pairs_count = word.degree // 2
+    laurent: dict[int, Fraction] = {}
+    total = Fraction(0)
+    if not spec.scalar_mode:
+        lams = spec.lambda_diag
+        weight = [[Fraction(2) / (a + b) for b in lams] for a in lams]
+    for pairs in _matchings(list(range(word.degree))):
+        edges, faces = _matching_faces(pairs, nxt)
+        if spec.scalar_mode:
+            power = faces - pairs_count
+            laurent[power] = laurent.get(power, Fraction(0)) + 1
+        else:
+            total += _colored_sum(edges, faces, weight)
+    return dict(sorted(laurent.items())) if spec.scalar_mode else total
 
 
 def catalan(k: int) -> int:
@@ -94,6 +177,56 @@ class TestWickMoment:
         with pytest.raises(BudgetError):
             wick_moment(GaussianSpec(1), TraceWord((16,)), max_matchings=100)
 
+    def test_budget_holds_for_a_cached_word(self, capsys):
+        # the budget prices the (d-1)!! matchings of a table miss, and is
+        # checked before the table is looked up
+        word = TraceWord((3, 3, 3, 3))
+        lams = (Fraction(3), Fraction(4), Fraction(5))
+        wick_moment(GaussianSpec(3, lams), word)
+        wick_moment(GaussianSpec(3), word)
+        for spec in (GaussianSpec(3, lams), GaussianSpec(3)):
+            with pytest.raises(BudgetError):
+                wick_moment(spec, word, max_matchings=100)
+        for lam_args in (["--lambda", "3,4,5"], []):
+            code = run(
+                ["--max-matchings", "5", "matrix", "moment", "--N", "3",
+                 "--word", "tr3^4", *lam_args]
+            )
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (3, "")
+            assert captured.err == (
+                '{"error":"budget","message":"10395 matchings exceed the budget of 5"}\n'
+            )
+
+    WORDS = st.lists(st.integers(1, 6), min_size=1, max_size=5).filter(
+        lambda ks: sum(ks) <= 10
+    )
+    RATIONALS = st.builds(Fraction, st.integers(1, 40), st.integers(1, 12))
+
+    @settings(max_examples=40, deadline=None)
+    @given(WORDS, st.integers(1, 3), st.data())
+    def test_shape_table_matches_per_matching_oracle(self, powers, n_size, data):
+        word = TraceWord(tuple(powers))
+        scalar = GaussianSpec(n_size)
+        assert wick_moment(scalar, word) == oracle_moment(scalar, word)
+        lams = data.draw(st.lists(self.RATIONALS, min_size=n_size, max_size=n_size))
+        diagonal = GaussianSpec(n_size, tuple(lams))
+        assert wick_moment(diagonal, word) == oracle_moment(diagonal, word)
+
+    @pytest.mark.parametrize(
+        "powers,lams",
+        [
+            ((5, 3, 2), (Fraction(1, 2), Fraction(2, 3), Fraction(7, 5))),
+            ((3, 3, 3, 1), (Fraction(3, 4), Fraction(5, 6), Fraction(11, 9))),
+            ((4, 4, 2), (Fraction(1, 7), Fraction(5, 2))),
+            ((10,), (Fraction(2, 3), Fraction(3, 4), Fraction(4, 5))),
+        ],
+    )
+    def test_unequal_denominators_match_oracle(self, powers, lams):
+        spec = GaussianSpec(len(lams), lams)
+        word = TraceWord(powers)
+        assert wick_moment(spec, word) == oracle_moment(spec, word)
+
     def test_mixed_word_diagonal(self):
         # <tr M^2 tr M^2> at N = 1 is the plain fourth moment
         spec = GaussianSpec(1, (Fraction(2),))
@@ -136,6 +269,25 @@ class TestKontsevichMatch:
         assert report["order2_agrees"]
         assert report["wick_log"]["2"] == report["graph_side"]["2"]
         assert report["wick_log"]["2"] == report["free_energy_order2"]
+
+    def test_order_four_graph_side_sums_every_ordered_coloring(self):
+        # oracle: the graph side over all N^n ordered colorings, one
+        # kontsevich_sum each, against the multiset sum in kontsevich_match
+        lams = (Fraction(1, 2), Fraction(7, 3))
+        report = kontsevich_match(2, lams, 4)
+        assert report["agree"]
+        for v in (2, 4):
+            side = Fraction(0)
+            for n in range(1, v // 2 + 3):
+                g2 = v // 2 - n + 2
+                if g2 < 0 or g2 % 2:
+                    continue
+                block = sum(
+                    kontsevich_sum(g2 // 2, n, [lams[r] for r in colors])
+                    for colors in itertools.product(range(2), repeat=n)
+                )
+                side += block * Fraction((-1) ** n, math.factorial(n))
+            assert report["graph_side"][str(v)] == str(side)
 
     def test_order_zero_trivial(self):
         report = kontsevich_match(2, (Fraction(3), Fraction(4)), 0)

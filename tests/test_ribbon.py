@@ -273,6 +273,21 @@ class TestKontsevichSum:
         with pytest.raises(PoleError):
             kontsevich_sum(0, 3, [Fraction(1), Fraction(-1), Fraction(2)])
 
+    @pytest.mark.parametrize(
+        "g,lams,message",
+        [
+            (0, [2, 1, -1], "lambda_2 + lambda_3 = 0"),
+            (0, [3, -3, -3], "lambda_1 + lambda_2 = 0"),
+            (0, [1, 2, -1, 3], "lambda_1 + lambda_3 = 0"),
+            (1, [1, -1], "lambda_1 + lambda_2 = 0"),
+        ],
+    )
+    def test_first_pole_is_reported(self, g, lams, message):
+        # pair weights are cached lazily, so the first vanishing edge still raises
+        with pytest.raises(PoleError) as info:
+            kontsevich_sum(g, len(lams), [Fraction(v) for v in lams])
+        assert str(info.value) == message
+
     def test_lambda_arity_check(self):
         with pytest.raises(DomainError):
             kontsevich_sum(0, 3, [Fraction(1)])
