@@ -7,6 +7,10 @@ constraint sum(d_i) = 3g - 3 + n.  A table never covers every (g, n), so
 every series here carries a mask of monomials whose coefficients are not
 fully determined; residual coefficients are classified as verified_zero,
 uncovered or nonzero accordingly.
+
+Each residual is one formula in F, run on a MaskedSeries or a plain series.
+Masks depend only on the (g, n) fragments covered, not on entry values, so
+the mutation harness computes them once; an entry costs one plain residual.
 """
 
 from __future__ import annotations
@@ -41,6 +45,18 @@ def _forced_genus(dsum: int, n: int) -> int | None:
     if num < 0 or num % 3:
         return None
     return num // 3
+
+
+def _fed_monomial(key, max_genus: int, max_index: int) -> tuple[Exponents, Fraction] | None:
+    """The F monomial prod t_i^{k_i} a table entry (g, indices) feeds, with
+    its weight 1 / prod k_i!; None for an entry F leaves out (genus above
+    max_genus, an index above max_index, or a genus the dimension rules out)."""
+    g, dtuple = key
+    if (g > max_genus or not dtuple or max(dtuple) > max_index
+            or _forced_genus(sum(dtuple), len(dtuple)) != g):
+        return None
+    expo = tuple(dtuple.count(i) for i in range(max_index + 1))
+    return expo, Fraction(1, math.prod(map(math.factorial, expo)))
 
 
 @dataclass(frozen=True)
@@ -139,7 +155,6 @@ def assemble_free_energy(
         )
     names, weights, cap = t_variables(max_index, cap)
     provenance = table.fragments()
-    terms: dict[Exponents, Fraction] = {}
     mask: set[Exponents] = set()
     gap: list[tuple[int, int, tuple[int, ...]]] = []
     for expo in weight_monomials(weights, cap):
@@ -157,19 +172,15 @@ def assemble_free_energy(
             )
         )
         if g <= max_genus and (g, n) in provenance:
-            key = (g, dtuple)
-            if key not in table.entries:
+            if (g, dtuple) not in table.entries:
                 raise DomainError(f"table fragment ({g},{n}) missing {dtuple}")
-            denom = 1
-            for k in expo:
-                for j in range(2, k + 1):
-                    denom *= j
-            value = table.entries[key] / denom
-            if value:
-                terms[expo] = value
         else:
             mask.add(expo)
             gap.append((g, n, dtuple))
+    terms: dict[Exponents, Fraction] = {}
+    for key, value in table.entries.items():
+        if fed := _fed_monomial(key, max_genus, max_index):
+            terms[fed[0]] = value * fed[1]
     series = TruncatedSeries(names, weights, cap, terms)
     # provenance audit: every used entry was routed to its unique forced genus
     for expo in series.terms:
@@ -200,12 +211,6 @@ class ResidualReport:
     @property
     def series(self) -> TruncatedSeries:
         return self.residual.series
-
-    def status_of(self, expo: Exponents) -> str:
-        for item in self.entries:
-            if item["exponents"] == list(expo):
-                return item["status"]
-        raise DomainError(f"{expo} outside the reliable window")
 
     def covered_nonzero(self) -> list[dict]:
         return [e for e in self.entries if e["status"] == "nonzero"]
@@ -251,38 +256,37 @@ def _classify(name: str, residual: MaskedSeries, window: int) -> ResidualReport:
     return ResidualReport(name=name, residual=residual, window=window, entries=entries)
 
 
-def kdv_residual(free_energy: FreeEnergy) -> ResidualReport:
-    """R = dU/dt1 - U dU/dt0 - (1/12) d^3U/dt0^3 with U = d^2F/dt0^2.
-
-    The report window is cap - 5: a residual coefficient at degree d draws
-    on F-coefficients up to degree d + 5 (two derivatives into U, then up to
-    three more), so higher degrees would be truncation artifacts.
-    """
-    f = free_energy.masked()
+def _kdv_formula(f):
+    """R = dU/dt1 - U dU/dt0 - (1/12) d^3U/dt0^3 with U = d^2F/dt0^2."""
     u = f.diff("t0", 2)
-    residual = (
-        u.diff("t1")
-        - u * u.diff("t0")
-        - u.diff("t0", 3).scale(Fraction(1, 12))
-    )
-    return _classify("kdv", residual, free_energy.cap - 5)
+    return u.diff("t1") - u * u.diff("t0") - u.diff("t0", 3).scale(Fraction(1, 12))
+
+
+def _string_formula(f):
+    """S = dF/dt0 - t0^2/2 - sum_i t_{i+1} dF/dt_i."""
+    masked = isinstance(f, MaskedSeries)
+    plain = f.series if masked else f
+
+    def t(name):
+        var = TruncatedSeries.variable(plain.variables, plain.weights, plain.cap, name)
+        return MaskedSeries(var, frozenset()) if masked else var
+
+    residual = f.diff("t0") - (t("t0") * t("t0")).scale(Fraction(1, 2))
+    for i in range(len(plain.variables) - 1):
+        residual = residual - t(f"t{i + 1}") * f.diff(f"t{i}")
+    return residual
+
+
+def kdv_residual(free_energy: FreeEnergy) -> ResidualReport:
+    """The KdV residual R of F in the window cap - 5: a coefficient at degree
+    d draws on F up to degree d + 5 (two t0-derivatives into U, then up to
+    three more), so higher degrees would be truncation artifacts."""
+    return _classify("kdv", _kdv_formula(free_energy.masked()), free_energy.cap - 5)
 
 
 def string_residual(free_energy: FreeEnergy) -> ResidualReport:
-    """S = dF/dt0 - t0^2/2 - sum_i t_{i+1} dF/dt_i, reliable to cap - 1."""
-    f = free_energy.masked()
-    names = f.series.variables
-    weights = f.series.weights
-    cap = f.series.cap
-    residual = f.diff("t0")
-    t0sq = TruncatedSeries.variable(names, weights, cap, "t0") ** 2
-    residual = residual - MaskedSeries(t0sq.scale(Fraction(1, 2)), frozenset())
-    for i in range(len(names) - 1):
-        t_next = MaskedSeries(
-            TruncatedSeries.variable(names, weights, cap, f"t{i + 1}"), frozenset()
-        )
-        residual = residual - t_next * f.diff(f"t{i}")
-    return _classify("string", residual, free_energy.cap - 1)
+    """The string residual S of F, reliable to cap - 1."""
+    return _classify("string", _string_formula(free_energy.masked()), free_energy.cap - 1)
 
 
 def mutation_report(
@@ -291,18 +295,25 @@ def mutation_report(
     cap: int = DEFAULT_CAP,
     max_index: int = DEFAULT_MAX_INDEX,
 ) -> dict:
-    """Perturb each table entry by +1 and record, per entry, every residual
-    coefficient that moves from verified_zero to nonzero in either the KdV
-    or the string residual."""
+    """Perturb each table entry by +1 and record, per entry, every covered
+    coefficient of the KdV or the string residual that is nonzero.
+
+    The masks and windows come from the two masked residuals of the table's
+    own F, computed once.  An entry moves one F coefficient by its weight,
+    so each entry costs one plain-series residual per formula."""
+    if not table.entries:
+        return {}
+    fe = assemble_free_energy(table, max_genus, cap, max_index)
+    bases = [(_kdv_formula, kdv_residual(fe)), (_string_formula, string_residual(fe))]
     out = {}
-    for key in sorted(table.entries):
-        g, dtuple = key
-        mutated = IntersectionTable(dict(table.entries))
-        mutated.entries[key] = mutated.entries[key] + 1
-        fe = assemble_free_energy(mutated, max_genus, cap, max_index)
-        flips = []
-        for report in (kdv_residual(fe), string_residual(fe)):
-            for item in report.covered_nonzero():
-                flips.append(f"{report.name}:{item['monomial']}")
-        out[f"g{g}:({','.join(map(str, dtuple))})"] = sorted(flips)
+    for g, dtuple in sorted(table.entries):
+        f = fe.series
+        if fed := _fed_monomial((g, dtuple), max_genus, max_index):
+            f = f + TruncatedSeries(f.variables, f.weights, f.cap, {fed[0]: fed[1]})
+        out[f"g{g}:({','.join(map(str, dtuple))})"] = sorted(
+            f"{base.name}:{monomial_name(f.variables, expo)}"
+            for formula, base in bases
+            for expo in formula(f).terms
+            if f.degree_of(expo) <= base.window and expo not in base.residual.mask
+        )
     return out

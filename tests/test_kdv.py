@@ -1,5 +1,6 @@
 """Tests for free-energy assembly and the KdV / string residual reports."""
 
+import functools
 import hashlib
 import json
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taubench.errors import DomainError
+from taubench.errors import BudgetError, DomainError
 from taubench.exact import TruncatedSeries, t_variables, weight_monomials, x_variables
 from taubench.kdv import (
     MaskedSeries,
@@ -18,6 +19,14 @@ from taubench.kdv import (
     string_residual,
 )
 from taubench.ribbon import IntersectionTable, base_table
+
+
+def status_of(report, expo):
+    """Status of one monomial in a residual report's window."""
+    for item in report.entries:
+        if item["exponents"] == list(expo):
+            return item["status"]
+    raise DomainError(f"{expo} outside the reliable window")
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +176,7 @@ class TestResiduals:
         assert report.series.coefficient((2, 0, 0, 0, 0)).real == Fraction(-1, 2)
         # the missing <tau_0^3> contribution could cancel it, so the status
         # is uncovered rather than nonzero
-        assert report.status_of((2, 0, 0, 0, 0)) == "uncovered"
+        assert status_of(report, (2, 0, 0, 0, 0)) == "uncovered"
 
     def test_all_covered_kdv_coefficients_vanish(self, free_energy):
         report = kdv_residual(free_energy)
@@ -183,12 +192,12 @@ class TestResiduals:
         # the t0^2 t1 coefficient of S is (amplitude at (0,4)) - (amplitude
         # at (0,3)), both divided by 2; it is covered and verified zero
         report = string_residual(free_energy)
-        assert report.status_of((2, 1, 0, 0, 0)) == "verified_zero"
+        assert status_of(report, (2, 1, 0, 0, 0)) == "verified_zero"
         assert table.entries[(0, (1, 0, 0, 0))] == table.entries[(0, (0, 0, 0))]
 
     def test_string_links_tau0_tau2_to_tau1(self, free_energy, table):
         report = string_residual(free_energy)
-        assert report.status_of((0, 0, 1, 0, 0)) == "verified_zero"
+        assert status_of(report, (0, 0, 1, 0, 0)) == "verified_zero"
         assert table.entries[(1, (2, 0))] == table.entries[(1, (1,))]
 
     def test_window_guard(self, table):
@@ -273,3 +282,91 @@ class TestMutation:
     def test_kdv_flip_is_in_the_kdv_residual(self, table):
         report = mutation_report(table)
         assert any(flip.startswith("kdv:") for flip in report["g0:(0,0,0)"])
+
+
+def oracle_mutation_report(table, max_genus=1, cap=8, max_index=4):
+    """Reference harness: re-assemble F and re-run both masked residuals for
+    every perturbed entry, listing each covered nonzero coefficient."""
+    out = {}
+    for key in sorted(table.entries):
+        g, dtuple = key
+        mutated = IntersectionTable(dict(table.entries))
+        mutated.entries[key] = mutated.entries[key] + 1
+        fe = assemble_free_energy(mutated, max_genus, cap, max_index)
+        flips = []
+        for report in (kdv_residual(fe), string_residual(fe)):
+            for item in report.covered_nonzero():
+                flips.append(f"{report.name}:{item['monomial']}")
+        out[f"g{g}:({','.join(map(str, dtuple))})"] = sorted(flips)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _base_entries(max_darts):
+    return tuple(sorted(base_table(max_darts=max_darts).entries.items()))
+
+
+@st.composite
+def perturbed_tables(draw):
+    """A 12- or 18-dart base table with each entry kept, set to 0, or made
+    wrong, so the residuals of the table itself may have covered nonzeros."""
+    entries = {}
+    for key, value in _base_entries(draw(st.sampled_from([12, 18]))):
+        entries[key] = draw(st.sampled_from([
+            value,
+            Fraction(0),
+            value + draw(st.fractions(min_value=-3, max_value=3, max_denominator=6)),
+        ]))
+    return IntersectionTable(entries)
+
+
+class TestMutationOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        perturbed_tables(),
+        st.integers(5, 11),
+        st.integers(0, 2),
+        st.integers(1, 4),
+    )
+    # the 12-dart table as it is at caps 5 and 6: the window's edge degree
+    # has a flip at cap 6 and a nonzero one degree past it at cap 5
+    @example(IntersectionTable(dict(_base_entries(12))), 5, 1, 4)
+    @example(IntersectionTable(dict(_base_entries(12))), 6, 1, 4)
+    # a wrong <tau_0^3> gives the table's own F covered nonzeros, which every
+    # report keeps, also for the genus-1 entries F leaves out at max_genus 0
+    @example(
+        IntersectionTable({**dict(_base_entries(12)), (0, (0, 0, 0)): Fraction(2)}),
+        8, 0, 4,
+    )
+    # the 18-dart table with one entry zeroed and one made wrong, at cap 11
+    @example(
+        IntersectionTable({
+            **dict(_base_entries(18)),
+            (0, (0, 0, 0)): Fraction(0),
+            (1, (1, 1)): Fraction(1, 12),
+        }),
+        11, 1, 4,
+    )
+    def test_matches_per_entry_reassembly(self, table, cap, max_genus, max_index):
+        assert mutation_report(table, max_genus, cap, max_index) == (
+            oracle_mutation_report(table, max_genus, cap, max_index)
+        )
+
+
+class TestMutationContract:
+    @pytest.mark.parametrize("cap", [4, 12])
+    def test_empty_table_gives_empty_report(self, cap):
+        assert mutation_report(IntersectionTable({}), cap=cap) == {}
+
+    def test_cap_too_small_for_a_window(self, table):
+        with pytest.raises(DomainError, match="^series cap too small for a reliable window$"):
+            mutation_report(table, cap=4)
+
+    def test_cap_over_the_monomial_budget(self, table):
+        message = "6188 t-monomials up to degree 12 in t0..t4 exceed 5000"
+        with pytest.raises(BudgetError, match=f"^{message}$"):
+            mutation_report(table, cap=12)
+
+    def test_entries_outside_f_flip_nothing(self, table):
+        assert mutation_report(table, max_genus=0, cap=10)["g1:(1)"] == []  # genus 1 > 0
+        assert mutation_report(table, max_index=1, cap=10)["g1:(2,0)"] == []  # index 2 > 1
