@@ -339,6 +339,36 @@ def monomial_name(variables: Sequence[str], expo: Exponents) -> str:
 Matrix = list[list[Fraction]]
 
 
+def to_rational(x) -> Fraction:
+    """x as a Fraction, for an int, a Fraction or a string such as "-3/4".
+
+    A float, a bool, None or a container is refused, and so is a string with
+    a zero denominator: each raises DomainError.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
+        raise DomainError(f"{x!r} is not an integer or a rational string")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise DomainError(f"{x!r} has a zero denominator") from None
+    except ValueError:
+        raise DomainError(f"{x!r} is not a rational string") from None
+
+
+def rational_vector(entries, length: int, name: str) -> list[Fraction]:
+    """A list of `length` entries, each through to_rational."""
+    if not isinstance(entries, (list, tuple)) or len(entries) != length:
+        raise DomainError(f"{name} must be a list of {length} entries")
+    return [to_rational(x) for x in entries]
+
+
+def rational_matrix(entries, rows: int, cols: int, name: str) -> Matrix:
+    """A rows x cols matrix given as a list of rows, each through to_rational."""
+    if not isinstance(entries, (list, tuple)) or len(entries) != rows:
+        raise DomainError(f"{name} must be a {rows}x{cols} matrix")
+    return [rational_vector(row, cols, f"row {i} of {name}") for i, row in enumerate(entries)]
+
+
 def row_reduce(
     rows: Sequence[Sequence[Fraction]], ncols: int | None = None
 ) -> tuple[Matrix, list[int], Fraction]:

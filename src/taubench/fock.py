@@ -2,9 +2,9 @@
 
 Every operator is an OperatorExpr: a normal-ordered sum of scalar *
 (variable monomial) * (derivative monomial) terms, built once and applied
-to a series by OperatorExpr.apply, the only applier here, as a sum of
-memoized basis columns: each monomial's image is computed once per operator
-and series family.  Two operator families are built:
+by OperatorExpr.image (OperatorExpr.apply for a series), the only applier
+here, as a sum of memoized basis columns: each monomial's image is computed
+once per operator and series family.  Two operator families are built:
 
 - the oscillator representation on C[x_1, x_2, ...] with a_n = d/dx_n,
   a_{-n} = hbar n x_n, a_0 = mu, and L_k built from the quadratic a-form
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -38,8 +39,10 @@ from .exact import (
     TruncatedSeries,
     mat_mul,
     monomial_name,
+    rational_matrix,
     rational_rank,
     rational_to_str,
+    rational_vector,
     row_reduce,
     weight_monomials,
     x_variables,
@@ -210,10 +213,6 @@ def fock_space(cap: int):
     return x_variables(cap, cap)
 
 
-def _max_weight(p: TruncatedSeries) -> int:
-    return max((p.degree_of(e) for e in p.terms), default=0)
-
-
 def heisenberg(n: int, params: OscillatorParams) -> OperatorExpr:
     """a_n = d/dx_n (n > 0), a_{-n} = hbar n x_n, a_0 = mu."""
     if n > 0:
@@ -248,28 +247,6 @@ def oscillator_virasoro(k: int, params: OscillatorParams, cap: int) -> OperatorE
     return OperatorExpr.build(raw)
 
 
-def bm_display(k: int, params: OscillatorParams, cap: int) -> OperatorExpr:
-    """The printed closed-form display for L_k on B^(m):
-    (1/2) sum_j j x_j d/dx_{j+k} plus i lambda k d/dx_k (k > 0) or
-    i lambda k^2 x_k (k < 0); reproduced verbatim for diffing against the
-    a-form, not for assertions."""
-    lam = params.lambda_param
-    if k == 0:
-        raw = [(Fraction(params.mu**2 + lam * lam, 2), (), ())]
-        raw += [(j, (f"x{j}",), (f"x{j}",)) for j in range(1, cap + 1)]
-        return OperatorExpr.build(raw)
-    raw = [
-        (Fraction(j, 2), (f"x{j}",), (f"x{j + k}",))
-        for j in range(1, cap + 1)
-        if 1 <= j + k <= cap
-    ]
-    if k > 0:
-        raw.append((GR_I * lam * k, (), (f"x{k}",)))
-    else:
-        raw.append((GR_I * lam * k * k, (f"x{-k}",), ()))
-    return OperatorExpr.build(raw)
-
-
 # Most basis monomials one commutator sweep may visit.  The largest window
 # any shipped check uses is 139 monomials (weight <= 10 in x_1..x_10).
 MAX_WINDOW = 1000
@@ -290,6 +267,16 @@ def _window(weights: Sequence[int], bound: int) -> list[tuple[int, ...]]:
     return window
 
 
+def _commutator_images(a: OperatorExpr, b: OperatorExpr, c: OperatorExpr, family, expo):
+    """The images of [A, B] e and of C e, as plain dicts, for the basis
+    monomial e of exponent expo over family."""
+    basis = {expo: 1}
+    bracket = a.image(family, b.image(family, basis))
+    for key, v in b.image(family, a.image(family, basis)).items():
+        bracket[key] = bracket.get(key, 0) - v
+    return bracket, c.image(family, basis)
+
+
 def oscillator_commutator_check(
     m: int, n: int, params: OscillatorParams, safe_cap: int = 10
 ) -> dict:
@@ -307,15 +294,10 @@ def oscillator_commutator_check(
     l_m, l_n, l_sum = (oscillator_virasoro(k, params, safe_cap) for k in (m, n, m + n))
     failures = []
     for expo in window:
-        basis = {expo: 1}
-        residual = l_m.image(family, l_n.image(family, basis))
-        for part, scale in (
-            (l_n.image(family, l_m.image(family, basis)), -1),
-            (l_sum.image(family, basis), n - m),
-            ({expo: central}, -1),
-        ):
-            for key, c in part.items():
-                residual[key] = residual.get(key, 0) + scale * c
+        residual, structure = _commutator_images(l_m, l_n, l_sum, family, expo)
+        for key, c in structure.items():
+            residual[key] = residual.get(key, 0) + (n - m) * c
+        residual[expo] = residual.get(expo, 0) - central
         if any(residual.values()):
             residual = TruncatedSeries(*family, residual)
             failures.append({"monomial": list(expo), "residual": repr(residual)})
@@ -362,28 +344,6 @@ def oscillator_sweep(max_mode: int, params: OscillatorParams, safe_cap: int = 10
     return [oscillator_commutator_check(m, n, params, safe_cap) for m in modes for n in modes]
 
 
-def bm_display_diff_report(params: OscillatorParams, cap: int = 8, k_range=(-2, -1, 1, 2)) -> dict:
-    """Diff the printed B^(m) display against the a-form on a window."""
-    names, weights, series_cap = fock_space(cap)
-    out = {"cap": cap, "entries": []}
-    for k in k_range:
-        a_form = oscillator_virasoro(k, params, cap)
-        printed = bm_display(k, params, cap)
-        for expo in _window(weights, max(cap - 2 * abs(k), 0)):
-            p = TruncatedSeries(names, weights, series_cap, {expo: 1})
-            diff = a_form.apply(p) - printed.apply(p)
-            out["entries"].append(
-                {
-                    "k": k,
-                    "monomial": list(expo),
-                    "agree": diff.is_zero(),
-                    "difference": repr(diff),
-                }
-            )
-    out["all_agree"] = all(e["agree"] for e in out["entries"])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Vertex operator
 # ---------------------------------------------------------------------------
@@ -403,7 +363,7 @@ def vertex_operator_apply(
     if u_order < 0 or v_order < 0:
         raise DomainError("expansion orders must be nonnegative")
     cap = p.cap
-    margin = _max_weight(p)
+    margin = max((p.degree_of(e) for e in p.terms), default=0)
     zero = TruncatedSeries.zero(p.variables, p.weights, cap)
 
     def add(d, key, series):
@@ -471,17 +431,6 @@ def vertex_operator_apply(
     return out
 
 
-def vertex_diagonal_resum(
-    coeffs: dict[tuple[int, int], TruncatedSeries], total: int, like: TruncatedSeries
-) -> TruncatedSeries:
-    """Coefficient of u^total after setting v = u in an expansion."""
-    acc = TruncatedSeries.zero(like.variables, like.weights, like.cap)
-    for (a, b), series in coeffs.items():
-        if a + b == total:
-            acc = acc + series
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # C and D coefficient machinery
 # ---------------------------------------------------------------------------
@@ -541,12 +490,7 @@ def coeff_D(j: int, m: int, n: int, b_low: Fraction, b_high: Fraction) -> Fracti
         prefactor *= b_high + l
     for l in range(0, n - m):  # l in [0, n-m-1], empty when n-m-1 < 0
         prefactor *= b_low + l
-    fact = Fraction(1)
-    for k in range(2, m + 1):
-        fact *= k
-    for k in range(2, max(0, n - m - 1) + 1):
-        fact *= k
-    prefactor /= fact
+    prefactor /= math.factorial(m) * math.factorial(max(0, n - m - 1))
     return prefactor * _elementary_symmetric_reciprocals(j, window)
 
 
@@ -631,32 +575,24 @@ class CohomologyData:
     b_raised: list[Fraction]
 
     def __post_init__(self):
-        self.eta = [[Fraction(x) for x in row] for row in self.eta]
-        self.cmat = [[Fraction(x) for x in row] for row in self.cmat]
-        self.b = [Fraction(x) for x in self.b]
-        self.b_raised = [Fraction(x) for x in self.b_raised]
-        self.validate()
-
-    @property
-    def dim(self) -> int:
-        return len(self.eta)
-
-    def validate(self) -> None:
-        d = self.dim
-        if any(len(row) != d for row in self.eta) or len(self.cmat) != d:
-            raise DomainError("eta and C must be square of equal size")
-        if any(len(row) != d for row in self.cmat):
-            raise DomainError("C must be square")
-        if len(self.b) != d or len(self.b_raised) != d:
-            raise DomainError("b vectors must have length dim")
-        for i in range(d):
-            for k in range(d):
-                if self.eta[i][k] != self.eta[k][i]:
-                    raise DomainError("eta must be symmetric")
+        # the one conversion of every entry, through exact.to_rational
+        if not isinstance(self.eta, (list, tuple)):
+            raise DomainError("eta must be a square matrix")
+        d = len(self.eta)
+        self.eta = rational_matrix(self.eta, d, d, "eta")
+        self.cmat = rational_matrix(self.cmat, d, d, "C")
+        self.b = rational_vector(self.b, d, "b")
+        self.b_raised = rational_vector(self.b_raised, d, "b_raised")
+        if any(row[k] != self.eta[k][i] for i, row in enumerate(self.eta) for k in range(d)):
+            raise DomainError("eta must be symmetric")
         if rational_rank(self.eta) != d:
             raise DomainError("eta must be invertible")
         if any(x for row in self.matrix_power(d) for x in row):
             raise DomainError("C must be nilpotent (C^dim = 0)")
+
+    @property
+    def dim(self) -> int:
+        return len(self.eta)
 
     def matrix_power(self, j: int) -> list[list[Fraction]]:
         d = self.dim
@@ -666,14 +602,13 @@ class CohomologyData:
         return out
 
     def eta_inverse(self) -> list[list[Fraction]]:
-        # validate() checked eta invertible: reducing [eta | 1] leaves [1 | eta^-1]
+        # __post_init__ checked eta invertible: reducing [eta | 1] leaves [1 | eta^-1]
         d = self.dim
         augmented = [row + [Fraction(i == k) for k in range(d)] for i, row in enumerate(self.eta)]
         return [row[d:] for row in row_reduce(augmented, d)[0]]
 
     def to_json(self) -> dict:
-        from .exact import rational_to_str as r
-
+        r = rational_to_str
         return {
             "eta": [[r(x) for x in row] for row in self.eta],
             "cmat": [[r(x) for x in row] for row in self.cmat],
@@ -682,13 +617,11 @@ class CohomologyData:
         }
 
     @classmethod
-    def from_json(cls, payload: dict) -> "CohomologyData":
-        return cls(
-            eta=[[Fraction(x) for x in row] for row in payload["eta"]],
-            cmat=[[Fraction(x) for x in row] for row in payload["cmat"]],
-            b=[Fraction(x) for x in payload["b"]],
-            b_raised=[Fraction(x) for x in payload["b_raised"]],
-        )
+    def from_json(cls, payload) -> "CohomologyData":
+        keys = ("eta", "cmat", "b", "b_raised")
+        if not isinstance(payload, dict) or not set(keys) <= payload.keys():
+            raise DomainError("cohomology JSON must be an object with eta, cmat, b and b_raised")
+        return cls(*(payload[key] for key in keys))
 
 
 def point_target_data() -> CohomologyData:
@@ -808,7 +741,7 @@ def target_virasoro_build(
                                     (t_var(m, gamma), t_var(target, beta)),
                                 )
                             )
-    # validate() checked C^dim = 0, so C^(n+1) is the last power or zero
+    # __post_init__ checked C^dim = 0, so C^(n+1) is the last power or zero
     if n + 1 < d:
         raw += _t0_pairs(mat_mul(powers[-1], data.eta), inv2lam2)
     return OperatorExpr.build(raw)
@@ -824,9 +757,8 @@ def target_commutator_report(
     """([L_{n1}, L_n] - (n - n1) L_{n+n1}) p for window monomials; a report,
     not an assertion -- the printed operators need not close."""
     max_m = window + 3  # index growth is at most +1 per application
-    cap = window + 6
-    names, weights, series_cap = target_space(data, max_m, cap)
-    monomials = _window(weights, window)
+    family = target_space(data, max_m, window + 6)
+    monomials = _window(family[1], window)
     l_n1 = target_virasoro_build(data, n1, max_m, lam)
     l_n = target_virasoro_build(data, n, max_m, lam)
     if n + n1 >= -1:
@@ -837,16 +769,16 @@ def target_commutator_report(
         l_sum = OperatorExpr.build([])
     entries = []
     for expo in monomials:
-        p = TruncatedSeries(names, weights, series_cap, {expo: 1})
-        lhs = l_n1.apply(l_n.apply(p)) - l_n.apply(l_n1.apply(p))
-        structure = l_sum.apply(p)
+        bracket, structure = _commutator_images(l_n1, l_n, l_sum, family, expo)
+        lhs = TruncatedSeries(*family, bracket)
+        structure = TruncatedSeries(*family, structure)
         residual = lhs - structure.scale(n - n1)
         # conventions differ on the structure-constant sign, (n-m) versus
         # (m-n); record the residual under both readings
         residual_swapped = lhs - structure.scale(n1 - n)
         entries.append(
             {
-                "monomial": monomial_name(names, expo),
+                "monomial": monomial_name(family[0], expo),
                 "zero": residual.is_zero(),
                 "zero_swapped_sign": residual_swapped.is_zero(),
                 "residual": residual.to_json(),

@@ -128,7 +128,6 @@ class FreeEnergy:
 
     series: TruncatedSeries
     mask: frozenset[Exponents]
-    genus_range: tuple[int, ...]
     provenance: frozenset[tuple[int, int]]  # (g, n) fragments consumed
     coverage_gap: tuple[tuple[int, int, tuple[int, ...]], ...]  # missing (g,n,d)
     max_index: int
@@ -191,7 +190,6 @@ def assemble_free_energy(
     return FreeEnergy(
         series=series,
         mask=frozenset(mask),
-        genus_range=tuple(range(max_genus + 1)),
         provenance=frozenset(provenance),
         coverage_gap=tuple(sorted(set(gap))),
         max_index=max_index,

@@ -70,27 +70,6 @@ class DartStructure:
             raise DomainError("odd Euler characteristic")
         return (2 - chi) // 2
 
-    def validate(self) -> None:
-        d = self.dart_count
-        if d % 6:
-            raise DomainError("dart count must be divisible by 6")
-        if sorted(self.sigma) != list(range(d)) or sorted(self.alpha) != list(range(d)):
-            raise DomainError("sigma/alpha are not permutations")
-        for i in range(d):
-            if self.sigma[i] == i or self.sigma[self.sigma[self.sigma[i]]] != i:
-                raise DomainError("sigma is not a product of 3-cycles")
-            if self.alpha[i] == i or self.alpha[self.alpha[i]] != i:
-                raise DomainError("alpha is not a fixed-point-free involution")
-        if not _is_connected(self.sigma, self.alpha):
-            raise DomainError("dart structure is not connected")
-        for cycle in face_cycles(self.sigma, self.alpha):
-            labels = {self.face_labels[x] for x in cycle}
-            if len(labels) != 1:
-                raise DomainError("face labels are not constant on faces")
-        n = self.face_count
-        if sorted(set(self.face_labels)) != list(range(1, n + 1)):
-            raise DomainError("face labels must be exactly 1..n")
-
     def to_json(self, aut_order: int | None = None) -> dict:
         out = {
             "darts": self.dart_count,
@@ -121,22 +100,6 @@ def face_cycles(sigma: Sequence[int], alpha: Sequence[int]) -> list[tuple[int, .
     return cycles
 
 
-def _is_connected(sigma: Sequence[int], alpha: Sequence[int]) -> bool:
-    d = len(sigma)
-    seen = [False] * d
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        x = stack.pop()
-        for y in (sigma[x], alpha[x]):
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == d
-
-
 def _rooted_encoding(sigma, alpha, root):
     """Relabel darts by breadth-first discovery from root (sigma then alpha).
 
@@ -162,34 +125,6 @@ def _rooted_encoding(sigma, alpha, root):
         sig2[label[x]] = label[sigma[x]]
         alf2[label[x]] = label[alpha[x]]
     return tuple(sig2), tuple(alf2), order
-
-
-def canonical_encoding(struct: DartStructure):
-    """Minimum rooted encoding over all roots, including face labels."""
-    best = None
-    for root in range(struct.dart_count):
-        sig2, alf2, order = _rooted_encoding(struct.sigma, struct.alpha, root)
-        labels = tuple(struct.face_labels[x] for x in order)
-        enc = (sig2, alf2, labels)
-        if best is None or enc < best:
-            best = enc
-    return best
-
-
-def automorphism_order(struct: DartStructure) -> int:
-    """Order of the dart-permutation group commuting with sigma and alpha
-    and fixing every face label.
-
-    Automorphisms of a connected map act freely on darts, so the order equals
-    the number of roots whose encoding attains the canonical one.
-    """
-    encodings = []
-    for root in range(struct.dart_count):
-        sig2, alf2, order = _rooted_encoding(struct.sigma, struct.alpha, root)
-        labels = tuple(struct.face_labels[x] for x in order)
-        encodings.append((sig2, alf2, labels))
-    best = min(encodings)
-    return sum(1 for enc in encodings if enc == best)
 
 
 # ---------------------------------------------------------------------------

@@ -315,7 +315,7 @@ def _crit_torsion(config, full):
         torsion_order_check,
     )
 
-    five = BasedChainComplex.from_matrices((1, 1), [[[5]]])
+    five = BasedChainComplex((1, 1), [[[5]]])
     hand_ok = abs(torsion(five)) == Fraction(1, 5)
     rng = random.Random(config.seed + 11)
     order_fail = 0

@@ -27,16 +27,19 @@ from .errors import (
     NotExact,
     NotRationallyAcyclic,
 )
-from .exact import Matrix, determinant, mat_mul, rational_rank, rational_to_str, row_reduce
+from .exact import (
+    Matrix,
+    determinant,
+    mat_mul,
+    rational_matrix,
+    rational_rank,
+    rational_to_str,
+    row_reduce,
+)
 
 
-def _mat(rows: int, cols: int, entries=None) -> Matrix:
-    if entries is None:
-        return [[Fraction(0)] * cols for _ in range(rows)]
-    out = [[Fraction(x) for x in row] for row in entries]
-    if len(out) != rows or any(len(r) != cols for r in out):
-        raise DomainError(f"expected a {rows}x{cols} matrix")
-    return out
+def _mat(rows: int, cols: int) -> Matrix:
+    return [[Fraction(0)] * cols for _ in range(rows)]
 
 
 def _is_zero(a: Matrix) -> bool:
@@ -64,16 +67,19 @@ class BasedChainComplex:
     boundaries: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
     def __post_init__(self):
-        ranks = tuple(int(n) for n in self.ranks)
-        if not ranks or any(n < 0 for n in ranks):
-            raise InvalidComplex("ranks must be nonnegative and nonempty")
-        if len(self.boundaries) != len(ranks) - 1:
+        # the one conversion of every boundary entry, through exact.to_rational
+        ranks = self.ranks
+        if not isinstance(ranks, (list, tuple)) or not ranks or any(
+            type(n) is not int or n < 0 for n in ranks
+        ):
+            raise InvalidComplex("ranks must be a nonempty list of nonnegative integers")
+        if not isinstance(self.boundaries, (list, tuple)) or len(self.boundaries) != len(ranks) - 1:
             raise InvalidComplex("need exactly len(ranks)-1 boundary maps")
-        mats = []
-        for i, raw in enumerate(self.boundaries):
-            mat = _mat(ranks[i], ranks[i + 1], [list(r) for r in raw])
-            mats.append(tuple(tuple(row) for row in mat))
-        object.__setattr__(self, "ranks", ranks)
+        mats = [
+            tuple(map(tuple, rational_matrix(raw, ranks[i], ranks[i + 1], f"d_{i + 1}")))
+            for i, raw in enumerate(self.boundaries)
+        ]
+        object.__setattr__(self, "ranks", tuple(ranks))
         object.__setattr__(self, "boundaries", tuple(mats))
         for i in range(len(mats) - 1):
             if not _is_zero(mat_mul(self.boundary(i + 1), self.boundary(i + 2))):
@@ -94,16 +100,6 @@ class BasedChainComplex:
         target = self.ranks[i - 1] if 0 <= i - 1 <= self.length else 0
         return _mat(target, 0)
 
-    @classmethod
-    def from_matrices(cls, ranks: Sequence[int], boundaries) -> "BasedChainComplex":
-        return cls(
-            tuple(ranks),
-            tuple(
-                tuple(tuple(Fraction(x) for x in row) for row in mat)
-                for mat in boundaries
-            ),
-        )
-
     def to_json(self) -> dict:
         return {
             "ranks": list(self.ranks),
@@ -116,10 +112,7 @@ class BasedChainComplex:
     def from_json(cls, payload: dict) -> "BasedChainComplex":
         if not isinstance(payload, dict) or not {"ranks", "boundaries"} <= payload.keys():
             raise DomainError("complex JSON must be an object with ranks and boundaries")
-        return cls.from_matrices(
-            payload["ranks"],
-            [[[Fraction(x) for x in row] for row in mat] for mat in payload["boundaries"]],
-        )
+        return cls(payload["ranks"], payload["boundaries"])
 
 
 def is_acyclic(c: BasedChainComplex) -> bool:
@@ -317,7 +310,7 @@ def direct_sum(cp: BasedChainComplex, cpp: BasedChainComplex) -> BasedChainCompl
         for r, row in enumerate(cpp.boundary(i)):
             block[rows_a + r][cols_a:] = row
         boundaries.append(block)
-    return BasedChainComplex.from_matrices(ranks, boundaries)
+    return BasedChainComplex(ranks, boundaries)
 
 
 def ses_multiplicativity_check(
@@ -335,8 +328,8 @@ def ses_multiplicativity_check(
     basis_factor = Fraction(1)
     for i in range(m + 1):
         n_p, n, n_pp = cp.rank(i), c.ranks[i], cpp.rank(i)
-        incl = _mat(n, n_p, inclusions[i])
-        proj = _mat(n_pp, n, projections[i])
+        incl = rational_matrix(inclusions[i], n, n_p, f"inclusion {i}")
+        proj = rational_matrix(projections[i], n_pp, n, f"projection {i}")
         if n_p + n_pp != n:
             raise NotExact(f"rank mismatch in degree {i}")
         if n_p and rational_rank(incl) != n_p:
@@ -407,9 +400,8 @@ def random_acyclic_complex(
         for b in range(blocks_per_degree[i]):
             d = rng.choice([1, 1, 2, 3, 5, -2, -3])
             mat[target_offset + b][b] = Fraction(d)
-    complex_ = BasedChainComplex.from_matrices(ranks, boundaries)
     # twist by unimodular based changes: d_i -> P_{i-1} d_i P_i^{-1}
-    mats = [complex_.boundary(i) for i in range(1, length + 1)]
+    mats = boundaries
     for i in range(length + 1):
         n = ranks[i]
         if n < 2:
@@ -427,4 +419,4 @@ def random_acyclic_complex(
             if i < length:
                 m_next = mats[i]
                 m_next[b] = [x - q * y for x, y in zip(m_next[b], m_next[a])]
-    return BasedChainComplex.from_matrices(ranks, mats)
+    return BasedChainComplex(ranks, mats)

@@ -42,6 +42,7 @@ from .exact import TruncatedSeries, double_factorial
 from .ribbon import kontsevich_sum
 
 DEFAULT_MAX_MATCHINGS = 20_000
+MAX_WORD_FACTORS = 10**6  # a longer word is refused before its factor list is built
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,10 @@ class TraceWord:
             body = chunk[2:]
             if "^" in body:
                 base, _, mult = body.partition("^")
+                if int(mult) < 0:
+                    raise DomainError(f"negative multiplicity in {chunk!r}")
+                if len(powers) + int(mult) > MAX_WORD_FACTORS:
+                    raise BudgetError(f"the word has over {MAX_WORD_FACTORS} trace factors")
                 powers.extend([int(base)] * int(mult))
             else:
                 powers.append(int(body))
@@ -189,12 +194,20 @@ def _diagonal_sum(table, lams: Sequence[Fraction], pairs: int) -> Fraction:
     return Fraction(total * (2 * denom) ** pairs, lcm**pairs)
 
 
+MAX_COUNTED_MATCHINGS = 10**18  # (d-1)!! is not formed in full past this
+
+
 def _check_budget(word: TraceWord, max_matchings: int) -> None:
-    count = double_factorial(word.degree - 1)
+    """Refuse a word whose (d-1)!! matchings exceed max_matchings.  The product
+    stops past both the budget and MAX_COUNTED_MATCHINGS, so a long word costs
+    a few factors and its message stays short."""
+    limit = max(max_matchings, MAX_COUNTED_MATCHINGS)
+    count, factor = 1, word.degree - 1
+    while factor > 1 and count <= limit:
+        count, factor = count * factor, factor - 2
     if count > max_matchings:
-        raise BudgetError(
-            f"{count} matchings exceed the budget of {max_matchings}"
-        )
+        shown = f"over {limit}" if count > limit else count
+        raise BudgetError(f"{shown} matchings exceed the budget of {max_matchings}")
 
 
 def wick_moment(

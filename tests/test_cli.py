@@ -439,6 +439,93 @@ class TestConfig:
             assert_one_error_line(err.getvalue())
 
 
+
+# JSON leaves and containers: every kind a malformed input file may hold
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4) | st.sampled_from(["1/2", "-3/4", "1/0", "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+ENTRIES = st.integers(-3, 3) | st.sampled_from(["1/2", "-1", "1/0", 0.5, True, None, {}])
+MATRICES = st.lists(st.lists(ENTRIES, max_size=3), max_size=3)
+TWO_CLASS = {
+    "eta": [[0, 1], [1, 0]], "cmat": [[0, 0], [1, 0]], "b": ["-1/2", "1/2"], "b_raised": ["-1/2", "1/2"],
+}
+FIVE = {"ranks": [1, 1], "boundaries": [[[5]]]}
+TARGET_ARGV = ("virasoro", "target", "--data", "{}")
+TORSION_ARGV = ("torsion", "--complex", "{}", "--order-check")
+# probe -> (cohomology payload, complex payload)
+PROBES = {
+    "missing-key": ({k: TWO_CLASS[k] for k in ("eta", "cmat", "b")}, {"ranks": [1, 1]}),
+    "top-level-list": ([TWO_CLASS], [FIVE]),
+    "object-entry": ({**TWO_CLASS, "eta": [[0, {}], [1, 0]]}, {**FIVE, "boundaries": [[[{}]]]}),
+    "scalar-matrix": ({**TWO_CLASS, "cmat": 0}, {**FIVE, "boundaries": 5}),
+    "zero-denominator": ({**TWO_CLASS, "b": ["1/0", "1/2"]}, {**FIVE, "boundaries": [[["1/0"]]]}),
+    "float-entry": ({**TWO_CLASS, "b": [-0.5, 0.5]}, {**FIVE, "ranks": [1.0, 1]}),
+    "bool-entry": ({**TWO_CLASS, "eta": [[False, True], [True, 0]]}, {**FIVE, "boundaries": [[[True]]]}),
+    "null-entry": ({**TWO_CLASS, "b_raised": [None, "1/2"]}, {**FIVE, "boundaries": [[[None]]]}),
+}
+
+
+def run_on_json(payload, *argv):
+    """run(argv) with the payload written to a file in place of the "{}"
+    argument; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "input.json"
+        path.write_text(json.dumps(payload))
+        argv = [str(path) if arg == "{}" else arg for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestJsonInputs:
+    """`virasoro target --data` and `torsion --complex` files: every entry
+    is an int or a rational string, and anything else exits 2."""
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            pytest.param(argv, payloads[side], id=f"{command}-{probe}")
+            for probe, payloads in PROBES.items()
+            for side, (command, argv) in enumerate([("target", TARGET_ARGV), ("torsion", TORSION_ARGV)])
+        ],
+    )
+    def test_malformed_file_is_two(self, argv, payload):
+        code, out, err = run_on_json(payload, *argv)
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert json.loads(err)["error"] == "usage"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([TARGET_ARGV, TORSION_ARGV]),
+        st.one_of(
+            JSON_VALUES,
+            st.fixed_dictionaries({}, optional={k: JSON_VALUES | MATRICES for k in TWO_CLASS}),
+            st.fixed_dictionaries({k: MATRICES | st.lists(ENTRIES, max_size=3) for k in TWO_CLASS}),
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "ranks": st.lists(st.integers(-1, 3) | ENTRIES, max_size=4) | JSON_VALUES,
+                    "boundaries": st.lists(MATRICES, max_size=3) | JSON_VALUES,
+                },
+            ),
+        ),
+    )
+    def test_any_json_file_exits_by_contract(self, argv, payload):
+        code, out, err = run_on_json(payload, *argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code:
+            assert out == ""
+            assert_one_error_line(err)
+        else:
+            assert err == ""
+
 class TestOutputs:
     def test_csv_intersect(self, capsys):
         code, out, _ = invoke(capsys, "--format", "csv", "intersect", "-g", "1", "-n", "1")

@@ -2,7 +2,10 @@
 
 Heisenberg and Virasoro relations are swept over guarded monomial
 windows, and OperatorExpr.apply is compared with `oracle_apply`, the
-diff-and-multiply route kept here as the reference.  The full closure sweep with its central charge and the
+diff-and-multiply route kept here as the reference.  The printed B^(m)
+display of L_k (`bm_display`) and the diagonal resummation of vertex
+operator coefficients (`vertex_diagonal_resum`) live here too: only these
+tests use them.  The full closure sweep with its central charge and the
 elementary-symmetric oracle grid for coeff_C/coeff_D are acceptance
 criteria 6 and 7, defined in `taubench.suite` and run by
 `tests/test_acceptance.py`.
@@ -22,17 +25,17 @@ from taubench.errors import (
     PoleError,
     TruncationError,
 )
-from taubench.exact import TruncatedSeries, weight_monomials
+from taubench.exact import TruncatedSeries, monomial_name, weight_monomials
 from taubench.fock import (
+    GR_I,
     CohomologyData,
     GaussianRational,
     OperatorExpr,
     OscillatorParams,
-    bm_display_diff_report,
+    _window,
     cd_identity_check,
     coeff_C,
     coeff_D,
-    bm_display,
     fock_space,
     heisenberg,
     oscillator_commutator_check,
@@ -42,13 +45,67 @@ from taubench.fock import (
     target_commutator_report,
     target_space,
     target_virasoro_build,
-    vertex_diagonal_resum,
     vertex_operator_apply,
 )
 
 
 def monomial(names, weights, cap, expo):
     return TruncatedSeries(names, weights, cap, {tuple(expo): 1})
+
+
+def bm_display(k: int, params: OscillatorParams, cap: int) -> OperatorExpr:
+    """The printed closed-form display for L_k on B^(m):
+    (1/2) sum_j j x_j d/dx_{j+k} plus i lambda k d/dx_k (k > 0) or
+    i lambda k^2 x_k (k < 0); reproduced verbatim for diffing against the
+    a-form, not for assertions."""
+    lam = params.lambda_param
+    if k == 0:
+        raw = [(Fraction(params.mu**2 + lam * lam, 2), (), ())]
+        raw += [(j, (f"x{j}",), (f"x{j}",)) for j in range(1, cap + 1)]
+        return OperatorExpr.build(raw)
+    raw = [
+        (Fraction(j, 2), (f"x{j}",), (f"x{j + k}",))
+        for j in range(1, cap + 1)
+        if 1 <= j + k <= cap
+    ]
+    if k > 0:
+        raw.append((GR_I * lam * k, (), (f"x{k}",)))
+    else:
+        raw.append((GR_I * lam * k * k, (f"x{-k}",), ()))
+    return OperatorExpr.build(raw)
+
+
+def bm_display_diff_report(params: OscillatorParams, cap: int = 8, k_range=(-2, -1, 1, 2)) -> dict:
+    """Diff the printed B^(m) display against the a-form on a window."""
+    names, weights, series_cap = fock_space(cap)
+    out = {"cap": cap, "entries": []}
+    for k in k_range:
+        a_form = oscillator_virasoro(k, params, cap)
+        printed = bm_display(k, params, cap)
+        for expo in _window(weights, max(cap - 2 * abs(k), 0)):
+            p = TruncatedSeries(names, weights, series_cap, {expo: 1})
+            diff = a_form.apply(p) - printed.apply(p)
+            out["entries"].append(
+                {
+                    "k": k,
+                    "monomial": list(expo),
+                    "agree": diff.is_zero(),
+                    "difference": repr(diff),
+                }
+            )
+    out["all_agree"] = all(e["agree"] for e in out["entries"])
+    return out
+
+
+def vertex_diagonal_resum(
+    coeffs: dict[tuple[int, int], TruncatedSeries], total: int, like: TruncatedSeries
+) -> TruncatedSeries:
+    """Coefficient of u^total after setting v = u in an expansion."""
+    acc = TruncatedSeries.zero(like.variables, like.weights, like.cap)
+    for (a, b), series in coeffs.items():
+        if a + b == total:
+            acc = acc + series
+    return acc
 
 
 def two_class_data():
@@ -526,6 +583,23 @@ class TestTargetVirasoro:
         report = target_commutator_report(pair[0], pair[1], two_class_data(), window=2)
         assert {"n1", "n", "all_zero", "all_zero_swapped_sign", "entries"} <= set(report)
         assert all({"monomial", "zero", "residual"} <= set(e) for e in report["entries"])
+
+    @pytest.mark.parametrize("pair", [(-1, 1), (0, 2)])
+    def test_two_class_residuals_match_apply(self, pair):
+        # the report's residuals against apply by hand, in both sign readings
+        n1, n = pair
+        data = two_class_data()
+        report = target_commutator_report(n1, n, data, window=2)
+        names, weights, cap = target_space(data, 5, 8)  # max_m = window + 3
+        l_n1, l_n, l_sum = (target_virasoro_build(data, k, 5) for k in (n1, n, n1 + n))
+        assert not report["all_zero"]
+        assert len(report["entries"]) == len(list(weight_monomials(weights, 2)))
+        for entry, expo in zip(report["entries"], weight_monomials(weights, 2)):
+            p = monomial(names, weights, cap, expo)
+            lhs = l_n1.apply(l_n.apply(p)) - l_n.apply(l_n1.apply(p))
+            assert entry["monomial"] == monomial_name(names, expo)
+            assert entry["residual"] == (lhs - l_sum.apply(p).scale(n - n1)).to_json()
+            assert entry["zero_swapped_sign"] == (lhs == l_sum.apply(p).scale(n1 - n))
 
     def test_below_range_rejected(self):
         with pytest.raises(DomainError):

@@ -15,6 +15,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -138,6 +139,16 @@ class TestTraceWord:
         with pytest.raises(DomainError):
             TraceWord.from_string("M3")
 
+    def test_negative_multiplicity_is_refused(self, capsys):
+        # tr3^-1 once parsed as the empty word, whose moment is 1
+        assert TraceWord.from_string("tr3^0").powers == ()
+        with pytest.raises(DomainError, match="^negative multiplicity in 'tr3\\^-1'$"):
+            TraceWord.from_string("tr4,tr3^-1")
+        code = run(["matrix", "moment", "--N", "2", "--word", "tr3^-1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == '{"error":"usage","message":"negative multiplicity in \'tr3^-1\'"}\n'
+
 
 class TestWickMoment:
     def test_one_dimensional_moments(self):
@@ -176,6 +187,31 @@ class TestWickMoment:
     def test_budget(self):
         with pytest.raises(BudgetError):
             wick_moment(GaussianSpec(1), TraceWord((16,)), max_matchings=100)
+
+    @pytest.mark.parametrize("word", ["tr2^2000", "tr2^1000000", "tr1999,tr1"])
+    def test_long_word_is_three_at_once(self, capsys, word):
+        # the (d-1)!! product stops past the budget: a 4000-slot word once
+        # failed to print its 6000-digit count, a 2000000-slot one ran for minutes
+        start = time.perf_counter()
+        code = run(["matrix", "moment", "--N", "2", "--word", word])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (
+            '{"error":"budget","message":"over 1000000000000000000 matchings'
+            ' exceed the budget of 20000"}\n'
+        )
+        assert elapsed < 1
+
+    @pytest.mark.parametrize("word", ["tr2^99999999999999", "tr2^600000,tr1^400001"])
+    def test_word_over_a_million_factors_is_three_at_once(self, capsys, word):
+        # the factor list itself would not fit in memory
+        code = run(["matrix", "moment", "--N", "2", "--word", word])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (
+            '{"error":"budget","message":"the word has over 1000000 trace factors"}\n'
+        )
 
     def test_budget_holds_for_a_cached_word(self, capsys):
         # the budget prices the (d-1)!! matchings of a table miss, and is

@@ -8,6 +8,10 @@ Oracles used here are independent of the production code paths:
 - class lists are cross-checked against a brute-force walk over every
   fixed-point-free involution on the canonical vertex permutation;
 - extracted amplitudes are checked against hand-frozen table values.
+
+The per-structure oracles validate, canonical_encoding and
+automorphism_order check one dart structure at a time; enumerate_trivalent
+computes the same canonical form and automorphism order inline.
 """
 
 import itertools
@@ -24,15 +28,80 @@ from taubench.ribbon import (
     RibbonGraphClass,
     _canonical_sigma,
     _rooted_map_counts,
+    _rooted_encoding,
     _rooted_maps,
-    automorphism_order,
     base_table,
-    canonical_encoding,
     enumerate_trivalent,
     extract_intersection_numbers,
     face_cycles,
     kontsevich_sum,
 )
+
+
+def _is_connected(sigma, alpha) -> bool:
+    d = len(sigma)
+    seen = [False] * d
+    stack = [0]
+    seen[0] = True
+    count = 1
+    while stack:
+        x = stack.pop()
+        for y in (sigma[x], alpha[x]):
+            if not seen[y]:
+                seen[y] = True
+                count += 1
+                stack.append(y)
+    return count == d
+
+
+def validate(struct: DartStructure) -> None:
+    """Raise DomainError unless struct is a connected trivalent map whose
+    face labels are constant on faces and exactly 1..n."""
+    d = struct.dart_count
+    if d % 6:
+        raise DomainError("dart count must be divisible by 6")
+    if sorted(struct.sigma) != list(range(d)) or sorted(struct.alpha) != list(range(d)):
+        raise DomainError("sigma/alpha are not permutations")
+    for i in range(d):
+        if struct.sigma[i] == i or struct.sigma[struct.sigma[struct.sigma[i]]] != i:
+            raise DomainError("sigma is not a product of 3-cycles")
+        if struct.alpha[i] == i or struct.alpha[struct.alpha[i]] != i:
+            raise DomainError("alpha is not a fixed-point-free involution")
+    if not _is_connected(struct.sigma, struct.alpha):
+        raise DomainError("dart structure is not connected")
+    for cycle in face_cycles(struct.sigma, struct.alpha):
+        labels = {struct.face_labels[x] for x in cycle}
+        if len(labels) != 1:
+            raise DomainError("face labels are not constant on faces")
+    n = struct.face_count
+    if sorted(set(struct.face_labels)) != list(range(1, n + 1)):
+        raise DomainError("face labels must be exactly 1..n")
+
+
+def _root_encodings(struct: DartStructure) -> list[tuple]:
+    """Rooted encoding with face labels, one per root dart."""
+    encodings = []
+    for root in range(struct.dart_count):
+        sig2, alf2, order = _rooted_encoding(struct.sigma, struct.alpha, root)
+        encodings.append((sig2, alf2, tuple(struct.face_labels[x] for x in order)))
+    return encodings
+
+
+def canonical_encoding(struct: DartStructure) -> tuple:
+    """Minimum rooted encoding over all roots, including face labels."""
+    return min(_root_encodings(struct))
+
+
+def automorphism_order(struct: DartStructure) -> int:
+    """Order of the dart-permutation group commuting with sigma and alpha
+    and fixing every face label.
+
+    Automorphisms of a connected map act freely on darts, so the order equals
+    the number of roots whose encoding attains the canonical one.
+    """
+    encodings = _root_encodings(struct)
+    best = min(encodings)
+    return sum(1 for enc in encodings if enc == best)
 
 
 def brute_force_aut_order(struct: DartStructure) -> int:
@@ -123,7 +192,7 @@ def brute_force_classes(g: int, n: int) -> tuple[RibbonGraphClass, ...]:
         if len(faces) != n:
             continue
         try:
-            DartStructure(sigma, alpha, (1,) * d).validate()
+            validate(DartStructure(sigma, alpha, (1,) * d))
         except DomainError:  # disconnected
             continue
         for lab in itertools.permutations(range(1, n + 1)):
@@ -161,7 +230,7 @@ class TestRootedMapGeneration:
         maps = list(_rooted_maps(12))
         assert len(set(maps)) == len(maps)
         for alpha in maps:
-            DartStructure(sigma, alpha, (1,) * 12).validate()
+            validate(DartStructure(sigma, alpha, (1,) * 12))
 
     def test_orbit_count_identity(self):
         # each class of n labeled faces and automorphism group Aut is
@@ -206,7 +275,7 @@ class TestEnumeration:
     def test_all_canonical_structures_validate(self):
         for g, n in [(0, 3), (1, 1), (0, 4), (1, 2)]:
             for cls in enumerate_trivalent(g, n):
-                cls.canonical.validate()
+                validate(cls.canonical)
                 assert cls.canonical.genus == g
                 assert cls.canonical.face_count == n
 

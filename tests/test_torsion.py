@@ -51,7 +51,7 @@ def det_oracle(m):
 
 
 def complex_5():
-    return BasedChainComplex.from_matrices((1, 1), [[[5]]])
+    return BasedChainComplex((1, 1), [[[5]]])
 
 
 class TestDeterminant:
@@ -73,11 +73,11 @@ class TestDeterminant:
 class TestComplexValidation:
     def test_d_squared_enforced(self):
         with pytest.raises(InvalidComplex):
-            BasedChainComplex.from_matrices((1, 1, 1), [[[1]], [[1]]])
+            BasedChainComplex((1, 1, 1), [[[1]], [[1]]])
 
     def test_shape_enforced(self):
         with pytest.raises(DomainError):
-            BasedChainComplex.from_matrices((1, 2), [[[1]]])
+            BasedChainComplex((1, 2), [[[1]]])
 
     @pytest.mark.parametrize("payload", [{"ranks": [1]}, [1, 2]])
     def test_malformed_json_rejected(self, payload):
@@ -85,7 +85,7 @@ class TestComplexValidation:
             BasedChainComplex.from_json(payload)
 
     def test_json_roundtrip(self):
-        c = BasedChainComplex.from_matrices((1, 2, 1), [[[0, 1]], [[1], [0]]])
+        c = BasedChainComplex((1, 2, 1), [[[0, 1]], [[1], [0]]])
         assert BasedChainComplex.from_json(c.to_json()).to_json() == c.to_json()
 
 
@@ -94,10 +94,10 @@ class TestAcyclicity:
         assert is_acyclic(complex_5())
 
     def test_zero_boundary(self):
-        assert not is_acyclic(BasedChainComplex.from_matrices((1, 1), [[[0]]]))
+        assert not is_acyclic(BasedChainComplex((1, 1), [[[0]]]))
 
     def test_three_term(self):
-        c = BasedChainComplex.from_matrices((1, 2, 1), [[[0, 1]], [[1], [0]]])
+        c = BasedChainComplex((1, 2, 1), [[[0, 1]], [[1], [0]]])
         assert is_acyclic(c)
 
 
@@ -108,12 +108,12 @@ class TestTorsion:
     def test_identity_boundary(self):
         for n in (1, 2, 3):
             eye = [[Fraction(i == j) for j in range(n)] for i in range(n)]
-            c = BasedChainComplex.from_matrices((n, n), [eye])
+            c = BasedChainComplex((n, n), [eye])
             assert torsion(c) == 1
 
     def test_not_acyclic_raises(self):
         with pytest.raises(NotAcyclic):
-            torsion(BasedChainComplex.from_matrices((1, 1), [[[0]]]))
+            torsion(BasedChainComplex((1, 1), [[[0]]]))
 
     def test_direct_sum_multiplies_up_to_sign(self):
         rng = random.Random(17)
@@ -133,7 +133,7 @@ class TestTorsion:
 
     def test_based_change_scales_by_unimodular_det(self):
         # swap the C_0 basis of the rank-2 identity complex: P has det -1
-        c = BasedChainComplex.from_matrices(
+        c = BasedChainComplex(
             (2, 2), [[[0, 1], [1, 0]]]
         )
         assert torsion(c) == -1
@@ -200,19 +200,19 @@ class TestOrderTheorem:
     def test_hand_cases(self):
         assert torsion_order_check(complex_5())["pass"]
         report = torsion_order_check(
-            BasedChainComplex.from_matrices((2, 2), [[[2, 0], [0, 3]]])
+            BasedChainComplex((2, 2), [[[2, 0], [0, 3]]])
         )
         assert report["pass"]
         assert report["orders"] == [6, 1]
 
     def test_zero_boundary_rejected(self):
         with pytest.raises(NotRationallyAcyclic):
-            torsion_order_check(BasedChainComplex.from_matrices((1, 1), [[[0]]]))
+            torsion_order_check(BasedChainComplex((1, 1), [[[0]]]))
 
     def test_rational_entries_rejected(self):
         with pytest.raises(DomainError):
             torsion_order_check(
-                BasedChainComplex.from_matrices((1, 1), [[[Fraction(1, 2)]]])
+                BasedChainComplex((1, 1), [[[Fraction(1, 2)]]])
             )
 
     def test_twenty_randomized_complexes(self):
@@ -243,7 +243,7 @@ class TestSesMultiplicativity:
 
     def test_trivial_subcomplex(self):
         cpp = complex_5()
-        cp = BasedChainComplex.from_matrices((0, 0), [[]])
+        cp = BasedChainComplex((0, 0), [[]])
         c = direct_sum(cp, cpp)
         incl, proj = standard_sum_maps(cp, cpp, c)
         report = ses_multiplicativity_check(cp, c, cpp, incl, proj)
