@@ -150,11 +150,12 @@ def _cmd_verify(args, config):
 
 
 def _cmd_schur(args, config):
-    from .schur import Partition, kp_checks, kp_hirota_residual, schur_lambda
+    from .schur import Partition, check_schur_budget, kp_checks, kp_hirota_residual, schur_lambda
 
-    parts = tuple(int(p) for p in args.partition.split(","))
-    tau = schur_lambda(Partition(parts))
-    payload = {"partition": list(parts), "series": tau.to_json()}
+    partition = Partition(tuple(int(p) for p in args.partition.split(",")))
+    check_schur_budget(partition.size, args.check_hirota + args.check_kp, args.check_kp)
+    tau = schur_lambda(partition)
+    payload = {"partition": list(partition.parts), "series": tau.to_json()}
     passed = True
     if args.check_hirota:
         zero = kp_hirota_residual(tau).is_zero()
@@ -262,11 +263,7 @@ def _cmd_matrix_match(args, config):
 def _cmd_matrix_hciz(args, config):
     from .wick import hciz_check
 
-    report = hciz_check(
-        _floats(args.x), _floats(args.y), args.samples, args.seed
-        if args.seed is not None
-        else config.seed,
-    )
+    report = hciz_check(_floats(args.x), _floats(args.y), args.samples, config.seed)
     return report, None, report["pass"]
 
 
@@ -376,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     hciz.add_argument("--x", required=True)
     hciz.add_argument("--y", required=True)
     hciz.add_argument("--samples", type=int, default=200_000)
-    hciz.add_argument("--seed", type=int, default=None)
+    # SUPPRESS keeps a global --seed given before the subcommand
+    hciz.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     hciz.set_defaults(func=_cmd_matrix_hciz)
     norm = matrix_sub.add_parser("normalization")
     norm.add_argument("--N", type=int, required=True)

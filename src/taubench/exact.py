@@ -13,7 +13,6 @@ determinant and the torsion lifts all rest on one Gauss-Jordan elimination,
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -126,14 +125,6 @@ class TruncatedSeries:
     def with_cap(self, cap: int) -> "TruncatedSeries":
         return TruncatedSeries(self.variables, self.weights, cap, self.terms)
 
-    def homogeneous_part(self, degree: int) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.variables,
-            self.weights,
-            self.cap,
-            {e: c for e, c in self.terms.items() if self.degree_of(e) == degree},
-        )
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -243,22 +234,6 @@ class TruncatedSeries:
                 nxt[tuple(new)] = coeff * k
             terms = nxt
         return TruncatedSeries(self.variables, self.weights, self.cap, terms)
-
-    def exp(self) -> "TruncatedSeries":
-        """exp of a series with zero constant term, truncated at cap."""
-        if self.constant_term():
-            raise DomainError("exp requires zero constant term")
-        result = TruncatedSeries.constant(self.variables, self.weights, self.cap, 1)
-        if self.is_zero():
-            return result
-        power = result
-        kmax = self.cap // max(1, self.min_degree())
-        factorial = 1
-        for k in range(1, kmax + 1):
-            power = power * self
-            factorial *= k
-            result = result + power.scale(Fraction(1, factorial))
-        return result
 
     def log(self) -> "TruncatedSeries":
         """log of a series with constant term 1, truncated at cap."""
@@ -456,9 +431,3 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
         [sum((x * b_row[j] for x, b_row in zip(row, b)), Fraction(0)) for j in range(cols)]
         for row in a
     ]
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)

@@ -1,21 +1,22 @@
 """Schur polynomials in power-sum times, Hirota operators, KP verification.
 
-Variables are x_1, x_2, ... with weight(x_j) = j, so that the elementary
-Schur polynomial S_k is the weight-k homogeneous part of exp(sum x_j z^j)
-read off without a formal z.  Partition-indexed Schur polynomials come from
-the Jacobi-Trudi determinant; both KP checks (the first Hirota bilinear
-member and the KP equation for u = 2 d^2 log tau) are exact.
+Variables are x_1, x_2, ... with weight(x_j) = j, where x_j = p_j / j for
+the power sums p_j.  Partition-indexed Schur polynomials come from the
+characters of the symmetric group (Murnaghan-Nakayama); both KP checks (the
+first Hirota bilinear member and the KP equation for u = 2 d^2 log tau) are
+exact.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .errors import DegenerateSlice, DomainError
-from .exact import TruncatedSeries, binomial, x_variables
+from .errors import BudgetError, DegenerateSlice, DomainError
+from .exact import TruncatedSeries, x_variables
 
 
 @dataclass(frozen=True)
@@ -33,9 +34,6 @@ class Partition:
     @property
     def size(self) -> int:
         return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
 
 
 def partitions_of(size: int) -> list[Partition]:
@@ -55,60 +53,73 @@ def partitions_of(size: int) -> list[Partition]:
     return out
 
 
-def elementary_schur(k: int, max_index: int) -> TruncatedSeries:
-    """S_k with S_0 = 1 and S_k = 0 for k < 0, in x_1..x_{max_index}."""
-    names, weights, cap = x_variables(max_index, max(k, 1))
-    if k < 0:
-        return TruncatedSeries.zero(names, weights, cap)
-    if k == 0:
-        return TruncatedSeries.constant(names, weights, cap, 1)
-    if max_index < k:
-        raise DomainError(f"need x-variables up to index {k}")
-    generator = TruncatedSeries.zero(names, weights, cap)
-    for name in names:
-        generator = generator + TruncatedSeries.variable(names, weights, cap, name)
-    return generator.exp().homogeneous_part(k)
+# Work units of a `schur` request, each about one coefficient product (5 us on
+# a 2-core x86 VM): n*p(n) for the series (p(n) n-slot terms), 12*p(n)^2 for
+# each Hirota residual (its products of pairs of terms) and n^6 for the KP
+# equation (products of x1..x3 polynomials up to weight 8n).  The series runs
+# up to n = 35 (2.5 s for the slowest shapes), --check-hirota up to n = 15
+# (1.8 s) and --check-kp up to n = 9 (3.0 s).
+MAX_SCHUR_WORK = 600_000
 
 
-def schur_lambda(p: Partition, max_index: int | None = None) -> TruncatedSeries:
-    """Jacobi-Trudi determinant det(S_{p_i - i + j}) over x-variables."""
+def check_schur_budget(size: int, hirota_runs: int, pde: bool) -> None:
+    """Raise BudgetError when a partition of `size` with `hirota_runs` Hirota
+    residuals, and the KP equation if `pde`, is priced over MAX_SCHUR_WORK.
+    The price grows with n, so the walk stops at the first n past it."""
+    counts = [1]  # p(0), p(1), ... by Euler's pentagonal-number recurrence
+    for n in range(1, size + 1):
+        counts.append(sum(
+            (-1) ** (k + 1) * counts[n - g]
+            for k in range(1, n + 1)
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+            if g <= n
+        ))
+        if n * counts[n] + hirota_runs * 12 * counts[n] ** 2 + pde * n**6 > MAX_SCHUR_WORK:
+            raise BudgetError(f"a partition of {size} needs over {MAX_SCHUR_WORK} work units")
+
+
+def _character(beads: tuple[int, ...], cycles: tuple[int, ...], memo: dict) -> int:
+    """chi^lambda(mu) by the Murnaghan-Nakayama rule, for lambda given by its
+    beta-set `beads` (ascending) and mu by its parts `cycles`; `memo` holds
+    the values already found for (beads, cycles).
+
+    Removing a rim hook of length r moves a bead from b to the empty place
+    b - r, with sign (-1) to the number of beads strictly between.
+    """
+    if not cycles:
+        return 1
+    if (beads, cycles) not in memo:
+        r, rest = cycles[0], cycles[1:]
+        total = 0
+        for b in beads:
+            if b >= r and b - r not in beads:
+                between = sum(b - r < c < b for c in beads)
+                moved = tuple(sorted(b - r if c == b else c for c in beads))
+                total += (-1) ** between * _character(moved, rest, memo)
+        memo[beads, cycles] = total
+    return memo[beads, cycles]
+
+
+def schur_lambda(p: Partition) -> TruncatedSeries:
+    """s_lambda over x_1..x_|lambda| at cap |lambda|.
+
+    With x_j = p_j / j, Frobenius' s_lambda = sum_mu chi^lambda(mu) p_mu / z_mu
+    puts chi^lambda(mu) / prod_j m_j! on x^m, where mu has m_j parts equal
+    to j.
+    """
     if not p.parts:
         names, weights, cap = x_variables(1, 1)
         return TruncatedSeries.constant(names, weights, cap, 1)
     size = p.size
-    if max_index is None:
-        max_index = size
-    if max_index < size:
-        raise DomainError(f"need x-variables up to index {size}")
-    names, weights, cap = x_variables(max_index, size)
-    m = len(p)
-
-    def entry(i, j):
-        k = p.parts[i] - (i + 1) + (j + 1)
-        if k < 0:
-            return TruncatedSeries.zero(names, weights, cap)
-        if k == 0:
-            return TruncatedSeries.constant(names, weights, cap, 1)
-        s = elementary_schur(k, max_index)
-        return TruncatedSeries(names, weights, cap, s.terms)
-
-    det = TruncatedSeries.zero(names, weights, cap)
-    for perm in itertools.permutations(range(m)):
-        sign = _permutation_sign(perm)
-        term = TruncatedSeries.constant(names, weights, cap, sign)
-        for i in range(m):
-            term = term * entry(i, perm[i])
-        det = det + term
-    return det
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    names, weights, cap = x_variables(size, size)
+    beads = tuple(part + i for i, part in enumerate(reversed(p.parts)))
+    terms, memo = {}, {}
+    for mu in partitions_of(size):
+        m = tuple(mu.parts.count(j) for j in range(1, size + 1))
+        terms[m] = Fraction(
+            _character(beads, mu.parts, memo), math.prod(map(math.factorial, m))
+        )
+    return TruncatedSeries(names, weights, cap, terms)
 
 
 @dataclass(frozen=True)
@@ -142,9 +153,7 @@ def hirota_apply(
     a = op.exponents
     result = TruncatedSeries.zero(f.variables, f.weights, cap)
     for b in itertools.product(*(range(ai + 1) for ai in a)):
-        coeff = Fraction((-1) ** (sum(a) - sum(b)))
-        for ai, bi in zip(a, b):
-            coeff *= binomial(ai, bi)
+        coeff = (-1) ** (sum(a) - sum(b)) * math.prod(map(math.comb, a, b))
         df, dg = f, g
         for idx, (ai, bi) in enumerate(zip(a, b)):
             if bi:
@@ -189,7 +198,7 @@ def restrict_to_xyt(
     """Substitute rational constants for x_4, x_5, ... leaving x_1..x_3."""
     names, weights, cap = x_variables(3, tau.cap)
     values = {name: Fraction(v) for name, v in eval_point.items()}
-    terms: dict[tuple[int, int, int], object] = {}
+    terms: dict[tuple[int, int, int], Fraction] = {}
     for expo, coeff in tau.terms.items():
         scale = Fraction(1)
         for idx in range(3, len(expo)):
@@ -201,9 +210,7 @@ def restrict_to_xyt(
                 raise DomainError(f"no evaluation value supplied for {name}")
             scale *= values[name] ** e
         key = tuple(expo[:3]) + (0,) * max(0, 3 - len(expo))
-        acc = terms.get(key, None)
-        contrib = coeff * scale
-        terms[key] = contrib if acc is None else acc + contrib
+        terms[key] = terms.get(key, 0) + coeff * scale
     return TruncatedSeries(names, weights, cap, terms)
 
 
@@ -269,7 +276,13 @@ def kp_pde_residual(
 
 
 def kp_checks(tau: TruncatedSeries, eval_point=None) -> dict:
-    """Run both KP verifications and report agreement."""
+    """Run both KP verifications and report agreement.
+
+    The KP equation is checked on the slice x_j = 1 for j >= 4 unless
+    eval_point gives other values.
+    """
+    if eval_point is None:
+        eval_point = {name: Fraction(1) for name in tau.variables[3:]}
     hirota = kp_hirota_residual(tau)
     pde = kp_pde_residual(tau, eval_point)
     return {

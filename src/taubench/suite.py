@@ -110,9 +110,8 @@ def _crit_schur_kp(config, full):
     max_size = 5 if full else 4
     failures = []
     for size in range(1, max_size + 1):
-        point = {f"x{j}": Fraction(1) for j in range(4, size + 1)}
         for p in partitions_of(size):
-            checks = kp_checks(schur_lambda(p), point)
+            checks = kp_checks(schur_lambda(p))
             if not all(checks.values()):
                 failures.append({"partition": list(p.parts), "checks": checks})
     names, weights, cap = x_variables(3, 2)

@@ -17,6 +17,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from taubench.cli import CONFIG_ENV, run
+from taubench.schur import partitions_of
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "schemas"
 
@@ -337,6 +338,73 @@ class TestVirasoroArgs:
             assert_one_error_line(err.getvalue())
 
 
+class TestSchurArgs:
+    @pytest.mark.parametrize("size", range(4, 7))
+    def test_check_kp_passes_on_every_partition(self, capsys, size):
+        # x4, x5, ... are set to 1 on the KP slice, as in criterion 5
+        for parts in partitions_of(size):
+            code, out, err = invoke(
+                capsys, "schur", "--partition", ",".join(map(str, parts.parts)), "--check-kp"
+            )
+            assert (code, err) == (0, "")
+            assert json.loads(out)["kp"] == {"hirota_zero": True, "pde_zero": True, "agree": True}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("schur", "--partition", "40"),
+            ("schur", "--partition", "36"),
+            ("schur", "--partition", "1" + "0" * 30),
+            ("schur", "--partition", "16", "--check-hirota"),
+            ("schur", "--partition", "8,2", "--check-kp"),
+        ],
+    )
+    def test_oversized_request_is_three_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert_one_error_line(err)
+        assert json.loads(err)["error"] == "budget"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("schur", "--partition", "1,1,1,1,1,1,1"),
+            ("schur", "--partition", "12", "--check-hirota"),
+            ("schur", "--partition", "3,2,1", "--check-kp", "--check-hirota"),
+        ],
+    )
+    def test_request_under_budget_passes(self, capsys, argv):
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 3
+        assert (code, err) == (0, "")
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(
+                st.integers(-1, 5) | st.sampled_from([40, 10**30]), max_size=3
+            ).map(lambda parts: ",".join(map(str, parts))),
+            st.text(alphabet=",-0123456789 x", max_size=6),
+        ),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_any_schur_argv_exits_by_contract(self, partition, check_kp, check_hirota):
+        # --partition=VALUE keeps a leading "-" from reading as an option
+        argv = ["schur", f"--partition={partition}"]
+        argv += ["--check-kp"] * check_kp + ["--check-hirota"] * check_hirota
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert "Traceback" not in err.getvalue()
+            assert_one_error_line(err.getvalue())
+
+
 class TestEighteenDarts:
     def test_genus_two_graphs(self, capsys):
         code, out, _ = invoke(
@@ -385,6 +453,18 @@ class TestConfig:
             "--samples", "5000", "--seed", "4",
         )
         assert json.loads(out)["seed"] == 4
+
+    HCIZ = ("matrix", "hciz", "--x", "1,-1", "--y", "1,-1", "--samples", "1000")
+
+    def test_global_seed_reaches_hciz(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 9}))
+        before = invoke(capsys, "--config", str(cfg), "--seed", "5", *self.HCIZ)
+        after = invoke(capsys, "--config", str(cfg), *self.HCIZ, "--seed", "5")
+        assert before == after
+        assert before[0] == 0
+        assert json.loads(before[1])["seed"] == 5
+        assert invoke(capsys, "--seed", "5", *self.HCIZ) == before
 
     def test_env_var_config(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

@@ -1,6 +1,9 @@
 """Tests for Schur polynomials, Hirota operators and KP verification.
 
 Independent oracles:
+- schur_lambda (characters by Murnaghan-Nakayama) is cross-checked against
+  the Jacobi-Trudi determinant det(S_{p_i - i + j}), expanded over all m!
+  permutations, and its characters against row orthogonality;
 - S_k is cross-checked against the recurrence k S_k = sum_j j x_j S_{k-j}
   obtained by differentiating the generating function in z;
 - hirota_apply is cross-checked against a literal shift expansion of
@@ -9,6 +12,7 @@ Independent oracles:
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,11 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taubench.errors import DegenerateSlice, DomainError
-from taubench.exact import TruncatedSeries, x_variables
+from taubench.exact import TruncatedSeries, weight_monomials, x_variables
 from taubench.schur import (
     HirotaOperator,
     Partition,
-    elementary_schur,
+    _character,
     hirota_apply,
     kp_checks,
     kp_hirota_residual,
@@ -33,6 +37,48 @@ from taubench.schur import (
 
 def _series_env(max_index=3, cap=4):
     return x_variables(max_index, cap)
+
+
+def elementary_schur(k: int, max_index: int) -> TruncatedSeries:
+    """S_k with S_0 = 1 and S_k = 0 for k < 0, in x_1..x_{max_index}: the
+    weight-k part of exp(sum_j x_j) = prod_j sum_m x_j^m / m!."""
+    names, weights, cap = x_variables(max_index, max(k, 1))
+    if k > 0 and max_index < k:
+        raise DomainError(f"need x-variables up to index {k}")
+    terms = {
+        expo: Fraction(1, math.prod(map(math.factorial, expo)))
+        for expo in weight_monomials(weights, k)
+        if sum(e * w for e, w in zip(expo, weights)) == k
+    }
+    return TruncatedSeries(names, weights, cap, terms)
+
+
+def _permutation_sign(perm) -> int:
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def jacobi_trudi(p: Partition) -> TruncatedSeries:
+    """det(S_{p_i - i + j}) over x_1..x_|p|, expanded over all m! permutations."""
+    size = p.size
+    names, weights, cap = x_variables(size, size)
+    m = len(p.parts)
+
+    def entry(i, j):
+        k = p.parts[i] - (i + 1) + (j + 1)
+        return TruncatedSeries(names, weights, cap, elementary_schur(k, size).terms)
+
+    det = TruncatedSeries.zero(names, weights, cap)
+    for perm in itertools.permutations(range(m)):
+        term = TruncatedSeries.constant(names, weights, cap, _permutation_sign(perm))
+        for i in range(m):
+            term = term * entry(i, perm[i])
+        det = det + term
+    return det
 
 
 def shift_oracle(op: HirotaOperator, f: TruncatedSeries, g: TruncatedSeries):
@@ -138,6 +184,29 @@ class TestSchurLambda:
             column.variables, column.weights, column.cap, twisted_series.terms
         ) == column
 
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_matches_jacobi_trudi(self, size):
+        for p in partitions_of(size):
+            assert schur_lambda(p) == jacobi_trudi(p)
+
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_character_row_orthogonality(self, size):
+        # sum_mu chi^lambda(mu)^2 / z_mu = 1, z_mu = prod_j j^{m_j} m_j!
+        for p in partitions_of(size):
+            beads = tuple(part + i for i, part in enumerate(reversed(p.parts)))
+            memo, total = {}, Fraction(0)
+            for mu in partitions_of(size):
+                z = math.prod(
+                    j ** mu.parts.count(j) * math.factorial(mu.parts.count(j))
+                    for j in range(1, size + 1)
+                )
+                total += Fraction(_character(beads, mu.parts, memo) ** 2, z)
+            assert total == 1
+
+    def test_empty_partition_is_one(self):
+        names, weights, cap = x_variables(1, 1)
+        assert schur_lambda(Partition(())) == TruncatedSeries.constant(names, weights, cap, 1)
+
     def test_partition_validation(self):
         with pytest.raises(DomainError):
             Partition((1, 2))
@@ -224,6 +293,15 @@ class TestKP:
         for p in partitions_of(size):
             report = kp_checks(schur_lambda(p), point)
             assert report == {"hirota_zero": True, "pde_zero": True, "agree": True}
+
+    def test_default_slice_sets_x4_to_one(self):
+        # tau = x1^2/2 + x2 x4 is s_(2) at x4 = 1 and x1^2/2 at x4 = 0
+        names, weights, cap = x_variables(4, 6)
+        x = {name: TruncatedSeries.variable(names, weights, cap, name) for name in names}
+        tau = (x["x1"] * x["x1"]).scale(Fraction(1, 2)) + x["x2"] * x["x4"]
+        assert kp_checks(tau)["pde_zero"]
+        assert kp_checks(tau) == kp_checks(tau, {"x4": Fraction(1)})
+        assert not kp_checks(tau, {"x4": Fraction(0)})["pde_zero"]
 
     def test_restrict_handles_missing_value(self):
         names, weights, cap = x_variables(4, 4)
