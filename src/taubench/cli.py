@@ -70,10 +70,9 @@ class RunConfig:
 
 
 def _fractions(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse rational list {text!r}: {exc}")
+    from .exact import to_rational
+
+    return tuple(to_rational(part.strip()) for part in text.split(","))
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -153,35 +152,34 @@ def _cmd_schur(args, config):
     from .schur import Partition, check_schur_budget, kp_checks, kp_hirota_residual, schur_lambda
 
     partition = Partition(tuple(int(p) for p in args.partition.split(",")))
-    check_schur_budget(partition.size, args.check_hirota + args.check_kp, args.check_kp)
+    check_schur_budget(partition.size, args.check_hirota or args.check_kp, args.check_kp)
     tau = schur_lambda(partition)
     payload = {"partition": list(partition.parts), "series": tau.to_json()}
     passed = True
+    if args.check_kp:
+        payload["kp"] = kp_checks(tau)
+        passed = all(payload["kp"].values())
     if args.check_hirota:
-        zero = kp_hirota_residual(tau).is_zero()
+        # --check-kp has computed the Hirota residual already
+        zero = payload["kp"]["hirota_zero"] if args.check_kp else kp_hirota_residual(tau).is_zero()
         payload["hirota_zero"] = zero
         passed = passed and zero
-    if args.check_kp:
-        checks = kp_checks(tau)
-        payload["kp"] = checks
-        passed = passed and all(checks.values())
     return payload, None, passed
 
 
 def _cmd_virasoro_oscillator(args, config):
+    from .exact import to_rational
     from .fock import OscillatorParams, oscillator_sweep
 
     if args.max_mode < 0:
         raise DomainError("--max-mode must be >= 0")
-    params = OscillatorParams(
-        mu=Fraction(args.mu), lambda_param=Fraction(args.lambda_param)
-    )
+    params = OscillatorParams(mu=to_rational(args.mu), lambda_param=to_rational(args.lambda_param))
     cap = config.cap_or(10)
     reports = oscillator_sweep(args.max_mode, params, cap)
     passed = all(r["all_zero"] for r in reports)
     payload = {
-        "lambda": str(Fraction(args.lambda_param)),
-        "mu": str(Fraction(args.mu)),
+        "lambda": str(params.lambda_param),
+        "mu": str(params.mu),
         "cap": cap,
         "max_mode": args.max_mode,
         "central_charge": reports[0]["central_charge"],
@@ -303,8 +301,16 @@ def _cmd_suite(args, config):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse usage error raises DomainError, so it reaches stderr as one
+    JSON error object; the subcommand parsers share the class."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="taubench",
         description="Exact ribbon-graph / tau-function verification workbench.",
     )
@@ -394,11 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles --help (0) and usage (2)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except DomainError as exc:
+        _error(exc, "usage")
+        return EXIT_USAGE
     try:
         config = RunConfig.load(args.config)
         overrides = {}

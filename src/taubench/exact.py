@@ -314,20 +314,41 @@ def monomial_name(variables: Sequence[str], expo: Exponents) -> str:
 Matrix = list[list[Fraction]]
 
 
+# Digits allowed in the numerator or the denominator of an outside rational,
+# and characters in a rational string.  "1e300000" is refused from its
+# exponent, before the 300001-digit integer is built.
+MAX_RATIONAL_DIGITS = 1000
+
+
 def to_rational(x) -> Fraction:
     """x as a Fraction, for an int, a Fraction or a string such as "-3/4".
 
     A float, a bool, None or a container is refused, and so is a string with
-    a zero denominator: each raises DomainError.
+    a zero denominator, and a value or string over MAX_RATIONAL_DIGITS
+    digits: each raises DomainError.
     """
     if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
         raise DomainError(f"{x!r} is not an integer or a rational string")
+    too_long = DomainError(f"a rational over {MAX_RATIONAL_DIGITS} digits is refused")
+    if isinstance(x, str):
+        _, e, exponent = x.lower().rpartition("e")
+        if len(x) > MAX_RATIONAL_DIGITS:
+            raise too_long
+        try:
+            shift = abs(int(exponent)) if e else 0
+        except ValueError:
+            shift = 0  # not a number: Fraction refuses it below
+        if shift > MAX_RATIONAL_DIGITS:
+            raise too_long
     try:
-        return Fraction(x)
+        q = Fraction(x)
     except ZeroDivisionError:
         raise DomainError(f"{x!r} has a zero denominator") from None
     except ValueError:
         raise DomainError(f"{x!r} is not a rational string") from None
+    if max(abs(q.numerator), q.denominator) >= 10**MAX_RATIONAL_DIGITS:
+        raise too_long
+    return q
 
 
 def rational_vector(entries, length: int, name: str) -> list[Fraction]:

@@ -1,15 +1,15 @@
-"""Schur polynomials in power-sum times, Hirota operators, KP verification.
+"""Schur polynomials in power-sum times and the two KP checks.
 
 Variables are x_1, x_2, ... with weight(x_j) = j, where x_j = p_j / j for
 the power sums p_j.  Partition-indexed Schur polynomials come from the
-characters of the symmetric group (Murnaghan-Nakayama); both KP checks (the
-first Hirota bilinear member and the KP equation for u = 2 d^2 log tau) are
-exact.
+characters of the symmetric group (Murnaghan-Nakayama).  Both KP checks are
+exact: the first Hirota bilinear member (D_1^4 + 3 D_2^2 - 4 D_1 D_3) tau.tau,
+written out in derivatives of tau, and the KP equation for u = 2 d^2 log tau
+as the numerator of a rational function in tau.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,16 +55,17 @@ def partitions_of(size: int) -> list[Partition]:
 
 # Work units of a `schur` request, each about one coefficient product (5 us on
 # a 2-core x86 VM): n*p(n) for the series (p(n) n-slot terms), 12*p(n)^2 for
-# each Hirota residual (its products of pairs of terms) and n^6 for the KP
-# equation (products of x1..x3 polynomials up to weight 8n).  The series runs
-# up to n = 35 (2.5 s for the slowest shapes), --check-hirota up to n = 15
-# (1.8 s) and --check-kp up to n = 9 (3.0 s).
+# the Hirota residual (its products of pairs of terms; --check-kp and
+# --check-hirota share one) and n^6 for the KP equation (products of x1..x3
+# polynomials up to weight 8n).  The series runs up to n = 35 (2.5 s for the
+# slowest shapes), --check-hirota up to n = 15 (0.4 s) and --check-kp up to
+# n = 9 (2.8 s).
 MAX_SCHUR_WORK = 600_000
 
 
-def check_schur_budget(size: int, hirota_runs: int, pde: bool) -> None:
-    """Raise BudgetError when a partition of `size` with `hirota_runs` Hirota
-    residuals, and the KP equation if `pde`, is priced over MAX_SCHUR_WORK.
+def check_schur_budget(size: int, hirota: bool, pde: bool) -> None:
+    """Raise BudgetError when a partition of `size`, with the Hirota residual
+    if `hirota` and the KP equation if `pde`, is priced over MAX_SCHUR_WORK.
     The price grows with n, so the walk stops at the first n past it."""
     counts = [1]  # p(0), p(1), ... by Euler's pentagonal-number recurrence
     for n in range(1, size + 1):
@@ -74,7 +75,7 @@ def check_schur_budget(size: int, hirota_runs: int, pde: bool) -> None:
             for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
             if g <= n
         ))
-        if n * counts[n] + hirota_runs * 12 * counts[n] ** 2 + pde * n**6 > MAX_SCHUR_WORK:
+        if n * counts[n] + hirota * 12 * counts[n] ** 2 + pde * n**6 > MAX_SCHUR_WORK:
             raise BudgetError(f"a partition of {size} needs over {MAX_SCHUR_WORK} work units")
 
 
@@ -122,80 +123,17 @@ def schur_lambda(p: Partition) -> TruncatedSeries:
     return TruncatedSeries(names, weights, cap, terms)
 
 
-@dataclass(frozen=True)
-class HirotaOperator:
-    """Multi-exponent a over x_1, x_2, ...; D^a acts on ordered pairs f, g."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        expo = tuple(int(a) for a in self.exponents)
-        if any(a < 0 for a in expo):
-            raise DomainError("Hirota exponents must be nonnegative")
-        object.__setattr__(self, "exponents", expo)
-
-    @property
-    def order(self) -> int:
-        return sum(self.exponents)
-
-
-def hirota_apply(
-    op: HirotaOperator, f: TruncatedSeries, g: TruncatedSeries
-) -> TruncatedSeries:
-    """D^a f.g = sum_{b <= a} prod C(a_i, b_i) (-1)^{|a - b|} d^b f d^{a-b} g."""
-    if f.variables != g.variables or f.weights != g.weights:
-        raise DomainError("f and g must share a variable family")
-    if len(op.exponents) > len(f.variables):
-        raise DomainError("operator touches variables beyond the family")
-    cap = f.cap + g.cap  # products may exceed either input cap
-    f = f.with_cap(cap)
-    g = g.with_cap(cap)
-    a = op.exponents
-    result = TruncatedSeries.zero(f.variables, f.weights, cap)
-    for b in itertools.product(*(range(ai + 1) for ai in a)):
-        coeff = (-1) ** (sum(a) - sum(b)) * math.prod(map(math.comb, a, b))
-        df, dg = f, g
-        for idx, (ai, bi) in enumerate(zip(a, b)):
-            if bi:
-                df = df.diff(f.variables[idx], bi)
-            if ai - bi:
-                dg = dg.diff(g.variables[idx], ai - bi)
-        result = result + (df * dg).scale(coeff)
-    return result
-
-
-KP_HIROTA_MEMBER = (
-    (Fraction(1), HirotaOperator((4,))),
-    (Fraction(3), HirotaOperator((0, 2))),
-    (Fraction(-4), HirotaOperator((1, 0, 1))),
-)
-
-
-def kp_hirota_residual(tau: TruncatedSeries) -> TruncatedSeries:
-    """(D_1^4 + 3 D_2^2 - 4 D_1 D_3) tau.tau; zero on the KP orbit."""
-    if tau.is_zero():
-        raise DomainError("tau must be nonzero")
-    if len(tau.variables) < 3:
-        names, weights, cap = x_variables(3, tau.cap)
-        lift = {}
-        for expo, coeff in tau.terms.items():
-            lift[expo + (0,) * (3 - len(expo))] = coeff
-        tau = TruncatedSeries(names, weights, cap, lift)
-    total = TruncatedSeries.zero(tau.variables, tau.weights, 2 * tau.cap)
-    for scalar, op in KP_HIROTA_MEMBER:
-        total = total + hirota_apply(op, tau, tau).scale(scalar)
-    return total
-
-
 # ---------------------------------------------------------------------------
-# KP equation for u = 2 d^2/dx^2 log tau, with x = x_1, y = x_2, t = x_3
+# KP checks with x, y, t = x_1, x_2, x_3: the first Hirota bilinear member
+# and the KP equation for u = 2 d^2/dx^2 log tau
 # ---------------------------------------------------------------------------
 
 
 def restrict_to_xyt(
     tau: TruncatedSeries, eval_point: Mapping[str, Fraction]
 ) -> TruncatedSeries:
-    """Substitute rational constants for x_4, x_5, ... leaving x_1..x_3."""
+    """Substitute rational constants for x_4, x_5, ... leaving x_1..x_3; a tau
+    in fewer than three variables gets zero exponents in the missing slots."""
     names, weights, cap = x_variables(3, tau.cap)
     values = {name: Fraction(v) for name, v in eval_point.items()}
     terms: dict[tuple[int, int, int], Fraction] = {}
@@ -212,6 +150,31 @@ def restrict_to_xyt(
         key = tuple(expo[:3]) + (0,) * max(0, 3 - len(expo))
         terms[key] = terms.get(key, 0) + coeff * scale
     return TruncatedSeries(names, weights, cap, terms)
+
+
+def kp_hirota_residual(tau: TruncatedSeries) -> TruncatedSeries:
+    """(D_1^4 + 3 D_2^2 - 4 D_1 D_3) tau.tau at twice tau's cap; zero on the
+    KP orbit.
+
+    Written out with x, y, t = x_1, x_2, x_3 (the first three variables),
+    the member is 2 (tau tau_xxxx - 4 tau_x tau_xxx + 3 tau_xx^2
+    + 3 tau tau_yy - 3 tau_y^2 - 4 tau tau_xt + 4 tau_x tau_t).  A tau in
+    fewer than three variables is padded to x_1..x_3.
+    """
+    if tau.is_zero():
+        raise DomainError("tau must be nonzero")
+    if len(tau.variables) < 3:
+        tau = restrict_to_xyt(tau, {})
+    tau = tau.with_cap(2 * tau.cap)
+    x, y, t = tau.variables[:3]
+    tau_x, tau_y = tau.diff(x), tau.diff(y)
+    tau_xx = tau_x.diff(x)
+    total = (
+        tau * (tau_xx.diff(x, 2) + tau_y.diff(y).scale(3) - tau_x.diff(t).scale(4))
+        + (tau_x * (tau.diff(t) - tau_xx.diff(x))).scale(4)
+        + ((tau_xx - tau_y) * (tau_xx + tau_y)).scale(3)
+    )
+    return total.scale(2)
 
 
 @dataclass(frozen=True)
@@ -275,18 +238,9 @@ def kp_pde_residual(
     return residual.num
 
 
-def kp_checks(tau: TruncatedSeries, eval_point=None) -> dict:
-    """Run both KP verifications and report agreement.
-
-    The KP equation is checked on the slice x_j = 1 for j >= 4 unless
-    eval_point gives other values.
-    """
-    if eval_point is None:
-        eval_point = {name: Fraction(1) for name in tau.variables[3:]}
-    hirota = kp_hirota_residual(tau)
-    pde = kp_pde_residual(tau, eval_point)
-    return {
-        "hirota_zero": hirota.is_zero(),
-        "pde_zero": pde.is_zero(),
-        "agree": hirota.is_zero() == pde.is_zero(),
-    }
+def kp_checks(tau: TruncatedSeries) -> dict:
+    """Run both KP verifications and report agreement; the KP equation is
+    checked on the slice x_j = 1 for j >= 4."""
+    hirota = kp_hirota_residual(tau).is_zero()
+    pde = kp_pde_residual(tau, dict.fromkeys(tau.variables[3:], Fraction(1))).is_zero()
+    return {"hirota_zero": hirota, "pde_zero": pde, "agree": hirota == pde}

@@ -171,13 +171,22 @@ def _shape_table(word: TraceWord) -> tuple[tuple[tuple, int, int], ...]:
     return tuple((edges, faces, mult) for (edges, faces), mult in counts.items())
 
 
+# Face colorings the diagonal sum may walk: sum over shapes of N^faces.  The
+# largest shipped use, tr3^4 at N = 3 in `matrix match --order 4`, needs
+# 17,019; tr8 at N = 20 needs 4.5e7 (26 s on a 2-core x86 VM).
+MAX_COLORINGS = 10**6
+
+
 def _diagonal_sum(table, lams: Sequence[Fraction], pairs: int) -> Fraction:
     """Sum over shapes and face colorings of prod_e 2/(lambda_a + lambda_b).
 
     With lambda_i = P_i/D and L = lcm(P_a + P_b), each edge factor is
     (2D/L) * L/(P_a + P_b), so the colorings are summed in integers and
-    divided once.
+    divided once.  Over MAX_COLORINGS colorings raises BudgetError first.
     """
+    colorings = sum(len(lams) ** faces for _, faces, _ in table)
+    if colorings > MAX_COLORINGS:
+        raise BudgetError(f"{colorings} face colorings exceed the budget of {MAX_COLORINGS}")
     denom = math.lcm(*(v.denominator for v in lams))
     scaled = [v.numerator * (denom // v.denominator) for v in lams]
     lcm = math.lcm(*(a + b for a in scaled for b in scaled))
@@ -270,11 +279,13 @@ def source_times(lams: Sequence[Fraction], count: int) -> list[Fraction]:
     ]
 
 
+MAX_VERTEX_ORDER = 4  # the largest eps power kontsevich_match expands to
+
+
 def kontsevich_match(
     N: int,
     lambda_diag: Sequence[Fraction],
     vertex_order: int = 2,
-    max_order: int = 4,
     max_darts: int = 12,
     max_matchings: int = DEFAULT_MAX_MATCHINGS,
 ) -> dict:
@@ -290,8 +301,8 @@ def kontsevich_match(
     """
     if vertex_order < 0 or vertex_order % 2:
         raise DomainError("vertex order must be even and nonnegative")
-    if vertex_order > max_order:
-        raise BudgetError(f"vertex order {vertex_order} exceeds cap {max_order}")
+    if vertex_order > MAX_VERTEX_ORDER:
+        raise BudgetError(f"vertex order {vertex_order} exceeds cap {MAX_VERTEX_ORDER}")
     spec = GaussianSpec(N, tuple(lambda_diag))
     lams = spec.lambda_diag
 

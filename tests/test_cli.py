@@ -17,6 +17,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from taubench.cli import CONFIG_ENV, run
+from taubench import schur
 from taubench.schur import partitions_of
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "schemas"
@@ -189,6 +190,66 @@ class TestExitCodes:
     def test_removed_options_are_two(self, capsys, argv):
         assert invoke(capsys, *argv)[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("schur", "--partition", "-1,2"), "argument --partition: expected one argument"),
+            (("intersect", "-g", "0", "-n", "x"), "argument -n: invalid int value: 'x'"),
+            (("intersect", "-g", "0"), "the following arguments are required: -n"),
+            (("matrix",), "the following arguments are required: matrix_command"),
+            (("suite", "bogus"), "argument level: invalid choice: 'bogus' (choose from 'quick', 'full')"),
+            (("--seed", "x", "suite", "quick"), "argument --seed: invalid int value: 'x'"),
+            (("intersect", "-g", "0", "-n", "3", "--extra"), "unrecognized arguments: --extra"),
+        ],
+    )
+    def test_parser_errors_are_one_json_line(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert json.loads(err) == {"error": "usage", "message": message}
+
+    @pytest.mark.parametrize("argv", [("--help",), ("schur", "--help"), ("matrix", "moment", "-h")])
+    def test_help_is_usage_text_and_zero(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: taubench")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("matrix", "match", "--lambda", "1e300000,1"),
+            ("virasoro", "oscillator", "--lambda", "1e300000", "--max-mode", "1"),
+            ("virasoro", "oscillator", "--mu=-1e-300000"),
+            ("matrix", "moment", "--N", "2", "--lambda", "1e300000,1", "--word", "tr2"),
+            ("matrix", "normalization", "--N", "1", "--lambda", "1" * 1001),
+        ],
+    )
+    def test_rational_over_the_digit_bound_is_two_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "usage", "message": "a rational over 1000 digits is refused"
+        }
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("matrix", "match", "--lambda", "3,x"), "'x' is not a rational string"),
+            (("matrix", "moment", "--N", "1", "--lambda", "1/0", "--word", "tr2"),
+             "'1/0' has a zero denominator"),
+            # a zero denominator was an uncaught ZeroDivisionError here
+            (("virasoro", "oscillator", "--mu", "1/0"), "'1/0' has a zero denominator"),
+            (("virasoro", "oscillator", "--lambda", "0.5.5"), "'0.5.5' is not a rational string"),
+        ],
+    )
+    def test_malformed_rational_flag_is_two(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert json.loads(err) == {"error": "usage", "message": message}
+
 
 class TestVirasoroArgs:
     @pytest.mark.parametrize(
@@ -338,6 +399,41 @@ class TestVirasoroArgs:
             assert_one_error_line(err.getvalue())
 
 
+class TestMatrixArgs:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["moment", "match", "normalization"]),
+        st.one_of(
+            st.lists(st.integers(-1, 40).map(str) | st.sampled_from(["1/2", "1/0", "2e3", "1e1001", "x"]),
+                     min_size=1, max_size=6).map(",".join),
+            st.text(alphabet="0123456789,/-.e ", max_size=10),
+        ),
+        st.one_of(
+            st.lists(st.sampled_from(["tr1", "tr2", "tr3", "tr4", "tr3^2", "tr8", "tr2^40"]),
+                     min_size=1, max_size=3).map(",".join),
+            st.text(alphabet="tr0123456789^,- ", max_size=8),
+        ),
+        st.integers(-1, 24),
+    )
+    def test_any_matrix_argv_exits_by_contract(self, command, lams, word, size):
+        argv = ["matrix", command, f"--lambda={lams}"]
+        if command == "moment":
+            argv += ["--N", str(size), f"--word={word}"]
+        elif command == "normalization":
+            argv += ["--N", str(size)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code in (2, 3):
+            assert out.getvalue() == ""
+            assert_one_error_line(err.getvalue())
+        else:
+            assert err.getvalue() == ""
+            assert out.getvalue().count("\n") == 1
+
+
 class TestSchurArgs:
     @pytest.mark.parametrize("size", range(4, 7))
     def test_check_kp_passes_on_every_partition(self, capsys, size):
@@ -380,6 +476,14 @@ class TestSchurArgs:
         code, _, err = invoke(capsys, *argv)
         assert time.perf_counter() - start < 3
         assert (code, err) == (0, "")
+
+    def test_both_checks_run_the_hirota_member_once(self, capsys, monkeypatch):
+        calls = []
+        member = schur.kp_hirota_residual
+        monkeypatch.setattr(schur, "kp_hirota_residual", lambda tau: calls.append(1) or member(tau))
+        code, out, _ = invoke(capsys, "schur", "--partition", "3,2,1", "--check-kp", "--check-hirota")
+        assert (code, len(calls)) == (0, 1)
+        assert json.loads(out)["hirota_zero"] is True
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -546,6 +650,8 @@ PROBES = {
     "float-entry": ({**TWO_CLASS, "b": [-0.5, 0.5]}, {**FIVE, "ranks": [1.0, 1]}),
     "bool-entry": ({**TWO_CLASS, "eta": [[False, True], [True, 0]]}, {**FIVE, "boundaries": [[[True]]]}),
     "null-entry": ({**TWO_CLASS, "b_raised": [None, "1/2"]}, {**FIVE, "boundaries": [[[None]]]}),
+    # refused from the exponent, before a 300001-digit integer is built
+    "huge-exponent": ({**TWO_CLASS, "b": ["1e300000", "1/2"]}, {**FIVE, "boundaries": [[["1e300000"]]]}),
 }
 
 

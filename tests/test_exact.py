@@ -6,6 +6,7 @@ and particular solutions by multiplying them back out.
 """
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from taubench.errors import DomainError, InconsistentSystem, RankDeficient
 from taubench.exact import (
+    MAX_RATIONAL_DIGITS,
     TruncatedSeries,
     determinant,
     double_factorial,
@@ -23,6 +25,7 @@ from taubench.exact import (
     row_reduce,
     solve_linear_exact,
     t_variables,
+    to_rational,
     weight_monomials,
     x_variables,
 )
@@ -60,6 +63,40 @@ class TestRationalStr:
     @given(fractions)
     def test_roundtrip(self, q):
         assert Fraction(rational_to_str(q)) == q
+
+
+class TestToRational:
+    @pytest.mark.parametrize(
+        "x, value",
+        [
+            (3, 3), ("-3/4", Fraction(-3, 4)), (" 1.5 ", Fraction(3, 2)), ("2e3", 2000),
+            ("1e-999", Fraction(1, 10**999)), ("9" * 1000, 10**1000 - 1),
+            (Fraction(1, 10**1000 - 1), Fraction(1, 10**1000 - 1)),
+        ],
+    )
+    def test_accepts_up_to_the_digit_bound(self, x, value):
+        assert MAX_RATIONAL_DIGITS == 1000
+        assert to_rational(x) == value
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            "1e300000", "1E-300000", "1e1001", "1e-1001", "-5e+3000000",
+            "1" * 1001, "1/" + "7" * 1001, "0" * 1001, "1e" + "9" * 5000,
+            10**1000, -(10**1000), Fraction(1, 10**1000), Fraction(10**1000, 3),
+            "9" * 600 + "e600",
+        ],
+    )
+    def test_refuses_over_the_digit_bound_at_once(self, x):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="over 1000 digits"):
+            to_rational(x)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("x", ["x", "1/0", "1e", "e5", "", 0.5, True, None, [1]])
+    def test_refuses_what_is_not_a_rational(self, x):
+        with pytest.raises(DomainError):
+            to_rational(x)
 
 
 class TestDoubleFactorial:

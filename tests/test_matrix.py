@@ -10,6 +10,7 @@ consistency relation, and a per-matching walk with Fraction edge products
 import contextlib
 import io
 import itertools
+import json
 import math
 import os
 import pathlib
@@ -27,10 +28,14 @@ from taubench.cli import run
 from taubench.errors import BudgetError, DomainError, Unsupported
 from taubench.ribbon import kontsevich_sum
 from taubench.exact import double_factorial
+from taubench import wick
 from taubench.wick import (
+    MAX_COLORINGS,
+    MAX_VERTEX_ORDER,
     GaussianSpec,
     TraceWord,
     _quadrature,
+    _shape_table,
     gaussian_normalization_check,
     genus_expansion,
     hciz_check,
@@ -213,6 +218,36 @@ class TestWickMoment:
             '{"error":"budget","message":"the word has over 1000000 trace factors"}\n'
         )
 
+    @pytest.mark.parametrize(
+        "size, word, colorings",
+        [(20, "tr8", 45008020), (20, "tr12", 171258792020), (100, "tr4", 2000100)],
+    )
+    def test_colorings_over_budget_are_three_at_once(self, capsys, size, word, colorings):
+        # the N^faces coloring sum is priced from the shape table before it runs
+        lams = ",".join(map(str, range(1, size + 1)))
+        start = time.perf_counter()
+        code = run(["matrix", "moment", "--N", str(size), "--lambda", lams, "--word", word])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (
+            f'{{"error":"budget","message":"{colorings} face colorings'
+            f' exceed the budget of {MAX_COLORINGS}"}}\n'
+        )
+
+    def test_colorings_priced_as_shapes_times_n_to_the_faces(self, monkeypatch):
+        word = TraceWord((3, 3, 3, 3))
+        lams = (Fraction(3), Fraction(4), Fraction(5))
+        table = _shape_table(word)
+        assert sum(mult for _, _, mult in table) == 10395
+        # the largest shipped use, matrix match --order 4 at N = 3
+        assert sum(3**faces for _, faces, _ in table) == 17019
+        wick_moment(GaussianSpec(3, lams), word)
+        monkeypatch.setattr(wick, "MAX_COLORINGS", 17018)
+        with pytest.raises(BudgetError, match="^17019 face colorings exceed the budget of 17018$"):
+            wick_moment(GaussianSpec(3, lams), word)
+        wick_moment(GaussianSpec(3), word)  # scalar mode sums no colorings
+
     def test_budget_holds_for_a_cached_word(self, capsys):
         # the budget prices the (d-1)!! matchings of a table miss, and is
         # checked before the table is looked up
@@ -344,6 +379,20 @@ class TestKontsevichMatch:
             kontsevich_match(2, (Fraction(3), Fraction(4)), 3)
         with pytest.raises(BudgetError):
             kontsevich_match(2, (Fraction(3), Fraction(4)), 6)
+        assert MAX_VERTEX_ORDER == 4
+        with pytest.raises(BudgetError, match="^vertex order 6 exceeds cap 4$"):
+            kontsevich_match(2, (Fraction(3), Fraction(4)), MAX_VERTEX_ORDER + 2)
+
+    def test_order_four_over_forty_colors_is_three_at_once(self, capsys):
+        lams = ",".join(map(str, range(1, 41)))
+        start = time.perf_counter()
+        code = run(["matrix", "match", "--order", "4", "--lambda", lams])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1
+        assert (code, captured.out) == (3, "")
+        assert json.loads(captured.err)["message"].endswith(
+            f"face colorings exceed the budget of {MAX_COLORINGS}"
+        )
 
     def test_source_times(self):
         lams = (Fraction(2),)

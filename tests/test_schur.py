@@ -6,13 +6,16 @@ Independent oracles:
   permutations, and its characters against row orthogonality;
 - S_k is cross-checked against the recurrence k S_k = sum_j j x_j S_{k-j}
   obtained by differentiating the generating function in z;
-- hirota_apply is cross-checked against a literal shift expansion of
-  f(x+u) g(x-u) followed by u-derivatives at u = 0;
+- hirota_apply, the generic multi-index Hirota operator kept here, is
+  cross-checked against a literal shift expansion of f(x+u) g(x-u) followed
+  by u-derivatives at u = 0, and the written-out kp_hirota_residual against
+  both, summed over the three operators of the member;
 - dual Jacobi-Trudi S_{(1^k)}(x) = S_k(x_1, -x_2, x_3, -x_4, ...).
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -20,12 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taubench.errors import DegenerateSlice, DomainError
-from taubench.exact import TruncatedSeries, weight_monomials, x_variables
+from taubench.exact import TruncatedSeries, t_variables, weight_monomials, x_variables
 from taubench.schur import (
-    HirotaOperator,
     Partition,
     _character,
-    hirota_apply,
     kp_checks,
     kp_hirota_residual,
     kp_pde_residual,
@@ -81,6 +82,61 @@ def jacobi_trudi(p: Partition) -> TruncatedSeries:
     return det
 
 
+@dataclass(frozen=True)
+class HirotaOperator:
+    """Multi-exponent a over x_1, x_2, ...; D^a acts on ordered pairs f, g."""
+
+    exponents: tuple[int, ...]
+
+    def __post_init__(self):
+        expo = tuple(int(a) for a in self.exponents)
+        if any(a < 0 for a in expo):
+            raise DomainError("Hirota exponents must be nonnegative")
+        object.__setattr__(self, "exponents", expo)
+
+
+def hirota_apply(op: HirotaOperator, f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """D^a f.g = sum_{b <= a} prod C(a_i, b_i) (-1)^{|a - b|} d^b f d^{a-b} g."""
+    if f.variables != g.variables or f.weights != g.weights:
+        raise DomainError("f and g must share a variable family")
+    if len(op.exponents) > len(f.variables):
+        raise DomainError("operator touches variables beyond the family")
+    cap = f.cap + g.cap  # products may exceed either input cap
+    f = f.with_cap(cap)
+    g = g.with_cap(cap)
+    a = op.exponents
+    result = TruncatedSeries.zero(f.variables, f.weights, cap)
+    for b in itertools.product(*(range(ai + 1) for ai in a)):
+        coeff = (-1) ** (sum(a) - sum(b)) * math.prod(map(math.comb, a, b))
+        df, dg = f, g
+        for idx, (ai, bi) in enumerate(zip(a, b)):
+            if bi:
+                df = df.diff(f.variables[idx], bi)
+            if ai - bi:
+                dg = dg.diff(g.variables[idx], ai - bi)
+        result = result + (df * dg).scale(coeff)
+    return result
+
+
+# (D_1^4 + 3 D_2^2 - 4 D_1 D_3) as (scalar, operator) terms
+KP_HIROTA_MEMBER = (
+    (1, HirotaOperator((4,))),
+    (3, HirotaOperator((0, 2))),
+    (-4, HirotaOperator((1, 0, 1))),
+)
+
+
+def generic_kp_member(tau: TruncatedSeries, apply=hirota_apply) -> TruncatedSeries:
+    """The first KP member summed term by term with `apply(op, tau, tau)`, on
+    tau padded to x_1..x_3 as kp_hirota_residual pads it."""
+    if len(tau.variables) < 3:
+        tau = restrict_to_xyt(tau, {})
+    total = TruncatedSeries.zero(tau.variables, tau.weights, 2 * tau.cap)
+    for scalar, op in KP_HIROTA_MEMBER:
+        total = total + apply(op, tau, tau).scale(scalar)
+    return total
+
+
 def shift_oracle(op: HirotaOperator, f: TruncatedSeries, g: TruncatedSeries):
     """D^a f.g by expanding f(x+u) g(x-u) and differentiating in u at 0."""
     m = len(f.variables)
@@ -122,6 +178,20 @@ def small_polys():
 
     qs = st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=4)
     return st.builds(build, st.tuples(qs, qs, qs, qs, qs, qs))
+
+
+def polys_in_few_variables(max_cap=5):
+    """Nonzero polynomials in x_1..x_k, 1 <= k <= 5, with up to five terms."""
+
+    @st.composite
+    def build(draw):
+        names, weights, cap = x_variables(draw(st.integers(1, 5)), draw(st.integers(0, max_cap)))
+        monomials = list(weight_monomials(weights, cap))
+        picked = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=5, unique=True))
+        coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+        return TruncatedSeries(names, weights, cap, {e: draw(coeffs) for e in picked})
+
+    return build()
 
 
 class TestElementarySchur:
@@ -250,6 +320,38 @@ class TestHirota:
         with pytest.raises(DomainError):
             HirotaOperator((1, -1))
 
+    @pytest.mark.parametrize("size", range(0, 10))
+    def test_kp_member_matches_generic_operators_on_schur(self, size):
+        for p in partitions_of(size) or [Partition(())]:
+            tau = schur_lambda(p)
+            assert kp_hirota_residual(tau) == generic_kp_member(tau)
+
+    @pytest.mark.parametrize("size", range(0, 6))
+    def test_kp_member_matches_shift_oracle_on_schur(self, size):
+        for p in partitions_of(size) or [Partition(())]:
+            tau = schur_lambda(p)
+            assert kp_hirota_residual(tau) == generic_kp_member(tau, shift_oracle)
+
+    @given(polys_in_few_variables())
+    @settings(max_examples=60, deadline=None)
+    def test_kp_member_matches_generic_operators(self, tau):
+        assert kp_hirota_residual(tau) == generic_kp_member(tau)
+
+    @given(polys_in_few_variables(max_cap=3))
+    @settings(max_examples=25, deadline=None)
+    def test_kp_member_matches_shift_oracle(self, tau):
+        assert kp_hirota_residual(tau) == generic_kp_member(tau, shift_oracle)
+
+    def test_kp_member_keeps_a_non_x_family(self):
+        # positional: the first three variables play x, y, t whatever their names
+        names, weights, cap = t_variables(3, 4)
+        t = {name: TruncatedSeries.variable(names, weights, cap, name) for name in names}
+        tau = t["t0"] * t["t0"] + t["t1"] * t["t3"] + t["t2"]
+        residual = kp_hirota_residual(tau)
+        assert (residual.variables, residual.weights, residual.cap) == (names, weights, 8)
+        assert residual == generic_kp_member(tau) == generic_kp_member(tau, shift_oracle)
+        assert not residual.is_zero()
+
 
 class TestKP:
     def test_schur_21_solves_both(self):
@@ -289,9 +391,8 @@ class TestKP:
 
     @pytest.mark.parametrize("size", range(1, 6))
     def test_equivalence_on_schur_orbit(self, size):
-        point = {f"x{j}": Fraction(1) for j in range(4, size + 1)}
         for p in partitions_of(size):
-            report = kp_checks(schur_lambda(p), point)
+            report = kp_checks(schur_lambda(p))
             assert report == {"hirota_zero": True, "pde_zero": True, "agree": True}
 
     def test_default_slice_sets_x4_to_one(self):
@@ -300,8 +401,8 @@ class TestKP:
         x = {name: TruncatedSeries.variable(names, weights, cap, name) for name in names}
         tau = (x["x1"] * x["x1"]).scale(Fraction(1, 2)) + x["x2"] * x["x4"]
         assert kp_checks(tau)["pde_zero"]
-        assert kp_checks(tau) == kp_checks(tau, {"x4": Fraction(1)})
-        assert not kp_checks(tau, {"x4": Fraction(0)})["pde_zero"]
+        assert kp_pde_residual(tau, {"x4": Fraction(1)}).is_zero()
+        assert not kp_pde_residual(tau, {"x4": Fraction(0)}).is_zero()
 
     def test_restrict_handles_missing_value(self):
         names, weights, cap = x_variables(4, 4)

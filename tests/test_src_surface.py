@@ -1,11 +1,15 @@
-"""Every module-level function and class in src/taubench has a caller there.
+"""Every module-level function and class in src/taubench has a caller there,
+and every function the benchmark's tracer hooks still exists.
 
 Code that only the tests call lives in the tests, as an oracle next to the
-assertions that use it, so src/ holds what the CLI and the suite run.
+assertions that use it, so src/ holds what the CLI and the suite run.  The
+tracer (perfbench/tracer.py) names its hooks as strings, so a rename in src/
+would silently drop a layer's timings; the hook test reads those names.
 """
 
 import ast
 import collections
+import importlib
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "taubench"
@@ -54,3 +58,53 @@ def test_the_guard_sees_an_unused_definition(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import used\n")
     assert unreferenced_definitions(tmp_path) == [("a.py", "recursive"), ("a.py", "Orphan")]
+
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def tracer_hooks() -> list[tuple[str, ...]]:
+    """(module, name) for each LAYERS and TALLIES entry and (module, class,
+    method) for each COUNTED_METHODS entry of perfbench/tracer.py, read with
+    ast so the benchmark is neither imported nor run."""
+    tables = {
+        node.targets[0].id: node.value
+        for node in ast.parse(TRACER.read_text()).body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    layers = ast.literal_eval(tables["LAYERS"])
+    hooks = [(module, name) for module, names in layers.items() for name in names]
+    for table in ("TALLIES", "COUNTED_METHODS"):
+        hooks += [ast.literal_eval(key) for key in tables[table].keys]
+    return hooks
+
+
+def missing_hooks(hooks) -> list[tuple[str, ...]]:
+    """The hooks whose function, class or method taubench does not define."""
+    missing = []
+    for module, *path in hooks:
+        owner = importlib.import_module(module)
+        for name in path[:-1]:
+            owner = getattr(owner, name, None)
+        # a method must be the class's own, not one inherited from object
+        names = vars(owner) if isinstance(owner, type) else dir(owner)
+        if path[-1] not in names:
+            missing.append((module, *path))
+    return missing
+
+
+def test_every_tracer_hook_exists():
+    hooks = tracer_hooks()
+    assert hooks
+    assert missing_hooks(hooks) == []
+
+
+def test_the_hook_guard_sees_a_missing_name():
+    hooks = [
+        ("taubench.schur", "kp_checks"),
+        ("taubench.schur", "hirota_apply"),
+        ("taubench.exact", "TruncatedSeries", "__mul__"),
+        ("taubench.exact", "TruncatedSeries", "__init_subclass__"),
+        ("taubench.exact", "MaskedSeries", "__mul__"),
+    ]
+    assert missing_hooks(hooks) == hooks[1:2] + hooks[3:]
