@@ -277,16 +277,14 @@ def _cmd_torsion(args, config):
 
     with open(args.complex, "r", encoding="utf-8") as handle:
         complex_ = BasedChainComplex.from_json(json.load(handle))
-    acyclic = is_acyclic(complex_)
-    payload = {"ranks": list(complex_.ranks), "acyclic": acyclic}
-    passed = True
-    if acyclic:
-        payload["torsion"] = str(torsion(complex_))
-    if args.order_check:
+    payload = {"ranks": list(complex_.ranks), "acyclic": is_acyclic(complex_)}
+    if args.order_check:  # the check computes the torsion, or refuses a cyclic complex
         report = torsion_order_check(complex_)
-        payload["order_check"] = report
-        passed = report["pass"]
-    return payload, None, passed
+        payload.update(torsion=report["torsion"], order_check=report)
+        return payload, None, report["pass"]
+    if payload["acyclic"]:
+        payload["torsion"] = str(torsion(complex_))
+    return payload, None, True
 
 
 def _cmd_suite(args, config):
@@ -416,8 +414,10 @@ def run(argv=None) -> int:
             if value is not None:
                 overrides[field] = value
         config = replace(config, **overrides)
-        if config.cap is not None and config.cap < 0:
-            raise DomainError("--cap must be >= 0")
+        for field in ("max_darts", "max_matchings", "cap"):
+            value = getattr(config, field)
+            if value is not None and value < 0:
+                raise DomainError(f"--{field.replace('_', '-')} must be >= 0")
         payload, csv_rows, passed = args.func(args, config)
         _emit(payload, config, csv_rows)
         return EXIT_PASS if passed else EXIT_FAIL

@@ -7,7 +7,7 @@ coefficients it is given (int or Fraction; fock's Q(i) type where an i*lambda
 term enters) and only drops zeros.
 
 Matrices over Q are plain lists of Fraction rows (`Matrix`).  Solving, rank,
-determinant and the torsion lifts all rest on one Gauss-Jordan elimination,
+determinant and the torsion pivots all rest on one Gauss-Jordan elimination,
 `row_reduce`, which also fixes the pivot order.
 """
 

@@ -29,7 +29,7 @@ from .exact import (
     t_variables,
     weight_monomials,
 )
-from .ribbon import IntersectionTable
+from .ribbon import IntersectionTable, entry_key
 
 DEFAULT_CAP = 8
 DEFAULT_MAX_INDEX = 4
@@ -308,7 +308,7 @@ def mutation_report(
         f = fe.series
         if fed := _fed_monomial((g, dtuple), max_genus, max_index):
             f = f + TruncatedSeries(f.variables, f.weights, f.cap, {fed[0]: fed[1]})
-        out[f"g{g}:({','.join(map(str, dtuple))})"] = sorted(
+        out[entry_key(g, dtuple)] = sorted(
             f"{base.name}:{monomial_name(f.variables, expo)}"
             for formula, base in bases
             for expo in formula(f).terms

@@ -333,10 +333,12 @@ class IntersectionTable:
     def to_json(self) -> dict:
         from .exact import rational_to_str
 
-        return {
-            f"g{g}:({','.join(map(str, d))})": rational_to_str(v)
-            for (g, d), v in sorted(self.entries.items())
-        }
+        return {entry_key(g, d): rational_to_str(v) for (g, d), v in sorted(self.entries.items())}
+
+
+def entry_key(g: int, d: tuple[int, ...]) -> str:
+    """The JSON key g{g}:(d_1,...,d_n) of one table entry."""
+    return f"g{g}:({','.join(map(str, d))})"
 
 
 def _exponent_multisets(total: int, n: int) -> list[tuple[int, ...]]:

@@ -54,12 +54,13 @@ def partitions_of(size: int) -> list[Partition]:
 
 
 # Work units of a `schur` request, each about one coefficient product (5 us on
-# a 2-core x86 VM): n*p(n) for the series (p(n) n-slot terms), 12*p(n)^2 for
-# the Hirota residual (its products of pairs of terms; --check-kp and
-# --check-hirota share one) and n^6 for the KP equation (products of x1..x3
-# polynomials up to weight 8n).  The series runs up to n = 35 (2.5 s for the
-# slowest shapes), --check-hirota up to n = 15 (0.4 s) and --check-kp up to
-# n = 9 (2.8 s).
+# a 2-core x86 VM): n*p(n) for the series (p(n) n-slot terms), 2*p(n)^2 for
+# the written-out Hirota member (its three products of p(n)-term series;
+# --check-kp and --check-hirota share one; the slowest partition of each n
+# from 16 to 19 measured 1.6 to 1.75 units per p(n)^2) and n^6 for the KP
+# equation (products of x1..x3 polynomials up to weight 8n).  The series runs
+# up to n = 35 (2.5 s for the slowest shapes), --check-hirota up to n = 19
+# (1.9 s for (3, 3, 1^13)) and --check-kp up to n = 9 (2.8 s).
 MAX_SCHUR_WORK = 600_000
 
 
@@ -75,7 +76,7 @@ def check_schur_budget(size: int, hirota: bool, pde: bool) -> None:
             for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
             if g <= n
         ))
-        if n * counts[n] + hirota * 12 * counts[n] ** 2 + pde * n**6 > MAX_SCHUR_WORK:
+        if n * counts[n] + hirota * 2 * counts[n] ** 2 + pde * n**6 > MAX_SCHUR_WORK:
             raise BudgetError(f"a partition of {size} needs over {MAX_SCHUR_WORK} work units")
 
 

@@ -3,17 +3,19 @@
 A complex is stored as ranks (n_0..n_m) and boundary matrices d_i: C_i ->
 C_{i-1} (n_{i-1} x n_i, column-vector convention), every C_i carrying the
 standard unit-vector basis.  The torsion is the alternating product of the
-determinants of the based change-of-basis matrices [b_i | lift of b_{i-1}],
-with b_i a pivot-column basis of im d_{i+1}; the sign is pinned by the
-deterministic pivot order, which is set in exact.row_reduce (the leftmost
-independent columns).
+determinants of the based change-of-basis matrices [b_i | lift of b_{i-1}].
+One exact.row_reduce of each d_i gives its pivot columns (the leftmost
+independent ones), which fix everything: b_i is d_{i+1} on the pivot
+columns of d_{i+1}, and the unit vectors on the pivot columns of d_i lift
+b_{i-1}, so the pivot order pins the sign.
 
-Smith normal form over the integers supplies ord H_i for the
+The invariant factors of d_{i+1} over the integers give ord H_i for the
 torsion-vs-homology-order theorem.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -85,6 +87,12 @@ class BasedChainComplex:
             if not _is_zero(mat_mul(self.boundary(i + 1), self.boundary(i + 2))):
                 raise InvalidComplex("boundary maps do not compose to zero")
 
+    @functools.cached_property
+    def _pivot_columns(self) -> list[list[int]]:
+        """The pivot columns of d_0..d_{m+1}, from one row_reduce of each
+        boundary map; the complex is immutable, so every check reuses them."""
+        return [[]] + [row_reduce(mat)[1] for mat in self.boundaries] + [[]]
+
     @property
     def length(self) -> int:
         return len(self.ranks) - 1
@@ -117,169 +125,94 @@ class BasedChainComplex:
 
 def is_acyclic(c: BasedChainComplex) -> bool:
     """rank d_i + rank d_{i+1} = n_i in every degree (over the rationals)."""
-    for i in range(c.length + 1):
-        r_in = rational_rank(c.boundary(i + 1)) if i < c.length else 0
-        r_out = rational_rank(c.boundary(i)) if i > 0 else 0
-        if r_in + r_out != c.ranks[i]:
-            return False
-    return True
+    pivots = c._pivot_columns
+    return all(len(pivots[i]) + len(pivots[i + 1]) == n for i, n in enumerate(c.ranks))
 
 
 def torsion(c: BasedChainComplex, lift_rng: random.Random | None = None) -> Fraction:
     """Alternating determinant product; exact nonzero rational.
 
-    In each degree i the columns [basis of im d_{i+1} | lift of the degree
-    i-1 image basis] form a square matrix T_i over the standard basis;
+    In degree i the columns of T_i are d_{i+1} e_j for the pivot columns j
+    of d_{i+1} (a basis of im d_{i+1} = ker d_i) followed by e_j for the
+    pivot columns j of d_i, which d_i maps onto the degree i-1 image basis;
     tau = prod det(T_i)^{(-1)^{i+1}}.  An optional RNG perturbs the lifts
     by kernel elements -- the result is provably unchanged, and the
     invariance is exercised by tests.
     """
     if not is_acyclic(c):
         raise NotAcyclic("torsion requires an acyclic complex")
-    image_bases: list[Matrix] = []  # basis of im d_{i+1} inside C_i, per degree
-    for i in range(c.length + 1):
-        d_next = c.boundary(i + 1)
-        cols = row_reduce(d_next)[1]
-        image_bases.append([[d_next[r][j] for j in cols] for r in range(c.ranks[i])])
+    pivots = c._pivot_columns
     tau = Fraction(1)
-    for i in range(c.length + 1):
-        b_here = image_bases[i]
-        prev = image_bases[i - 1] if i else []
-        prev_cols = len(prev[0]) if prev else 0
-        if i == 0 or prev_cols == 0:
-            lift = _mat(c.ranks[i], 0)
-        else:
-            d_i = c.boundary(i)
-            lift = _particular_solution(d_i, prev)
-            if lift_rng is not None and b_here and b_here[0]:
-                k = len(b_here[0])
-                for col in range(len(lift[0]) if lift else 0):
-                    coeffs = [lift_rng.randint(-3, 3) for _ in range(k)]
-                    for row in range(c.ranks[i]):
-                        lift[row][col] += sum(
-                            coeffs[j] * b_here[row][j] for j in range(k)
-                        )
-        t_i = [b_here[r] + lift[r] for r in range(c.ranks[i])]
-        if len(t_i) != (len(t_i[0]) if t_i else 0):
-            raise NotAcyclic("based change-of-basis matrix is not square")
-        det = determinant(t_i) if t_i else Fraction(1)
-        if det == 0:
-            raise NotAcyclic("degenerate change of basis")
+    for i, n in enumerate(c.ranks):
+        image = [[row[j] for j in pivots[i + 1]] for row in c.boundary(i + 1)]
+        lift = [[Fraction(r == j) for j in pivots[i]] for r in range(n)]
+        if lift_rng is not None:
+            for col in range(len(pivots[i])):
+                coeffs = [lift_rng.randint(-3, 3) for _ in pivots[i + 1]]
+                for row in range(n):
+                    lift[row][col] += sum(a * b for a, b in zip(coeffs, image[row]))
+        det = determinant([b + l for b, l in zip(image, lift)]) if n else Fraction(1)
         tau *= det if (i + 1) % 2 == 0 else 1 / det
     return tau
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over the integers
+# Invariant factors over the integers
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """U A V = diag(d_1..d_r, 0..) with d_1 | d_2 | ... and U, V unimodular."""
+def invariant_factors(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The invariant factors d_1 | d_2 | ... of an integer matrix (its
+    nonzero Smith diagonal, positive).
 
-    invariant_factors: tuple[int, ...]
-    U: tuple[tuple[int, ...], ...]
-    V: tuple[tuple[int, ...], ...]
-
-
-def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
+    Each pass moves the least nonzero entry of the trailing block to (t, t)
+    and reduces its row and column by floor quotients.  A nonzero remainder
+    is smaller than the pivot, so it leads the next pass; a row of the block
+    with an entry the pivot does not divide is first added into row t, whose
+    remainder then leads.  The pivot shrinks, so the passes end.
+    """
     m = [[int(x) for x in row] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if any(len(row) != cols for row in m):
-        raise DomainError("ragged matrix")
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in m:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
+    rows, cols = len(m), len(m[0]) if m else 0
     t = 0
     while t < min(rows, cols):
-        # locate the entry of least nonzero magnitude in the trailing block
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
+        best = min(
+            ((i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j]),
+            key=lambda ij: abs(m[ij[0]][ij[1]]),
+            default=None,
+        )
         if best is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    row_op(i, t, q)
-                    if m[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    col_op(j, t, q)
-                    if m[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        # enforce divisibility: fold any non-multiple into the pivot
+        m[t], m[best[0]] = m[best[0]], m[t]
+        for row in m:
+            row[t], row[best[1]] = row[best[1]], row[t]
+        p = m[t][t]
         for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % m[t][t]:
-                    row_op(t, i, -1)  # add row i to row t, then restart
-                    dirty = True
-                    break
-            if dirty:
-                break
-        if dirty:
+            if q := m[i][t] // p:
+                m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+        for j in range(t + 1, cols):
+            if q := m[t][j] // p:
+                for row in m:
+                    row[j] -= q * row[t]
+        if any(m[i][t] for i in range(t + 1, rows)) or any(m[t][t + 1:]):
             continue
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    factors = tuple(m[i][i] for i in range(t) if m[i][i])
-    return SmithForm(
-        factors,
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in v),
-    )
+        bad = next((i for i in range(t + 1, rows) if any(x % p for x in m[i][t + 1:])), None)
+        if bad is None:
+            t += 1
+        else:
+            m[t] = [x + y for x, y in zip(m[t], m[bad])]
+    return tuple(abs(m[i][i]) for i in range(t))
 
 
 def torsion_order_check(c: BasedChainComplex) -> dict:
     """|tau(Q (x) C)| vs prod ord H_i ^ (-1)^{i+1} for an integer complex."""
-    for mat in c.boundaries:
-        for row in mat:
-            for x in row:
-                if Fraction(x).denominator != 1:
-                    raise DomainError("order check needs integer boundaries")
+    if any(x.denominator != 1 for mat in c.boundaries for row in mat for x in row):
+        raise DomainError("order check needs integer boundaries")
     if not is_acyclic(c):
         raise NotRationallyAcyclic("some H_i has positive rank")
     # Rationally acyclic: ker d_i is the saturation of im d_{i+1}, so H_i is
     # the torsion of Z^{n_i} / im d_{i+1}, of order the product of the
     # invariant factors of d_{i+1}
-    orders = [
-        abs(math.prod(smith_normal_form(c.boundary(i + 1)).invariant_factors))
-        for i in range(c.length + 1)
-    ]
+    orders = [math.prod(invariant_factors(mat)) for mat in c.boundaries] + [1]
     tau = torsion(c)
     predicted = Fraction(1)
     for i, order in enumerate(orders):

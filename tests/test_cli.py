@@ -101,6 +101,24 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error"] == "usage"
 
+    NEGATIVE_BUDGETS = [
+        ("--max-darts", "-5", "intersect", "-g", "0", "-n", "3"),
+        ("--max-matchings", "-1", "matrix", "genus", "--word", "tr2"),
+    ]
+
+    @pytest.mark.parametrize("argv", NEGATIVE_BUDGETS)
+    def test_negative_budget_is_two(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert json.loads(err) == {"error": "usage", "message": f"{argv[0]} must be >= 0"}
+
+    @pytest.mark.parametrize("argv", NEGATIVE_BUDGETS)
+    def test_zero_budget_is_a_budget_not_a_usage_error(self, capsys, argv):
+        code, out, err = invoke(capsys, argv[0], "0", *argv[2:])
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "budget"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -451,7 +469,8 @@ class TestSchurArgs:
             ("schur", "--partition", "40"),
             ("schur", "--partition", "36"),
             ("schur", "--partition", "1" + "0" * 30),
-            ("schur", "--partition", "16", "--check-hirota"),
+            # one past the edges: 19 with --check-hirota, 9 with --check-kp
+            ("schur", "--partition", "20", "--check-hirota"),
             ("schur", "--partition", "8,2", "--check-kp"),
         ],
     )
@@ -469,6 +488,10 @@ class TestSchurArgs:
             ("schur", "--partition", "1,1,1,1,1,1,1"),
             ("schur", "--partition", "12", "--check-hirota"),
             ("schur", "--partition", "3,2,1", "--check-kp", "--check-hirota"),
+            # at the --check-hirota edge; (19) is among its fastest partitions
+            ("schur", "--partition", "19", "--check-hirota"),
+            # the slowest partition of 16 (0.46 s on a 2-core VM)
+            ("schur", "--partition", "14,2", "--check-hirota"),
         ],
     )
     def test_request_under_budget_passes(self, capsys, argv):
@@ -579,6 +602,25 @@ class TestConfig:
             "--samples", "5000",
         )
         assert json.loads(out)["seed"] == 7
+
+    @pytest.mark.parametrize(
+        "key, argv",
+        [
+            ("max_darts", ("intersect", "-g", "0", "-n", "3")),
+            ("max_matchings", ("matrix", "genus", "--word", "tr2")),
+            ("cap", ("verify", "kdv")),
+        ],
+    )
+    def test_negative_budget_in_config_is_two(self, capsys, tmp_path, key, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: -1}))
+        code, out, err = invoke(capsys, "--config", str(cfg), *argv)
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert json.loads(err)["message"] == f"--{key.replace('_', '-')} must be >= 0"
+        # 0 is a valid budget; only a small cap has its own usage error
+        cfg.write_text(json.dumps({key: 0}))
+        assert "must be >= 0" not in invoke(capsys, "--config", str(cfg), *argv)[2]
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

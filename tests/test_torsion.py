@@ -1,18 +1,25 @@
-"""Tests for chain-complex torsion, Smith normal form, and the
+"""Tests for chain-complex torsion, invariant factors, and the
 order-of-homology and multiplicativity checks.
 
-Independent oracles: permutation-expansion determinants; Smith form is
-certified by re-multiplying the transforms (U A V = D, |det U| = |det V| =
-1, divisibility chain); torsion hand evaluations per the alternating
-determinant definition.
+Independent oracles: permutation-expansion determinants; invariant factors
+are certified by the determinantal divisors (d_1...d_k is the gcd of the
+k x k minors) and the divisibility chain; torsion by hand evaluations per
+the alternating determinant definition and by a second route that solves
+d_i X = b_{i-1} for the lifts.
 """
 
 import itertools
+import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from taubench.cli import run
 from taubench.errors import (
     DomainError,
     InvalidComplex,
@@ -20,14 +27,16 @@ from taubench.errors import (
     NotExact,
     NotRationallyAcyclic,
 )
+from taubench.exact import row_reduce
 from taubench.torsion import (
     BasedChainComplex,
+    _particular_solution,
     determinant,
     direct_sum,
+    invariant_factors,
     is_acyclic,
     random_acyclic_complex,
     ses_multiplicativity_check,
-    smith_normal_form,
     standard_sum_maps,
     torsion,
     torsion_order_check,
@@ -52,6 +61,37 @@ def det_oracle(m):
 
 def complex_5():
     return BasedChainComplex((1, 1), [[[5]]])
+
+
+def torsion_by_solved_lifts(c, lift_rng=None):
+    """The alternating determinant product with each lift solved from
+    d_i X = b_{i-1} (free variables zero) and b_i taken from a separate
+    elimination of d_{i+1}; the same RNG draws perturb the lifts."""
+    if not is_acyclic(c):
+        raise NotAcyclic("torsion requires an acyclic complex")
+    image_bases = []
+    for i in range(c.length + 1):
+        d_next = c.boundary(i + 1)
+        cols = row_reduce(d_next)[1]
+        image_bases.append([[d_next[r][j] for j in cols] for r in range(c.ranks[i])])
+    tau = Fraction(1)
+    for i in range(c.length + 1):
+        b_here = image_bases[i]
+        prev = image_bases[i - 1] if i else []
+        if i == 0 or not prev or not prev[0]:
+            lift = [[] for _ in range(c.ranks[i])]
+        else:
+            lift = _particular_solution(c.boundary(i), prev)
+            if lift_rng is not None and b_here and b_here[0]:
+                k = len(b_here[0])
+                for col in range(len(lift[0]) if lift else 0):
+                    coeffs = [lift_rng.randint(-3, 3) for _ in range(k)]
+                    for row in range(c.ranks[i]):
+                        lift[row][col] += sum(coeffs[j] * b_here[row][j] for j in range(k))
+        t_i = [b_here[r] + lift[r] for r in range(c.ranks[i])]
+        det = determinant(t_i) if t_i else Fraction(1)
+        tau *= det if (i + 1) % 2 == 0 else 1 / det
+    return tau
 
 
 class TestDeterminant:
@@ -131,6 +171,16 @@ class TestTorsion:
             for seed in range(10):
                 assert torsion(c, random.Random(seed)) == base
 
+    def test_agrees_with_solved_lifts(self):
+        # signed equality, and the lift RNG makes the same draws
+        rng = random.Random(29)
+        for trial in range(240):
+            c = random_acyclic_complex(rng, max_length=4, max_rank=6)
+            assert torsion(c) == torsion_by_solved_lifts(c), trial
+            ours, oracle = random.Random(trial), random.Random(trial)
+            assert torsion(c, ours) == torsion_by_solved_lifts(c, oracle), trial
+            assert ours.getstate() == oracle.getstate(), trial
+
     def test_based_change_scales_by_unimodular_det(self):
         # swap the C_0 basis of the rank-2 identity complex: P has det -1
         c = BasedChainComplex(
@@ -139,47 +189,46 @@ class TestTorsion:
         assert torsion(c) == -1
 
 
+def integer_matrices(max_size=5, bound=20):
+    return st.integers(1, max_size).flatmap(
+        lambda rows: st.integers(1, max_size).flatmap(
+            lambda cols: st.lists(
+                st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+    )
+
+
 class TestSmith:
-    def verify(self, a):
-        snf = smith_normal_form(a)
-        rows, cols = len(a), len(a[0]) if a else 0
-        u = [[Fraction(x) for x in row] for row in snf.U]
-        v = [[Fraction(x) for x in row] for row in snf.V]
-        assert abs(determinant(u)) == 1
-        assert abs(determinant(v)) == 1
-        prod = [
-            [
-                sum(
-                    u[i][k] * a[k][l] * v[l][j]
-                    for k in range(rows)
-                    for l in range(cols)
-                )
-                for j in range(cols)
+    def certify(self, a):
+        """d_1...d_k is the gcd of the k x k minors of a for k up to the
+        rank, and every larger minor vanishes."""
+        factors = invariant_factors(a)
+        rows, cols = len(a), len(a[0])
+        for k in range(1, min(rows, cols) + 1):
+            minors = [
+                int(det_oracle([[Fraction(a[i][j]) for j in cs] for i in rs]))
+                for rs in itertools.combinations(range(rows), k)
+                for cs in itertools.combinations(range(cols), k)
             ]
-            for i in range(rows)
-        ]
-        d = list(snf.invariant_factors)
-        for i in range(rows):
-            for j in range(cols):
-                expected = d[i] if i == j and i < len(d) else 0
-                assert prod[i][j] == expected
-        for x, y in zip(d, d[1:]):
+            expected = math.prod(factors[:k]) if k <= len(factors) else 0
+            assert math.gcd(*minors) == expected, (a, k, factors)
+        for x, y in zip(factors, factors[1:]):
             assert y % x == 0
-        assert all(x > 0 for x in d)
-        return snf
+        assert all(x > 0 for x in factors)
+        return factors
 
     def test_frozen_examples(self):
-        assert self.verify([[2, 0], [0, 3]]).invariant_factors == (1, 6)
-        assert smith_normal_form([[0, 0], [0, 0]]).invariant_factors == ()
-        assert self.verify([[5]]).invariant_factors == (5,)
+        assert self.certify([[2, 0], [0, 3]]) == (1, 6)
+        assert invariant_factors([[0, 0], [0, 0]]) == ()
+        assert self.certify([[5]]) == (5,)
 
-    def test_randomized_certification(self):
-        rng = random.Random(9)
-        for _ in range(15):
-            rows = rng.randint(1, 4)
-            cols = rng.randint(1, 4)
-            a = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-            self.verify(a)
+    @given(integer_matrices())
+    @settings(max_examples=120, deadline=None)
+    def test_randomized_certification(self, a):
+        self.certify(a)
 
     def test_det_preserved_for_nonsingular(self):
         rng = random.Random(13)
@@ -189,11 +238,58 @@ class TestSmith:
             d = det_oracle([[Fraction(x) for x in row] for row in a])
             if d == 0:
                 continue
-            product = 1
-            for f in smith_normal_form(a).invariant_factors:
-                product *= f
-            assert product == abs(d)
+            assert math.prod(invariant_factors(a)) == abs(d)
             found += 1
+
+
+# 10 x 10, entries in [-3, 3], det -682434.  A Smith loop that picks the
+# least entry only once per diagonal position and then chases remainders
+# through the pivot row and column lets the entries of this matrix grow
+# for over a minute.
+REPRO_10 = [
+    [1, -3, -3, 0, -1, -3, -3, 3, -3, 2],
+    [3, 0, 3, 0, -3, -1, 1, 0, 0, 3],
+    [3, -1, 0, -1, 1, -2, 1, -2, -1, -2],
+    [3, -3, 1, 3, -1, 1, 2, 3, 1, -2],
+    [-1, -3, 2, -3, 3, 2, -1, 0, 1, -3],
+    [-1, 0, -1, 1, 2, -2, 1, 0, 0, 3],
+    [1, -1, -3, 3, 1, -3, -3, 2, 3, 0],
+    [2, 3, 3, 2, 2, -3, 1, 0, 3, 3],
+    [-1, -2, 2, -1, 2, 3, -3, -2, 1, -2],
+    [-2, 3, -2, 3, 1, 0, -3, -3, -1, 1],
+]
+
+
+def timed_order_check(capsys, tmp_path, matrix):
+    """`torsion --order-check` on the one-boundary complex Z^n -> Z^n;
+    returns (exit code, payload, seconds)."""
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"ranks": [len(matrix)] * 2, "boundaries": [matrix]}))
+    start = time.perf_counter()
+    code = run(["torsion", "--complex", str(path), "--order-check"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, json.loads(out), elapsed
+
+
+class TestOrderCheckBound:
+    def test_ten_by_ten_repro(self, capsys, tmp_path):
+        code, payload, elapsed = timed_order_check(capsys, tmp_path, REPRO_10)
+        assert (code, payload["torsion"]) == (0, "-1/682434")
+        assert payload["order_check"]["orders"] == [682434, 1]
+        assert elapsed < 1
+
+    @pytest.mark.parametrize("n", [5, 10, 20, 30])
+    def test_nonsingular_boundary_with_large_entries(self, capsys, tmp_path, n):
+        rng = random.Random(n)
+        a = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(n)]
+        code, payload, elapsed = timed_order_check(capsys, tmp_path, a)
+        det = determinant([[Fraction(x) for x in row] for row in a])
+        assert det != 0
+        assert (code, payload["torsion"]) == (0, str(1 / det))
+        assert payload["order_check"]["orders"] == [abs(det), 1]
+        assert elapsed < 1
 
 
 class TestOrderTheorem:
