@@ -4,7 +4,10 @@ Every operator is an OperatorExpr: a normal-ordered sum of scalar *
 (variable monomial) * (derivative monomial) terms, built once and applied
 by OperatorExpr.image (OperatorExpr.apply for a series), the only applier
 here, as a sum of memoized basis columns: each monomial's image is computed
-once per operator and series family.  Two operator families are built:
+once per operator and series family.  Each operator has one denominator D,
+the lcm of its scalars' denominators; its columns hold D times the image in
+(Gaussian) integers, image returns these numerators and apply divides by D
+once per output term.  Two operator families are built:
 
 - the oscillator representation on C[x_1, x_2, ...] with a_n = d/dx_n,
   a_{-n} = hbar n x_n, a_0 = mu, and L_k built from the quadratic a-form
@@ -15,8 +18,8 @@ once per operator and series family.  Two operator families are built:
   (eta, nilpotent C, b_alpha, independent b^alpha).
 
 Q(i) lives here and only here: GaussianRational is born where the i*lambda
-terms of the oscillator L_k multiply in GR_I.  Every other coefficient stays
-an exact rational (int or Fraction).
+terms of the oscillator L_k multiply in GR_I (with int parts in the columns).
+Every other coefficient stays an exact rational (int or Fraction).
 """
 
 from __future__ import annotations
@@ -115,12 +118,20 @@ class OperatorExpr:
     """Finite sum of scalar * (variable monomial) * (derivative monomial) terms.
 
     Monomials are sorted tuples of variable names; derivatives act first.
-    Basis columns, filled lazily per (family, exponent), sit outside
-    equality, hash and repr.
+    The denominator D (the lcm of the denominators of the scalars' real and
+    imaginary parts) and the basis columns, filled lazily per (family,
+    exponent) with D times each image, sit outside equality, hash and repr.
     """
 
     terms: tuple[tuple[Fraction | GaussianRational, tuple[str, ...], tuple[str, ...]], ...]
     _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
+    _numerators: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        d = math.lcm(*(x.denominator for s, *_ in self.terms for x in (s.real, s.imag)))
+        object.__setattr__(self, "denominator", d)
+        object.__setattr__(self, "_numerators", tuple(_times(s, d) for s, *_ in self.terms))
 
     @classmethod
     def build(cls, raw) -> "OperatorExpr":
@@ -136,18 +147,21 @@ class OperatorExpr:
         return cls(tuple((c, *key) for key, c in sorted(combined.items()) if c))
 
     def apply(self, p: TruncatedSeries) -> TruncatedSeries:
-        """Apply to p: the sum of c * column(e) over the terms c * x^e of p.
+        """Apply to p: the sum of c * column(e) over the terms c * x^e of p,
+        divided by D once per output term.
 
         A derivative in a variable outside p's family annihilates its term.
         A nonzero result term past the cap, or one multiplied by a variable
         outside the family, raises TruncationError: nothing is dropped.
         """
         family = (p.variables, p.weights, p.cap)
-        return TruncatedSeries(*family, self.image(family, p.terms))
+        numerators = TruncatedSeries(*family, self.image(family, p.terms))
+        return numerators.scale(Fraction(1, self.denominator))
 
     def image(self, family, vector: dict) -> dict:
-        """The operator on a plain {exponent: coeff} vector over family
-        (variables, weights, cap); zero coefficients are skipped."""
+        """D times the operator on a plain {exponent: coeff} vector over
+        family (variables, weights, cap); zero coefficients are skipped.
+        Integer coefficients give integer (or Gaussian-integer) images."""
         columns = self._columns.setdefault(family, {})
         out: dict[tuple[int, ...], Fraction] = {}
         for expo, coeff in vector.items():
@@ -161,12 +175,12 @@ class OperatorExpr:
         return out
 
     def _column(self, family, expo: tuple[int, ...]) -> dict:
-        """The image of one basis monomial, by exponent arithmetic."""
+        """D times the image of one basis monomial, by exponent arithmetic."""
         variables, weights, cap = family
         index = {name: i for i, name in enumerate(variables)}
         degree = sum(e * w for e, w in zip(expo, weights))
-        out: dict[tuple[int, ...], Fraction] = {}
-        for scalar, tmono, dmono in self.terms:
+        out: dict[tuple[int, ...], int] = {}
+        for scalar, (_, tmono, dmono) in zip(self._numerators, self.terms):
             if any(name not in index for name in dmono):
                 continue
             lower = [index[name] for name in dmono]
@@ -189,6 +203,12 @@ class OperatorExpr:
             key = tuple(shifted)
             out[key] = out.get(key, 0) + scalar * factor
         return out
+
+
+def _times(scalar, d: int):
+    """d * scalar with int parts, for a scalar whose denominators divide d."""
+    parts = [int(x * d) for x in (scalar.real, scalar.imag)]
+    return GaussianRational(*parts) if isinstance(scalar, GaussianRational) else parts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +288,8 @@ def _window(weights: Sequence[int], bound: int) -> list[tuple[int, ...]]:
 
 
 def _commutator_images(a: OperatorExpr, b: OperatorExpr, c: OperatorExpr, family, expo):
-    """The images of [A, B] e and of C e, as plain dicts, for the basis
-    monomial e of exponent expo over family."""
+    """D_A D_B [A, B] e and D_C C e, as plain dicts of numerators, for the
+    basis monomial e of exponent expo over family."""
     basis = {expo: 1}
     bracket = a.image(family, b.image(family, basis))
     for key, v in b.image(family, a.image(family, basis)).items():
@@ -292,14 +312,17 @@ def oscillator_commutator_check(
     if m == -n:
         central = (1 + 12 * lam * lam) * Fraction(m**3 - m, 12)
     l_m, l_n, l_sum = (oscillator_virasoro(k, params, safe_cap) for k in (m, n, m + n))
+    # the residual times D_m D_n D_{m+n} c_den, in (Gaussian) integers
+    d_mn, d_sum, c_den = l_m.denominator * l_n.denominator, l_sum.denominator, central.denominator
     failures = []
     for expo in window:
-        residual, structure = _commutator_images(l_m, l_n, l_sum, family, expo)
+        bracket, structure = _commutator_images(l_m, l_n, l_sum, family, expo)
+        residual = {key: d_sum * c_den * v for key, v in bracket.items()}
         for key, c in structure.items():
-            residual[key] = residual.get(key, 0) + (n - m) * c
-        residual[expo] = residual.get(expo, 0) - central
+            residual[key] = residual.get(key, 0) + (n - m) * d_mn * c_den * c
+        residual[expo] = residual.get(expo, 0) - d_mn * d_sum * central.numerator
         if any(residual.values()):
-            residual = TruncatedSeries(*family, residual)
+            residual = TruncatedSeries(*family, residual).scale(Fraction(1, d_mn * d_sum * c_den))
             failures.append({"monomial": list(expo), "residual": repr(residual)})
     return {
         "m": m,
@@ -768,10 +791,11 @@ def target_commutator_report(
     else:
         l_sum = OperatorExpr.build([])
     entries = []
+    d_bracket = l_n1.denominator * l_n.denominator
     for expo in monomials:
         bracket, structure = _commutator_images(l_n1, l_n, l_sum, family, expo)
-        lhs = TruncatedSeries(*family, bracket)
-        structure = TruncatedSeries(*family, structure)
+        lhs = TruncatedSeries(*family, bracket).scale(Fraction(1, d_bracket))
+        structure = TruncatedSeries(*family, structure).scale(Fraction(1, l_sum.denominator))
         residual = lhs - structure.scale(n - n1)
         # conventions differ on the structure-constant sign, (n-m) versus
         # (m-n); record the residual under both readings

@@ -17,7 +17,7 @@ the Wick expansion of the cubic matrix integral and the ribbon-graph sum,
 and two numeric cross-checks: the normalization constant by a product of
 one-dimensional Gauss-Legendre rules, one per independent real coordinate
 of M, and the rank-2 Harish-Chandra/Itzykson-Zuber formula by Monte Carlo
-over Haar unitaries.
+over Haar unitaries.  Only these two import numpy, inside the functions.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .errors import (
     BudgetError,
@@ -373,6 +371,7 @@ def _formula_value(lams: Sequence[float]) -> float:
 
 def _gauss_legendre(scale: float, points: int) -> float:
     """Gauss-Legendre rule for int exp(-scale x^2/2) dx over +-14 std devs."""
+    import numpy as np
     nodes, weights = np.polynomial.legendre.leggauss(points)
     half = 14.0 / math.sqrt(scale)
     x = nodes * half
@@ -430,6 +429,7 @@ def gaussian_normalization_check(
 
 def _haar_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:
     """Batch of Haar U(2) by Gram-Schmidt with positive-real diagonal R."""
+    import numpy as np
     z = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
     q1 = z[:, :, 0]
     q1 = q1 / np.linalg.norm(q1, axis=1, keepdims=True)
@@ -470,6 +470,7 @@ def hciz_check(
         peak = closed = math.inf
     if not (math.isfinite(peak) and math.isfinite(closed)):
         raise DomainError("exp(x_i y_j) or the closed form is out of float range")
+    import numpy as np
     rng = np.random.default_rng(seed)
     values = np.empty(sample_count)
     chunk = 50_000

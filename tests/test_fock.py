@@ -11,7 +11,9 @@ criteria 6 and 7, defined in `taubench.suite` and run by
 `tests/test_acceptance.py`.
 """
 
+import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -145,6 +147,16 @@ def oracle_apply(op, p):
     return result
 
 
+def assert_integer_columns(op):
+    """Every memoized column holds D times an image: ints, or Gaussian
+    rationals with int parts."""
+    for columns in op._columns.values():
+        for column in columns.values():
+            for c in column.values():
+                parts = (c.real, c.imag) if isinstance(c, GaussianRational) else (c,)
+                assert all(type(x) is int for x in parts), (op, column)
+
+
 def outcome(apply, op, p):
     try:
         return apply(op, p)
@@ -154,33 +166,41 @@ def outcome(apply, op, p):
 
 FAMILIES = {"x": fock_space(6), "t": target_space(two_class_data(), 2, 6)}
 
+# the lambdas of acceptance criterion 6
+LAMBDAS = [Fraction(0), Fraction(1), Fraction(2, 3)]
+
 
 class TestApplyAgainstOracle:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("seed", range(4))
     def test_random_operators(self, family, seed):
+        # scalars with denominators up to 12 in both parts of Q(i), rational
+        # and integer ones among them; each raw list is applied once built and
+        # once as OperatorExpr(terms), with repeated monomials, unsorted
+        # names and zero scalars left in
         names, weights, cap = FAMILIES[family]
         window = list(weight_monomials(weights, cap))
         rng = random.Random(seed)
 
+        def part(top):
+            return Fraction(rng.randint(-top, top), rng.randint(1, 12))
+
         def scalar():
-            return GaussianRational(
-                Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-            )
+            kind = rng.randrange(3)
+            if kind == 0:
+                return rng.randint(-3, 3)
+            return part(5) if kind == 1 else GaussianRational(part(5), part(3))
 
         kinds = set()
         for _ in range(60):
-            op = OperatorExpr.build(
-                [
-                    (
-                        scalar(),
-                        [rng.choice(names) for _ in range(rng.randint(0, 2))],
-                        [rng.choice(names) for _ in range(rng.randint(0, 3))],
-                    )
-                    for _ in range(rng.randint(1, 5))
-                ]
-            )
+            raw = [
+                (
+                    scalar(),
+                    tuple(rng.choice(names) for _ in range(rng.randint(0, 2))),
+                    tuple(rng.choice(names) for _ in range(rng.randint(0, 3))),
+                )
+                for _ in range(rng.randint(1, 5))
+            ]
             p = TruncatedSeries(
                 names, weights, cap,
                 {rng.choice(window): scalar() for _ in range(rng.randint(1, 4))},
@@ -189,10 +209,14 @@ class TestApplyAgainstOracle:
             shared = {expo: scalar() for expo in p.terms}
             shared[rng.choice(window)] = scalar()
             q = TruncatedSeries(names, weights, cap, shared)
-            for series in (p, q):
-                got = outcome(OperatorExpr.apply, op, series)
-                assert got == outcome(oracle_apply, op, series), (op, series)
-                kinds.add(got is TruncationError)
+            for op in (OperatorExpr.build(raw), OperatorExpr(tuple(raw))):
+                parts = [x for s, *_ in op.terms for x in (Fraction(s.real), Fraction(s.imag))]
+                assert op.denominator == math.lcm(*(x.denominator for x in parts))
+                for series in (p, q):
+                    got = outcome(OperatorExpr.apply, op, series)
+                    assert got == outcome(oracle_apply, op, series), (op, series)
+                    kinds.add(got is TruncationError)
+                assert_integer_columns(op)
         assert kinds == {True, False}
 
     def test_truncating_column_is_not_memoized(self):
@@ -220,13 +244,26 @@ class TestApplyAgainstOracle:
             (target_virasoro_build(two_class_data(), k, 3), t_names, t_weights, t_cap)
             for k in (-1, 0, 2)
         ]
+        derived = {f.name for f in dataclasses.fields(OperatorExpr) if not f.compare}
+        assert derived == {"_columns", "denominator", "_numerators"}
+        assert all(not f.repr for f in dataclasses.fields(OperatorExpr) if f.name in derived)
+        denominators = []
         for op, *family in cases:
             before = (repr(op), hash(op))
             for expo in weight_monomials(family[1], 2):
-                op.apply(monomial(*family, expo))
+                p = monomial(*family, expo)
+                column = TruncatedSeries(*family, op.image(tuple(family), {expo: 1}))
+                assert op.apply(p) == column.scale(Fraction(1, op.denominator))
             assert op._columns
+            assert_integer_columns(op)
             fresh = OperatorExpr(op.terms)
+            assert not fresh._columns and fresh.denominator == op.denominator
             assert op == fresh and (repr(op), hash(op)) == before == (repr(fresh), hash(fresh))
+            denominators.append(op.denominator)
+        # oscillator: halves and the thirds of i lambda k, and (mu^2 +
+        # lambda^2)/2 = 25/72 in L_0; target: b = +-1/2 in L_0, the C and D
+        # coefficients in L_2
+        assert denominators == [6, 72, 6, 1, 2, 48]
 
     def test_repeated_derivatives_and_tt_terms(self):
         names, weights, cap = FAMILIES["t"]
@@ -364,29 +401,53 @@ class TestOscillatorVirasoro:
         assert lhs != rhs_no_central
         assert lhs == rhs_no_central + one.scale(central)
 
-    def test_shifted_l0_fails_with_the_applied_residual(self, monkeypatch):
-        # negative control through the column composition: L_0 + 1 breaks
-        # [L_2, L_-2] = 4 L_0 + central; each failure's residual is the one
-        # that apply gives by hand
-        built = fock.oscillator_virasoro
+    def _applied_control(self, monkeypatch, mutate, lam):
+        """Run the (2, -2) check with oscillator_virasoro mutated; every
+        window monomial must fail, each with the residual that apply gives
+        by hand.  Returns the failures' (monomial series, residual) pairs."""
+        built = oscillator_virasoro  # the module's own, imported before any patch
+        params = OscillatorParams(mu=Fraction(3, 2), lambda_param=lam)
 
-        def shifted(k, params, cap):
-            op = built(k, params, cap)
-            return OperatorExpr.build([*op.terms, (1, (), ())]) if k == 0 else op
+        def mutated(k, params, cap):
+            return mutate(k, built(k, params, cap))
 
-        monkeypatch.setattr(fock, "oscillator_virasoro", shifted)
+        monkeypatch.setattr(fock, "oscillator_virasoro", mutated)
         m, n, cap = 2, -2, 8
-        report = oscillator_commutator_check(m, n, self.params, safe_cap=cap)
+        report = oscillator_commutator_check(m, n, params, safe_cap=cap)
         assert report["all_zero"] is False
         assert len(report["failures"]) == report["window_size"]
         names, weights, series_cap = fock_space(cap)
-        l_m, l_n, l_sum = (shifted(k, self.params, cap) for k in (m, n, m + n))
-        central = (1 + 12 * self.params.lambda_param**2) * Fraction(m**3 - m, 12)
+        l_m, l_n, l_sum = (mutated(k, params, cap) for k in (m, n, m + n))
+        central = (1 + 12 * lam**2) * Fraction(m**3 - m, 12)
+        out = []
         for failure in report["failures"]:
             p = monomial(names, weights, series_cap, failure["monomial"])
             residual = l_m.apply(l_n.apply(p)) - l_n.apply(l_m.apply(p))
             residual = residual - l_sum.apply(p).scale(m - n) - p.scale(central)
-            assert failure["residual"] == repr(residual) == repr(p.scale(n - m))
+            assert failure["residual"] == repr(residual)
+            out.append((p, residual))
+        return out
+
+    def test_shifted_l0_fails_with_the_applied_residual(self, monkeypatch):
+        # negative control through the column composition: L_0 + 1 breaks
+        # [L_2, L_-2] = 4 L_0 + central by -4
+        def shifted(k, op):
+            return OperatorExpr.build([*op.terms, (1, (), ())]) if k == 0 else op
+
+        for lam in LAMBDAS:
+            for p, residual in self._applied_control(monkeypatch, shifted, lam):
+                assert residual == p.scale(-4)
+
+    def test_flipped_structure_sign_fails_with_the_applied_residual(self, monkeypatch):
+        # negative control: -L_0 in the structure term reads (m - n) for
+        # (n - m), leaving 2 (m - n) L_0 = 8 L_0
+        def negated(k, op):
+            return OperatorExpr.build([(-s, t, d) for s, t, d in op.terms]) if k == 0 else op
+
+        for lam in LAMBDAS:
+            l0 = oscillator_virasoro(0, OscillatorParams(mu=Fraction(3, 2), lambda_param=lam), 8)
+            for p, residual in self._applied_control(monkeypatch, negated, lam):
+                assert residual == l0.apply(p).scale(8)
 
     def test_insufficient_cap(self):
         with pytest.raises(InsufficientCap):

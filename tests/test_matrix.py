@@ -471,6 +471,25 @@ class TestGaussianNormalization:
             [sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path}
         )
 
+    def test_exact_paths_do_not_import_numpy(self):
+        # numpy is imported inside the two numeric checks only
+        code = (
+            "import contextlib, io, sys\n"
+            "import taubench.cli, taubench.suite, taubench.ribbon, taubench.exact\n"
+            "import taubench.kdv, taubench.fock, taubench.schur, taubench.wick\n"
+            "import taubench.torsion\n"
+            "from taubench.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert run(['intersect', '-g', '0', '-n', '3']) == 0\n"
+            "    assert run(['verify', 'kdv']) == 0\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        subprocess.run(
+            [sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path}
+        )
+
 
 class TestHciz:
     def test_generic_configurations(self):

@@ -19,8 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taubench import torsion as torsion_module
 from taubench.cli import run
 from taubench.errors import (
+    BudgetError,
     DomainError,
     InvalidComplex,
     NotAcyclic,
@@ -289,6 +291,53 @@ class TestOrderCheckBound:
         assert det != 0
         assert (code, payload["torsion"]) == (0, str(1 / det))
         assert payload["order_check"]["orders"] == [abs(det), 1]
+        assert elapsed < 1
+
+
+class TestEliminationBudget:
+    def test_price_at_the_edge(self, monkeypatch):
+        # rows x cols x min(rows, cols) x bits of the largest numerator or
+        # denominator, summed over the maps: 2*3*2*3 + 3*1*1*1 = 39
+        ranks, maps = (2, 3, 1), [[[1, Fraction(-7, 2), 0], [0, 0, 0]], [[0], [0], [1]]]
+        monkeypatch.setattr(torsion_module, "MAX_ELIMINATION_WORK", 39)
+        assert BasedChainComplex(ranks, maps).ranks == ranks
+        monkeypatch.setattr(torsion_module, "MAX_ELIMINATION_WORK", 38)
+        with pytest.raises(BudgetError, match="elimination work 39 exceeds the budget 38"):
+            BasedChainComplex(ranks, maps)
+
+    def test_shipped_edge(self):
+        # 46x46 in +-1000 is accepted (about 2 s to eliminate), 47x47 is not;
+        # both are priced without eliminating
+        for n, accepted in ((46, True), (47, False)):
+            a = [[1000 if i == j else 0 for j in range(n)] for i in range(n)]
+            if accepted:
+                assert BasedChainComplex((n, n), [a]).ranks == (n, n)
+            else:
+                with pytest.raises(BudgetError):
+                    BasedChainComplex((n, n), [a])
+
+    @pytest.mark.parametrize("order_check", [False, True])
+    def test_oversized_request_exits_3_before_any_elimination(
+        self, capsys, tmp_path, monkeypatch, order_check
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eliminated before the budget check")
+
+        for name in ("row_reduce", "determinant", "mat_mul", "invariant_factors"):
+            monkeypatch.setattr(torsion_module, name, refuse)
+        rng = random.Random(60)
+        a = [[rng.randint(-1000, 1000) for _ in range(60)] for _ in range(60)]
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps({"ranks": [60, 60], "boundaries": [a]}))
+        start = time.perf_counter()
+        code = run(["torsion", "--complex", str(path)] + ["--order-check"] * order_check)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "budget",
+            "message": "elimination work 2160000 exceeds the budget 1000000",
+        }
         assert elapsed < 1
 
 
