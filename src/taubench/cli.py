@@ -89,7 +89,17 @@ def _emit(payload, config: RunConfig, csv_rows=None) -> None:
         text = "\n".join(",".join(str(cell) for cell in row) for row in csv_rows)
         text += "\n"
     else:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        # the payload's ints are computed, not read: the interpreter's limit on
+        # int-to-str digits (0 is none; Python >= 3.10.7) guards parsing, so it
+        # is lifted while they are written
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -273,6 +283,7 @@ def _cmd_matrix_normalization(args, config):
 
 
 def _cmd_torsion(args, config):
+    from .exact import rational_to_str
     from .torsion import BasedChainComplex, is_acyclic, torsion, torsion_order_check
 
     with open(args.complex, "r", encoding="utf-8") as handle:
@@ -283,7 +294,7 @@ def _cmd_torsion(args, config):
         payload.update(torsion=report["torsion"], order_check=report)
         return payload, None, report["pass"]
     if payload["acyclic"]:
-        payload["torsion"] = str(torsion(complex_))
+        payload["torsion"] = rational_to_str(torsion(complex_))
     return payload, None, True
 
 

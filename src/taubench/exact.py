@@ -22,11 +22,28 @@ Exponents = tuple[int, ...]
 
 
 def rational_to_str(q: Fraction) -> str:
-    """Serialize p/q, omitting the denominator when it is 1."""
+    """Serialize p/q, omitting the denominator when it is 1, at any length."""
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _decimal(q.numerator)
+    return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    """n in base 10 at any length.
+
+    str() refuses an int over sys.get_int_max_str_digits() digits (4300 by
+    default, never under 640), a guard meant for parsing input.  A computed
+    value is split by a power of ten into halves, each written by str() once
+    it is under 600 digits (2^1990 < 10^600).
+    """
+    if n.bit_length() <= 1990:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
 
 
 def double_factorial(n: int) -> int:

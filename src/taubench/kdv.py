@@ -1,9 +1,9 @@
 """Free-energy assembly and exact KdV / string-equation residuals.
 
-The free energy F(t_0..t_K) collects amplitudes from an IntersectionTable:
-the coefficient of prod t_i^{k_i} is the amplitude with k_i insertions of
-index i, divided by prod k_i!, at the genus forced by the dimension
-constraint sum(d_i) = 3g - 3 + n.  A table never covers every (g, n), so
+The free energy F(t_0..t_K) is built from the (g, n) blocks, the index
+tuples with sum(d_i) = 3g - 3 + n (the dimension of M_{g,n}), each walked
+once: the entry (g, d) over prod k_i! is the coefficient of prod t_i^{k_i},
+k_i the number of d_j equal to i.  A table never covers every block, so
 every series here carries a mask of monomials whose coefficients are not
 fully determined; residual coefficients are classified as verified_zero,
 uncovered or nonzero accordingly.
@@ -15,7 +15,6 @@ the mutation harness computes them once; an entry costs one plain residual.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -29,34 +28,14 @@ from .exact import (
     t_variables,
     weight_monomials,
 )
-from .ribbon import IntersectionTable, entry_key
+from .ribbon import IntersectionTable, block_indices, entry_key
 
 DEFAULT_CAP = 8
 DEFAULT_MAX_INDEX = 4
-# Most t-monomials a free energy may span: C(cap + K + 1, K + 1) over
-# t_0..t_K.  With K = 4 that is 1287 at cap 8, 3003 at cap 10 and 4368 at
-# cap 11; cap 12 (6188) is refused.
+# Most t-monomials in the longest walk, the string window: degree <= cap - 1
+# in t_0..t_K, C(cap + K, K + 1).  With K = 4 that is 1287 at cap 9, 3003 at
+# cap 11 and 4368 at cap 12; cap 13 (6188) is refused.
 MAX_FREE_ENERGY_MONOMIALS = 5000
-
-
-def _forced_genus(dsum: int, n: int) -> int | None:
-    """Genus forced by sum(d_i) = 3g - 3 + n, or None if no genus fits."""
-    num = dsum - n + 3
-    if num < 0 or num % 3:
-        return None
-    return num // 3
-
-
-def _fed_monomial(key, max_genus: int, max_index: int) -> tuple[Exponents, Fraction] | None:
-    """The F monomial prod t_i^{k_i} a table entry (g, indices) feeds, with
-    its weight 1 / prod k_i!; None for an entry F leaves out (genus above
-    max_genus, an index above max_index, or a genus the dimension rules out)."""
-    g, dtuple = key
-    if (g > max_genus or not dtuple or max(dtuple) > max_index
-            or _forced_genus(sum(dtuple), len(dtuple)) != g):
-        return None
-    expo = tuple(dtuple.count(i) for i in range(max_index + 1))
-    return expo, Fraction(1, math.prod(map(math.factorial, expo)))
 
 
 @dataclass(frozen=True)
@@ -132,6 +111,8 @@ class FreeEnergy:
     coverage_gap: tuple[tuple[int, int, tuple[int, ...]], ...]  # missing (g,n,d)
     max_index: int
     cap: int
+    # (g, d) of each entry read -> (prod t_i^{k_i}, 1 / prod k_i!); not compared
+    entry_monomials: dict = field(compare=False, repr=False)
 
     def masked(self) -> MaskedSeries:
         return MaskedSeries(self.series, self.mask)
@@ -143,57 +124,41 @@ def assemble_free_energy(
     cap: int = DEFAULT_CAP,
     max_index: int = DEFAULT_MAX_INDEX,
 ) -> FreeEnergy:
-    """Build F from the table; monomials the table cannot determine are
-    masked and listed in the coverage gap (no exception: the gap report is
-    the contract, since no finite table covers every monomial in the cap)."""
-    monomials = math.comb(cap + max_index + 1, max_index + 1)
+    """Build F from each block (g, n) with n <= cap and indices <= max_index.
+    A covered block (g <= max_genus, (g, n) in the table) writes its entries;
+    any other block's monomials are masked and listed in the coverage gap (no
+    exception: the gap report is the contract, no finite table covers all)."""
+    monomials = math.comb(cap + max_index, max_index + 1)
     if monomials > MAX_FREE_ENERGY_MONOMIALS:
         raise BudgetError(
-            f"{monomials} t-monomials up to degree {cap} in t0..t{max_index}"
+            f"{monomials} t-monomials up to degree {cap - 1} in t0..t{max_index}"
             f" exceed {MAX_FREE_ENERGY_MONOMIALS}"
         )
     names, weights, cap = t_variables(max_index, cap)
     provenance = table.fragments()
-    mask: set[Exponents] = set()
-    gap: list[tuple[int, int, tuple[int, ...]]] = []
-    for expo in weight_monomials(weights, cap):
-        n = sum(expo)
-        if n == 0:
-            continue  # F has no constant term
-        dsum = sum(i * k for i, k in enumerate(expo))
-        g = _forced_genus(dsum, n)
-        if g is None:
-            continue  # dimension constraint forces an exact zero
-        dtuple = tuple(
-            sorted(
-                itertools.chain.from_iterable([i] * k for i, k in enumerate(expo)),
-                reverse=True,
-            )
-        )
-        if g <= max_genus and (g, n) in provenance:
-            if (g, dtuple) not in table.entries:
-                raise DomainError(f"table fragment ({g},{n}) missing {dtuple}")
-        else:
-            mask.add(expo)
-            gap.append((g, n, dtuple))
-    terms: dict[Exponents, Fraction] = {}
-    for key, value in table.entries.items():
-        if fed := _fed_monomial(key, max_genus, max_index):
-            terms[fed[0]] = value * fed[1]
-    series = TruncatedSeries(names, weights, cap, terms)
-    # provenance audit: every used entry was routed to its unique forced genus
-    for expo in series.terms:
-        n = sum(expo)
-        dsum = sum(i * k for i, k in enumerate(expo))
-        g = _forced_genus(dsum, n)
-        assert g is not None and (g, n) in provenance
+    terms, read, mask, gap = {}, {}, set(), []
+    for n in range(1, cap + 1):
+        for g in range((max_index - 1) * n // 3 + 2):  # 3g - 3 + n <= max_index * n
+            covered = g <= max_genus and (g, n) in provenance
+            for dtuple in block_indices(g, n, max_index):
+                expo = tuple(dtuple.count(i) for i in range(max_index + 1))
+                if not covered:
+                    mask.add(expo)
+                    gap.append((g, n, dtuple))
+                elif (g, dtuple) not in table.entries:
+                    raise DomainError(f"table fragment ({g},{n}) missing {dtuple}")
+                else:
+                    weight = Fraction(1, math.prod(map(math.factorial, expo)))
+                    read[g, dtuple] = expo, weight
+                    terms[expo] = table.entries[g, dtuple] * weight
     return FreeEnergy(
-        series=series,
+        series=TruncatedSeries(names, weights, cap, terms),
         mask=frozenset(mask),
         provenance=frozenset(provenance),
-        coverage_gap=tuple(sorted(set(gap))),
+        coverage_gap=tuple(sorted(gap)),
         max_index=max_index,
         cap=cap,
+        entry_monomials=read,
     )
 
 
@@ -297,18 +262,19 @@ def mutation_report(
     coefficient of the KdV or the string residual that is nonzero.
 
     The masks and windows come from the two masked residuals of the table's
-    own F, computed once.  An entry moves one F coefficient by its weight,
-    so each entry costs one plain-series residual per formula."""
+    own F, computed once.  An entry moves the one F coefficient the assembly
+    recorded for it by its weight, so each entry costs one plain-series
+    residual per formula."""
     if not table.entries:
         return {}
     fe = assemble_free_energy(table, max_genus, cap, max_index)
     bases = [(_kdv_formula, kdv_residual(fe)), (_string_formula, string_residual(fe))]
     out = {}
-    for g, dtuple in sorted(table.entries):
+    for key in sorted(table.entries):
         f = fe.series
-        if fed := _fed_monomial((g, dtuple), max_genus, max_index):
-            f = f + TruncatedSeries(f.variables, f.weights, f.cap, {fed[0]: fed[1]})
-        out[entry_key(g, dtuple)] = sorted(
+        if key in fe.entry_monomials:
+            f = f + TruncatedSeries(f.variables, f.weights, f.cap, dict([fe.entry_monomials[key]]))
+        out[entry_key(*key)] = sorted(
             f"{base.name}:{monomial_name(f.variables, expo)}"
             for formula, base in bases
             for expo in formula(f).terms

@@ -341,19 +341,24 @@ def entry_key(g: int, d: tuple[int, ...]) -> str:
     return f"g{g}:({','.join(map(str, d))})"
 
 
-def _exponent_multisets(total: int, n: int) -> list[tuple[int, ...]]:
-    """Descending tuples (d_1 >= ... >= d_n >= 0) with sum `total`."""
+def block_indices(g: int, n: int, largest: int | None = None) -> list[tuple[int, ...]]:
+    """Descending tuples (d_1 >= ... >= d_n >= 0) of block (g, n): sum(d_i) =
+    3g - 3 + n, each d_i <= largest when given.  A branch stops once the
+    slots left cannot hold the remaining sum."""
+    total = 3 * g - 3 + n
     out = []
 
     def rec(remaining, slots, bound, prefix):
         if slots == 0:
             if remaining == 0:
-                out.append(tuple(prefix))
+                out.append(prefix)
             return
-        for d in range(min(remaining, bound), -1, -1):
-            rec(remaining - d, slots - 1, d, prefix + [d])
+        # the later slots are each at most d, so d >= remaining / slots
+        for d in range(min(remaining, bound), -(-remaining // slots) - 1, -1):
+            rec(remaining - d, slots - 1, d, prefix + (d,))
 
-    rec(total, n, total, [])
+    if total >= 0:
+        rec(total, n, total if largest is None else largest, ())
     return out
 
 
@@ -399,7 +404,7 @@ def extract_intersection_numbers(
     if total < 0:
         raise Unstable(f"negative dimension for (g, n) = ({g}, {n})")
     _trivalent_darts(g, n, max_darts)  # refuse an over-budget block before any row
-    multisets = _exponent_multisets(total, n)
+    multisets = block_indices(g, n)
     unknowns = len(multisets)
     count = max(unknowns + 1, -(-unknowns * 5 // 4))
     points = _sample_points(n, count, denom)

@@ -231,8 +231,8 @@ def torsion_order_check(c: BasedChainComplex) -> dict:
         predicted = predicted * order if (i + 1) % 2 == 0 else predicted / order
     return {
         "orders": orders,
-        "torsion": str(tau),
-        "predicted_abs": str(predicted),
+        "torsion": rational_to_str(tau),
+        "predicted_abs": rational_to_str(predicted),
         "pass": abs(tau) == predicted,
     }
 
@@ -299,10 +299,10 @@ def ses_multiplicativity_check(
     lhs = abs(tau_c)
     rhs = basis_factor * abs(tau_p) * abs(tau_pp)
     return {
-        "torsion_C": str(tau_c),
-        "torsion_Cprime": str(tau_p),
-        "torsion_Cdoubleprime": str(tau_pp),
-        "basis_factor": str(basis_factor),
+        "torsion_C": rational_to_str(tau_c),
+        "torsion_Cprime": rational_to_str(tau_p),
+        "torsion_Cdoubleprime": rational_to_str(tau_pp),
+        "basis_factor": rational_to_str(basis_factor),
         "abs_equal": lhs == rhs,
         "sign": "+" if tau_c * tau_p * tau_pp > 0 else "-",
     }

@@ -36,7 +36,7 @@ from .errors import (
     NumericError,
     Unsupported,
 )
-from .exact import TruncatedSeries, double_factorial
+from .exact import TruncatedSeries, double_factorial, rational_to_str
 from .ribbon import kontsevich_sum
 
 DEFAULT_MAX_MATCHINGS = 20_000
@@ -332,16 +332,16 @@ def kontsevich_match(
 
     report = {
         "N": N,
-        "lambda": [str(v) for v in lams],
+        "lambda": [rational_to_str(v) for v in lams],
         "vertex_order": vertex_order,
-        "wick_log": {str(v): str(wick_log[v]) for v in graph},
-        "graph_side": {str(v): str(graph[v]) for v in graph},
+        "wick_log": {str(v): rational_to_str(wick_log[v]) for v in graph},
+        "graph_side": {str(v): rational_to_str(graph[v]) for v in graph},
         "agree": all(wick_log[v] == graph[v] for v in graph),
     }
     if vertex_order >= 2:
         t = source_times(lams, 2)
         free_energy = t[0] ** 3 / 6 + t[1] / 24
-        report["free_energy_order2"] = str(free_energy)
+        report["free_energy_order2"] = rational_to_str(free_energy)
         report["order2_agrees"] = wick_log[2] == free_energy
     if not report["agree"] or not report.get("order2_agrees", True):
         raise ConventionMismatch("Wick/graph expansion mismatch", ratios=report)

@@ -4,8 +4,12 @@ output against the versioned schemas shipped in /schemas."""
 
 import contextlib
 import io
+import itertools
 import json
+import math
 import pathlib
+import random
+import sys
 import tempfile
 import time
 import warnings
@@ -318,7 +322,7 @@ class TestVirasoroArgs:
             ("virasoro", "oscillator", "--cap", "16", "--max-mode", "5"),
             # refused before one monomial tuple of the cap's length is built
             ("virasoro", "oscillator", "--cap", "1000000"),
-            # C(21, 5) = 20349 free-energy monomials in t0..t4
+            # C(20, 5) = 15504 monomials in the string window, degree <= 15 in t0..t4
             ("--cap", "16", "verify", "kdv"),
             # 120 darts: refused before the first sample row is built
             ("intersect", "-g", "8", "-n", "6"),
@@ -753,6 +757,113 @@ class TestJsonInputs:
             assert_one_error_line(err)
         else:
             assert err == ""
+
+def run_on_text(text, *argv):
+    """run(argv) with the raw text written to a file in place of "{}"."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "input.json"
+        path.write_text(text)
+        argv = [str(path) if arg == "{}" else arg for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift the interpreter's int-to-str digit limit in the test itself, to
+    read and write the expected values; never around run()."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations, apart from the
+    elimination the torsion runs."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+# a 5x5 boundary of 999-digit entries: det(d_1) has about 4995 digits
+_RNG = random.Random(5)
+WIDE_ROWS = [
+    [_RNG.choice((1, -1)) * _RNG.randrange(10**998, 10**999) for _ in range(5)] for _ in range(5)
+]
+
+
+class TestPastTheDigitLimit:
+    """A valid request whose exact result has over 4300 digits prints it in
+    full with exit 0; an input integer over 4300 digits still exits 2 before
+    any work."""
+
+    @pytest.mark.parametrize("order_check", [False, True])
+    def test_torsion_of_a_wide_boundary(self, order_check):
+        det = leibniz_det(WIDE_ROWS)
+        wide = {"ranks": [5, 5], "boundaries": [[[str(x) for x in row] for row in WIDE_ROWS]]}
+        argv = ("torsion", "--complex", "{}") + ("--order-check",) * order_check
+        code, out, err = run_on_json(wide, *argv)
+        assert (code, err) == (0, "")
+        with no_digit_limit():
+            assert len(str(abs(det))) > 4300
+            payload = json.loads(out)
+            expected = f"{'-' * (det < 0)}1/{abs(det)}"  # tau = 1 / det d_1
+        assert payload["torsion"] == expected
+        if order_check:
+            assert payload["order_check"]["orders"] == [abs(det), 1]
+            assert payload["order_check"]["predicted_abs"] == expected.lstrip("-")
+            assert payload["order_check"]["pass"] is True
+
+    def test_moment_with_a_wide_denominator(self, capsys):
+        # <(tr M^2)^5> = 945 / lambda^5 at N = 1, here 189 / (2 * 10^4949)
+        code, out, err = invoke(
+            capsys, "matrix", "moment", "--N", "1", "--word", "tr2^5", "--lambda", "1" + "0" * 990
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["moment"] == "189/2" + "0" * 4949
+
+    def test_match_with_wide_lambdas(self, capsys):
+        lams = f"1{'0' * 799},2{'0' * 799},3{'0' * 798}7"  # 800 digits each
+        code, out, err = invoke(capsys, "matrix", "match", "--order", "2", "--lambda", lams)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["agree"] is payload["order2_agrees"] is True
+        value = payload["graph_side"]["2"]
+        assert value == payload["wick_log"]["2"] == payload["free_energy_order2"]
+        assert len(value.split("/")[1]) > 4300
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (("torsion", "--complex", "{}"), '{"ranks":[1,1],"boundaries":[[[1%s]]]}'),
+            (("virasoro", "target", "--data", "{}"),
+             '{"eta":[[1%s]],"cmat":[[0]],"b":["1/2"],"b_raised":["1/2"]}'),
+        ],
+    )
+    def test_a_json_literal_over_the_limit_is_two_at_once(self, argv, text):
+        start = time.perf_counter()
+        code, out, err = run_on_text(text % ("0" * 4300), *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert "Exceeds the limit (4300 digits)" in json.loads(err)["message"]
+
+    def test_an_argv_integer_over_the_limit_is_two_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "intersect", "-g", "0", "-n", "1" + "0" * 4300)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert "invalid int value" in json.loads(err)["message"]
+
 
 class TestOutputs:
     def test_csv_intersect(self, capsys):

@@ -3,9 +3,10 @@
 Heisenberg and Virasoro relations are swept over guarded monomial
 windows, and OperatorExpr.apply is compared with `oracle_apply`, the
 diff-and-multiply route kept here as the reference.  The printed B^(m)
-display of L_k (`bm_display`) and the diagonal resummation of vertex
-operator coefficients (`vertex_diagonal_resum`) live here too: only these
-tests use them.  The full closure sweep with its central charge and the
+display of L_k (`bm_display`), the vertex operator Gamma(u, v)
+(`vertex_operator_apply`) and the diagonal resummation of its
+coefficients (`vertex_diagonal_resum`) live here too: only these tests use
+them.  The full closure sweep with its central charge and the
 elementary-symmetric oracle grid for coeff_C/coeff_D are acceptance
 criteria 6 and 7, defined in `taubench.suite` and run by
 `tests/test_acceptance.py`.
@@ -47,7 +48,6 @@ from taubench.fock import (
     target_commutator_report,
     target_space,
     target_virasoro_build,
-    vertex_operator_apply,
 )
 
 
@@ -96,6 +96,88 @@ def bm_display_diff_report(params: OscillatorParams, cap: int = 8, k_range=(-2, 
                 }
             )
     out["all_agree"] = all(e["agree"] for e in out["entries"])
+    return out
+
+
+def vertex_operator_apply(
+    p: TruncatedSeries, u_order: int, v_order: int
+) -> dict[tuple[int, int], TruncatedSeries]:
+    """Coefficients of u^a v^b in Gamma(u, v) p, where
+    Gamma = exp(sum_j (u^j - v^j) x_j) exp(-sum_j ((u^-j - v^-j)/j) d_j).
+
+    Returns every (a, b) with a <= u_order and b <= v_order; negative powers
+    come only from the derivative factor and are bounded by the weight of p,
+    so all returned coefficients are complete (internal expansion overshoots
+    by that weight).
+    """
+    if u_order < 0 or v_order < 0:
+        raise DomainError("expansion orders must be nonnegative")
+    cap = p.cap
+    margin = max((p.degree_of(e) for e in p.terms), default=0)
+    zero = TruncatedSeries.zero(p.variables, p.weights, cap)
+
+    def add(d, key, series):
+        if series.is_zero():
+            return
+        acc = d.get(key, zero) + series
+        if acc.is_zero():
+            d.pop(key, None)
+        else:
+            d[key] = acc
+
+    # derivative factor, exp of a nilpotent operator on the polynomial p
+    lower: dict[tuple[int, int], TruncatedSeries] = {(0, 0): p}
+    term = {(0, 0): p}
+    s = 0
+    while term:
+        nxt: dict[tuple[int, int], TruncatedSeries] = {}
+        for (a, b), series in term.items():
+            for j in range(1, len(p.variables) + 1):
+                d = series.diff(f"x{j}")
+                if d.is_zero():
+                    continue
+                add(nxt, (a - j, b), d.scale(Fraction(-1, j)))
+                add(nxt, (a, b - j), d.scale(Fraction(1, j)))
+        s += 1
+        term = {key: series.scale(Fraction(1, s)) for key, series in nxt.items()}
+        for key, series in term.items():
+            add(lower, key, series)
+
+    # multiplication factor exp(sum_j (u^j - v^j) x_j), expanded past the
+    # requested orders by the weight of p so sums below are complete
+    u_hi, v_hi = u_order + margin, v_order + margin
+    raise_ops = []
+    for j in range(1, min(cap, max(u_hi, v_hi)) + 1):
+        xj = TruncatedSeries.variable(p.variables, p.weights, cap, f"x{j}")
+        if j <= u_hi:
+            raise_ops.append(((j, 0), xj))
+        if j <= v_hi:
+            raise_ops.append(((0, j), xj.scale(-1)))
+    one = TruncatedSeries.constant(p.variables, p.weights, cap, 1)
+    upper: dict[tuple[int, int], TruncatedSeries] = {(0, 0): one}
+    term = {(0, 0): one}
+    s = 0
+    while term:
+        nxt = {}
+        for (a, b), series in term.items():
+            for (da, db), op in raise_ops:
+                if a + da > u_hi or b + db > v_hi:
+                    continue
+                prod = op * series
+                if not prod.is_zero():
+                    add(nxt, (a + da, b + db), prod)
+        s += 1
+        term = {key: series.scale(Fraction(1, s)) for key, series in nxt.items()}
+        for key, series in term.items():
+            add(upper, key, series)
+
+    out: dict[tuple[int, int], TruncatedSeries] = {}
+    for (a1, b1), s1 in upper.items():
+        for (a2, b2), s2 in lower.items():
+            key = (a1 + a2, b1 + b2)
+            if key[0] > u_order or key[1] > v_order:
+                continue
+            add(out, key, s1 * s2)
     return out
 
 

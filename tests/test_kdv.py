@@ -2,7 +2,9 @@
 
 import functools
 import hashlib
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,13 +14,15 @@ from hypothesis import strategies as st
 from taubench.errors import BudgetError, DomainError
 from taubench.exact import TruncatedSeries, t_variables, weight_monomials, x_variables
 from taubench.kdv import (
+    MAX_FREE_ENERGY_MONOMIALS,
+    FreeEnergy,
     MaskedSeries,
     assemble_free_energy,
     kdv_residual,
     mutation_report,
     string_residual,
 )
-from taubench.ribbon import IntersectionTable, base_table
+from taubench.ribbon import IntersectionTable, base_table, block_indices
 
 
 def status_of(report, expo):
@@ -69,6 +73,133 @@ class TestAssembly:
 
     def test_provenance(self, free_energy):
         assert free_energy.provenance == {(0, 3), (0, 4), (1, 1), (1, 2)}
+
+
+def _forced_genus(dsum, n):
+    """Genus forced by sum(d_i) = 3g - 3 + n, or None if no genus fits."""
+    num = dsum - n + 3
+    if num < 0 or num % 3:
+        return None
+    return num // 3
+
+
+def oracle_assemble_free_energy(table, max_genus=1, cap=8, max_index=4):
+    """Reference assembly, the walk the block walk replaced: every t-monomial
+    up to the cap, its genus derived from the dimension constraint, then a
+    second pass over the table entries.  It has no budget, so every cap the
+    block walk accepts can be compared."""
+    names, weights, cap = t_variables(max_index, cap)
+    provenance = table.fragments()
+    mask = set()
+    gap = []
+    for expo in weight_monomials(weights, cap):
+        n = sum(expo)
+        if n == 0:
+            continue  # F has no constant term
+        g = _forced_genus(sum(i * k for i, k in enumerate(expo)), n)
+        if g is None:
+            continue  # dimension constraint forces an exact zero
+        dtuple = tuple(
+            sorted(
+                itertools.chain.from_iterable([i] * k for i, k in enumerate(expo)),
+                reverse=True,
+            )
+        )
+        if g <= max_genus and (g, n) in provenance:
+            if (g, dtuple) not in table.entries:
+                raise DomainError(f"table fragment ({g},{n}) missing {dtuple}")
+        else:
+            mask.add(expo)
+            gap.append((g, n, dtuple))
+    terms = {}
+    read = {}
+    for (g, dtuple), value in table.entries.items():
+        if (g > max_genus or not dtuple or max(dtuple) > max_index
+                or _forced_genus(sum(dtuple), len(dtuple)) != g):
+            continue  # an entry F leaves out
+        expo = tuple(dtuple.count(i) for i in range(max_index + 1))
+        weight = Fraction(1, math.prod(map(math.factorial, expo)))
+        terms[expo] = value * weight
+        if len(dtuple) <= cap:  # the series drops a monomial over the cap
+            read[g, dtuple] = expo, weight
+    return FreeEnergy(
+        series=TruncatedSeries(names, weights, cap, terms),
+        mask=frozenset(mask),
+        provenance=frozenset(provenance),
+        coverage_gap=tuple(sorted(set(gap))),
+        max_index=max_index,
+        cap=cap,
+        entry_monomials=read,
+    )
+
+
+def accepted_caps(max_index):
+    """Every cap whose longest walk, C(cap + K, K + 1) monomials, fits the
+    budget."""
+    return itertools.takewhile(
+        lambda cap: math.comb(cap + max_index, max_index + 1) <= MAX_FREE_ENERGY_MONOMIALS,
+        itertools.count(),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def genus_two_table(max_darts):
+    """The base table with genus 2 extracted too: (2, 1) at 18 darts."""
+    return base_table(max_genus=2, max_darts=max_darts)
+
+
+class TestBlockWalk:
+    @pytest.mark.parametrize("largest", [None, 0, 1, 2, 3, 4])
+    def test_block_indices_match_a_product_filter(self, largest):
+        for g in range(4):
+            for n in range(7):
+                total = 3 * g - 3 + n
+                top = total if largest is None else largest
+                brute = [
+                    d for d in itertools.product(range(top + 1), repeat=n)
+                    if sum(d) == total and list(d) == sorted(d, reverse=True)
+                ]
+                assert block_indices(g, n, largest) == sorted(brute, reverse=True), (g, n)
+
+    @pytest.mark.parametrize("max_darts", [12, 18])
+    @pytest.mark.parametrize("max_index", [1, 2, 3, 4, 5])
+    def test_matches_the_all_monomial_walk(self, max_darts, max_index):
+        table = genus_two_table(max_darts)
+        for cap in accepted_caps(max_index):
+            for max_genus in range(3):
+                fe = assemble_free_energy(table, max_genus, cap, max_index)
+                oracle = oracle_assemble_free_energy(table, max_genus, cap, max_index)
+                assert fe == oracle, (cap, max_genus)
+                assert fe.entry_monomials == oracle.entry_monomials, (cap, max_genus)
+
+    def test_the_budget_edge_at_each_index(self):
+        for max_index in range(1, 6):
+            cap = max(accepted_caps(max_index)) + 1
+            with pytest.raises(BudgetError):
+                assemble_free_energy(IntersectionTable({}), cap=cap, max_index=max_index)
+
+    def test_a_covered_block_missing_an_entry(self, table):
+        entries = dict(table.entries)
+        del entries[(1, (2, 0))]  # (1, (1, 1)) keeps the block (1, 2) covered
+        message = r"^table fragment \(1,2\) missing \(2, 0\)$"
+        for assemble in (assemble_free_energy, oracle_assemble_free_energy):
+            with pytest.raises(DomainError, match=message):
+                assemble(IntersectionTable(entries))
+
+    def test_an_entry_off_the_dimension_is_never_read(self, table):
+        # sum(d) = 4 is not 3g - 3 + n = 1 in the covered block (1, 2)
+        odd = IntersectionTable({**table.entries, (1, (2, 2)): Fraction(5)})
+        fe = assemble_free_energy(odd, cap=10)
+        assert fe == assemble_free_energy(table, cap=10) == oracle_assemble_free_energy(odd, cap=10)
+        assert (1, (2, 2)) not in fe.entry_monomials
+        assert mutation_report(odd, cap=10) == oracle_mutation_report(odd, cap=10)
+        assert mutation_report(odd, cap=10)["g1:(2,2)"] == []
+
+    def test_empty_table(self):
+        fe = assemble_free_energy(IntersectionTable({}))
+        assert fe == oracle_assemble_free_energy(IntersectionTable({}))
+        assert fe.entry_monomials == {}
+        assert len(fe.mask) == len(fe.coverage_gap)
 
 
 def all_pairs_mask(a, b):
@@ -365,7 +496,11 @@ class TestMutationContract:
     def test_cap_over_the_monomial_budget(self, table):
         message = "6188 t-monomials up to degree 12 in t0..t4 exceed 5000"
         with pytest.raises(BudgetError, match=f"^{message}$"):
-            mutation_report(table, cap=12)
+            mutation_report(table, cap=13)
+
+    def test_cap_twelve_matches_the_oracle(self, table):
+        # 4368 monomials in the string window, the largest cap under the budget
+        assert mutation_report(table, cap=12) == oracle_mutation_report(table, cap=12)
 
     def test_entries_outside_f_flip_nothing(self, table):
         assert mutation_report(table, max_genus=0, cap=10)["g1:(1)"] == []  # genus 1 > 0

@@ -14,11 +14,6 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "taubench"
 
-# ROADMAP item 5 (the GL_infinity orbit of 1) gives the vertex operator its
-# src/ caller, the fermionic route to Grassmannian tau-functions
-EXEMPT = {("fock.py", "vertex_operator_apply")}
-
-
 def referenced_names(node) -> collections.Counter:
     """Bare names, attribute names and imported names used under node."""
     names = collections.Counter()
@@ -47,7 +42,7 @@ def unreferenced_definitions(src: pathlib.Path) -> list[tuple[str, str]]:
 
 
 def test_no_test_only_definitions_in_src():
-    assert [entry for entry in unreferenced_definitions(SRC) if entry not in EXEMPT] == []
+    assert unreferenced_definitions(SRC) == []
 
 
 def test_the_guard_sees_an_unused_definition(tmp_path):
