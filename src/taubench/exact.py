@@ -13,6 +13,7 @@ determinant and the torsion pivots all rest on one Gauss-Jordan elimination,
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -44,6 +45,12 @@ def _decimal(n: int) -> str:
     k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
     high, low = divmod(n, 10**k)
     return _decimal(high) + _decimal(low).zfill(k)
+
+
+def common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, [P_i]) with D the lcm of the denominators, so values[i] = P_i/D."""
+    denom = math.lcm(*(v.denominator for v in values))
+    return denom, [v.numerator * (denom // v.denominator) for v in values]
 
 
 def double_factorial(n: int) -> int:

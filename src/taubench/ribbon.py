@@ -24,11 +24,12 @@ from .errors import (
     PoleError,
     Unstable,
 )
-from .exact import double_factorial, solve_linear_exact
+from .exact import common_denominator, double_factorial, solve_linear_exact
 
 DEFAULT_MAX_DARTS = 12
 # rooted maps x face labelings x roots; the 18-dart block (0, 5) needs
-# 1105 x 5! x 18 = 2386800
+# 1105 x 5! x 18 = 2386800.  An upper bound: each labeling compares only the
+# roots tied at the least unlabeled encoding, most often one.
 MAX_GRAPH_WORK = 2_500_000
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -248,7 +249,10 @@ def enumerate_trivalent(
     connected with Euler genus g.  Each rooted connected map with n faces is
     generated once (_rooted_maps); its class under every face labeling is
     the minimum encoding over all roots, so the result does not depend on
-    which map of a class comes first.
+    which map of a class comes first.  Face labels come last in an encoding,
+    so that minimum lies among the roots whose unlabeled encoding is least
+    (an orbit of the unlabeled map's automorphisms), and each labeling
+    compares only those.
     """
     darts = _trivalent_darts(g, n, max_darts)
     sigma = _canonical_sigma(darts)
@@ -262,25 +266,26 @@ def enumerate_trivalent(
         for fi, cycle in enumerate(faces):
             for x in cycle:
                 face_index[x] = fi
-        # rooted encodings computed once; labelings only permute face ids
-        rooted = []
-        for root in range(darts):
-            sig2, alf2, order = _rooted_encoding(sigma, alpha, root)
-            rooted.append((sig2, alf2, tuple(face_index[x] for x in order)))
+        # rooted encodings computed once; labelings only permute face ids, so
+        # the least labeled encoding is among the roots of least (sig2, alf2)
+        rooted = [_rooted_encoding(sigma, alpha, root) for root in range(darts)]
+        least = min(enc[:2] for enc in rooted)
+        tied = [
+            tuple(face_index[x] for x in order)
+            for sig2, alf2, order in rooted
+            if (sig2, alf2) == least
+        ]
         for lab in labelings:
-            encodings = [
-                (sig2, alf2, tuple(lab[f] for f in fidx))
-                for sig2, alf2, fidx in rooted
-            ]
-            canon = min(encodings)
+            encodings = [tuple(lab[f] for f in fidx) for fidx in tied]
+            labels = min(encodings)
+            canon = (*least, labels)
             if canon in classes:
                 continue
-            aut = sum(1 for enc in encodings if enc == canon)
             struct = DartStructure(*canon)
             assert struct.genus == g and struct.face_count == n
             classes[canon] = RibbonGraphClass(
                 canonical=struct,
-                aut_order=aut,
+                aut_order=encodings.count(labels),
                 edge_face_pairs=_edge_face_pairs(struct),
             )
     return tuple(classes[key] for key in sorted(classes))
@@ -291,28 +296,52 @@ def enumerate_trivalent(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _graph_sum_table(g: int, n: int, max_darts: int) -> tuple:
+    """The block's classes as one integer polynomial in the edge factors.
+
+    Returns (pairs, E, den, terms): the face pairs in first use (class
+    order, then edge_face_pairs order), the edge count, den = 2^V *
+    lcm(aut_order), and (pair indices, c) per distinct edge_face_pairs
+    tuple, where c/den is the sum of 2^{-V}/|Aut| over its classes.
+    """
+    classes = enumerate_trivalent(g, n, max_darts)
+    aut_lcm = math.lcm(*(cls.aut_order for cls in classes))
+    index: dict[tuple[int, int], int] = {}
+    coeffs: dict[tuple[int, ...], int] = {}
+    for cls in classes:
+        key = tuple(index.setdefault(pair, len(index)) for pair in cls.edge_face_pairs)
+        coeffs[key] = coeffs.get(key, 0) + aut_lcm // cls.aut_order
+    den = 2 ** classes[0].canonical.vertex_count * aut_lcm
+    return tuple(index), classes[0].canonical.edge_count, den, tuple(coeffs.items())
+
+
 def kontsevich_sum(
     g: int, n: int, lams: Sequence[Fraction], max_darts: int = DEFAULT_MAX_DARTS
 ) -> Fraction:
-    """Sum over classes of 2^{-V}/|Aut| * prod_e 2/(lambda_i + lambda_j)."""
+    """Sum over classes of 2^{-V}/|Aut| * prod_e 2/(lambda_i + lambda_j).
+
+    With lambda_i = P_i/D and L = lcm(P_a + P_b) over the block's face
+    pairs, each edge factor is (2D/L) * L/(P_a + P_b), so the classes are
+    summed in integers over _graph_sum_table's den and divided once:
+    sum = sum_terms c * prod_e L/(P_a + P_b) * (2D)^E / (den * L^E).
+    A zero pair sum raises PoleError, for the first pair in class order.
+    """
     lams = [Fraction(x) for x in lams]
     if len(lams) != n:
         raise DomainError("need one lambda per face")
-    total = Fraction(0)
-    pair_weight: dict[tuple[int, int], Fraction] = {}  # 2/(lambda_i + lambda_j)
-    for cls in enumerate_trivalent(g, n, max_darts):
-        weight = Fraction(1, 2 ** cls.canonical.vertex_count * cls.aut_order)
-        for pair in cls.edge_face_pairs:
-            factor = pair_weight.get(pair)
-            if factor is None:
-                f1, f2 = pair
-                denom = lams[f1 - 1] + lams[f2 - 1]
-                if denom == 0:
-                    raise PoleError(f"lambda_{f1} + lambda_{f2} = 0")
-                factor = pair_weight[pair] = Fraction(2) / denom
-            weight *= factor
-        total += weight
-    return total
+    pairs, edges, den, terms = _graph_sum_table(g, n, max_darts)
+    denom, scaled = common_denominator(lams)
+    sums = []
+    for f1, f2 in pairs:
+        s = scaled[f1 - 1] + scaled[f2 - 1]
+        if s == 0:
+            raise PoleError(f"lambda_{f1} + lambda_{f2} = 0")
+        sums.append(s)
+    lcm = math.lcm(*sums)
+    weight = [lcm // s for s in sums]
+    total = sum(math.prod([weight[i] for i in key], start=c) for key, c in terms)
+    return Fraction(total * (2 * denom) ** edges, den * lcm**edges)
 
 
 @dataclass

@@ -36,7 +36,7 @@ from .errors import (
     NumericError,
     Unsupported,
 )
-from .exact import TruncatedSeries, double_factorial, rational_to_str
+from .exact import TruncatedSeries, common_denominator, double_factorial, rational_to_str
 from .ribbon import kontsevich_sum
 
 DEFAULT_MAX_MATCHINGS = 20_000
@@ -173,6 +173,11 @@ def _shape_table(word: TraceWord) -> tuple[tuple[tuple, int, int], ...]:
 # largest shipped use, tr3^4 at N = 3 in `matrix match --order 4`, needs
 # 17,019; tr8 at N = 20 needs 4.5e7 (26 s on a 2-core x86 VM).
 MAX_COLORINGS = 10**6
+# Diagonal work: colorings x pairs x the bit length of L, the size of each
+# edge weight.  tr3^4 at N = 3 costs 1.2e6 at lambda = 3,4,5 and 2.0e8 at
+# three 150-digit lambda (0.9 s on a 2-core x86 VM); three 1000-digit lambda
+# (1.4e9, 27.6 s) are refused.
+MAX_DIAGONAL_WORK = 2 * 10**8
 
 
 def _diagonal_sum(table, lams: Sequence[Fraction], pairs: int) -> Fraction:
@@ -180,14 +185,19 @@ def _diagonal_sum(table, lams: Sequence[Fraction], pairs: int) -> Fraction:
 
     With lambda_i = P_i/D and L = lcm(P_a + P_b), each edge factor is
     (2D/L) * L/(P_a + P_b), so the colorings are summed in integers and
-    divided once.  Over MAX_COLORINGS colorings raises BudgetError first.
+    divided once.  Over MAX_COLORINGS colorings, or over MAX_DIAGONAL_WORK,
+    raises BudgetError before the walk.
     """
     colorings = sum(len(lams) ** faces for _, faces, _ in table)
     if colorings > MAX_COLORINGS:
         raise BudgetError(f"{colorings} face colorings exceed the budget of {MAX_COLORINGS}")
-    denom = math.lcm(*(v.denominator for v in lams))
-    scaled = [v.numerator * (denom // v.denominator) for v in lams]
-    lcm = math.lcm(*(a + b for a in scaled for b in scaled))
+    denom, scaled = common_denominator(lams)
+    lcm = math.lcm(*{a + b for a in scaled for b in scaled})
+    work = colorings * pairs * lcm.bit_length()
+    if work > MAX_DIAGONAL_WORK:
+        raise BudgetError(
+            f"diagonal work {work} (colorings x pairs x bits) exceeds the budget {MAX_DIAGONAL_WORK}"
+        )
     weight = [[lcm // (a + b) for b in scaled] for a in scaled]
     total = 0
     for edges, faces, mult in table:

@@ -31,6 +31,7 @@ from taubench.exact import double_factorial
 from taubench import wick
 from taubench.wick import (
     MAX_COLORINGS,
+    MAX_DIAGONAL_WORK,
     MAX_VERTEX_ORDER,
     GaussianSpec,
     TraceWord,
@@ -247,6 +248,44 @@ class TestWickMoment:
         with pytest.raises(BudgetError, match="^17019 face colorings exceed the budget of 17018$"):
             wick_moment(GaussianSpec(3, lams), word)
         wick_moment(GaussianSpec(3), word)  # scalar mode sums no colorings
+
+    def test_diagonal_work_priced_as_colorings_pairs_bits(self, monkeypatch):
+        # tr3^4 at lambda = 3,4,5: 17019 colorings x 6 pairs x 12 bits of
+        # L = lcm(6, 7, 8, 9, 10) = 2520
+        word = TraceWord((3, 3, 3, 3))
+        spec = GaussianSpec(3, (Fraction(3), Fraction(4), Fraction(5)))
+        monkeypatch.setattr(wick, "MAX_DIAGONAL_WORK", 1225368)
+        value = wick_moment(spec, word)
+        monkeypatch.setattr(wick, "MAX_DIAGONAL_WORK", 1225367)
+        with pytest.raises(
+            BudgetError,
+            match=r"^diagonal work 1225368 \(colorings x pairs x bits\) exceeds the budget 1225367$",
+        ):
+            wick_moment(spec, word)
+        monkeypatch.setattr(wick, "MAX_DIAGONAL_WORK", MAX_DIAGONAL_WORK)
+        assert wick_moment(spec, word) == value
+
+    @pytest.mark.parametrize(
+        "argv, work",
+        [
+            (["match", "--order", "4", "--lambda",
+              f"1{'0' * 999},2{'0' * 999},3{'0' * 998}7"], 1356380262),
+            (["moment", "--N", "1000", "--word", "tr2", "--lambda",
+              ",".join(map(str, range(1, 1001)))], 2878000000),
+        ],
+    )
+    def test_wide_edge_weights_are_three_at_once(self, capsys, argv, work):
+        # within MAX_COLORINGS and the digit limit, but every edge weight
+        # L/(P_a + P_b) has thousands of bits: refused before the walk
+        start = time.perf_counter()
+        code = run(["matrix", *argv])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (
+            f'{{"error":"budget","message":"diagonal work {work} (colorings x pairs x bits)'
+            f' exceeds the budget {MAX_DIAGONAL_WORK}"}}\n'
+        )
 
     def test_budget_holds_for_a_cached_word(self, capsys):
         # the budget prices the (d-1)!! matchings of a table miss, and is

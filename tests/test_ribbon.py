@@ -7,13 +7,17 @@ Oracles used here are independent of the production code paths:
   dart structure (all vertex permutations, not just the canonical one);
 - class lists are cross-checked against a brute-force walk over every
   fixed-point-free involution on the canonical vertex permutation;
-- extracted amplitudes are checked against hand-frozen table values.
+- extracted amplitudes are checked against hand-frozen table values;
+- kontsevich_sum's one integer division is checked against the per-class
+  Fraction loop (oracle_kontsevich_sum), and the class lists up to 18
+  darts against sha256 digests of the `graphs enumerate` bytes.
 
 The per-structure oracles validate, canonical_encoding and
 automorphism_order check one dart structure at a time; enumerate_trivalent
 computes the same canonical form and automorphism order inline.
 """
 
+import hashlib
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -22,6 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taubench import ribbon, wick
+from taubench.cli import run
 from taubench.errors import BudgetError, DomainError, PoleError, Unstable
 from taubench.ribbon import (
     DartStructure,
@@ -36,6 +42,7 @@ from taubench.ribbon import (
     face_cycles,
     kontsevich_sum,
 )
+from taubench.wick import kontsevich_match
 
 
 def _is_connected(sigma, alpha) -> bool:
@@ -102,6 +109,30 @@ def automorphism_order(struct: DartStructure) -> int:
     encodings = _root_encodings(struct)
     best = min(encodings)
     return sum(1 for enc in encodings if enc == best)
+
+
+def oracle_kontsevich_sum(g, n, lams, max_darts=12) -> Fraction:
+    """The graph sum class by class, one Fraction product per class, with
+    2/(lambda_a + lambda_b) computed at a pair's first use (class order,
+    then edge_face_pairs order), where a zero sum raises PoleError."""
+    lams = [Fraction(x) for x in lams]
+    if len(lams) != n:
+        raise DomainError("need one lambda per face")
+    total = Fraction(0)
+    pair_weight = {}
+    for cls in enumerate_trivalent(g, n, max_darts):
+        weight = Fraction(1, 2 ** cls.canonical.vertex_count * cls.aut_order)
+        for pair in cls.edge_face_pairs:
+            factor = pair_weight.get(pair)
+            if factor is None:
+                f1, f2 = pair
+                denom = lams[f1 - 1] + lams[f2 - 1]
+                if denom == 0:
+                    raise PoleError(f"lambda_{f1} + lambda_{f2} = 0")
+                factor = pair_weight[pair] = Fraction(2) / denom
+            weight *= factor
+        total += weight
+    return total
 
 
 def brute_force_aut_order(struct: DartStructure) -> int:
@@ -215,6 +246,18 @@ def brute_force_classes(g: int, n: int) -> tuple[RibbonGraphClass, ...]:
 
 ROOTED_MAPS = {6: 5, 12: 60, 18: 1105}  # OEIS A062980
 BLOCKS_BY_DARTS = {6: [(0, 3), (1, 1)], 12: [(0, 4), (1, 2)], 18: [(0, 5), (1, 3), (2, 1)]}
+BLOCKS_UP_TO_18 = [block for blocks in BLOCKS_BY_DARTS.values() for block in blocks]
+# sha256 of `taubench --max-darts 18 graphs enumerate --genus g --faces n`
+# stdout, taken from the enumerator that compared every root per labeling
+ENUMERATE_DIGESTS = {
+    (0, 3): "3e2df3e9b2227c48063a70cbca305dd63f4e29d4d58dff76693aa8f27529b78e",
+    (1, 1): "223aef450c7c0e1b32c312b673bca7738006d325b1b8dcaa9649eaec425e3335",
+    (0, 4): "ca60b589ab4da430c707839168b9d63af241b0739c5b6f44087bbb7d54d9ccc4",
+    (1, 2): "ffadc884af022e592e1d6405485c75d5832df4dbe61a9d30f3e3279987a3bc97",
+    (0, 5): "cb69d61906436c8ed5bc8e7b8c4a7c6e8ea13c859e03c34ce055a4dfe7003896",
+    (1, 3): "269ad871fa204014f2b24f11da26996f847049b8c1bb18823d5576a759f5bd9b",
+    (2, 1): "1e040255515feb1d6fb1a2bf9b3546ebcdf763503124c56f3064adfe93c954c3",
+}
 
 
 class TestRootedMapGeneration:
@@ -246,6 +289,14 @@ class TestRootedMapGeneration:
     @pytest.mark.parametrize("g, n", [(0, 3), (1, 1), (1, 2)])
     def test_classes_match_involution_walk(self, g, n):
         assert enumerate_trivalent(g, n) == brute_force_classes(g, n)
+
+    @pytest.mark.parametrize("g, n", BLOCKS_UP_TO_18)
+    def test_enumerate_bytes_match_the_digest(self, capsys, g, n):
+        # `--max-darts 18 graphs enumerate` stdout, hashed at the all-roots
+        # enumerator: no class may move, be relabeled or change aut_order
+        code = run(["--max-darts", "18", "graphs", "enumerate", "--genus", str(g), "--faces", str(n)])
+        out = capsys.readouterr().out.encode()
+        assert (code, hashlib.sha256(out).hexdigest()) == (0, ENUMERATE_DIGESTS[g, n])
 
     def test_eighteen_dart_extraction(self):
         table = extract_intersection_numbers(1, 3, 18)
@@ -283,6 +334,15 @@ class TestEnumeration:
         for cls in enumerate_trivalent(1, 2):
             c = cls.canonical
             assert canonical_encoding(c) == (c.sigma, c.alpha, c.face_labels)
+
+    @pytest.mark.parametrize("g, n", [(1, 3), (2, 1)])
+    def test_eighteen_dart_classes_match_all_roots(self, g, n):
+        # the oracles compare every root; enumerate_trivalent compares only
+        # the roots tied at the least unlabeled encoding
+        for cls in enumerate_trivalent(g, n, 18):
+            c = cls.canonical
+            assert canonical_encoding(c) == (c.sigma, c.alpha, c.face_labels)
+            assert automorphism_order(c) == cls.aut_order
 
     def test_no_duplicate_classes(self):
         for g, n in [(0, 3), (1, 1), (0, 4), (1, 2)]:
@@ -352,14 +412,82 @@ class TestKontsevichSum:
         ],
     )
     def test_first_pole_is_reported(self, g, lams, message):
-        # pair weights are cached lazily, so the first vanishing edge still raises
-        with pytest.raises(PoleError) as info:
-            kontsevich_sum(g, len(lams), [Fraction(v) for v in lams])
-        assert str(info.value) == message
+        # pair sums are checked in first-use order, so the first vanishing
+        # edge of the class walk raises, with the oracle's message
+        for graph_sum in (kontsevich_sum, oracle_kontsevich_sum):
+            with pytest.raises(PoleError) as info:
+                graph_sum(g, len(lams), [Fraction(v) for v in lams])
+            assert str(info.value) == message
 
     def test_lambda_arity_check(self):
         with pytest.raises(DomainError):
             kontsevich_sum(0, 3, [Fraction(1)])
+
+    def test_arity_is_checked_before_any_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated before the arity check")
+
+        monkeypatch.setattr(ribbon, "enumerate_trivalent", refuse)
+        monkeypatch.setattr(ribbon, "_graph_sum_table", refuse)
+        # (0, 5) is also over the default dart budget: the arity error wins
+        for g, n, lams in [(0, 3, [1]), (0, 5, [1, 2]), (1, 2, [1, 2, 3])]:
+            with pytest.raises(DomainError, match="^need one lambda per face$"):
+                kontsevich_sum(g, n, lams)
+
+    @given(
+        st.sampled_from(BLOCKS_UP_TO_18),
+        st.lists(
+            st.fractions(min_value=-30, max_value=30, max_denominator=12), min_size=5, max_size=5
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_integer_sum_equals_the_oracle(self, block, values):
+        # negative lambdas allowed: a zero pair sum must raise the same
+        # PoleError as the oracle, on the same pair
+        g, n = block
+        lams = values[:n]
+        try:
+            expected = oracle_kontsevich_sum(g, n, lams, 18)
+        except PoleError as exc:
+            with pytest.raises(PoleError) as info:
+                kontsevich_sum(g, n, lams, 18)
+            assert str(info.value) == str(exc)
+        else:
+            assert kontsevich_sum(g, n, lams, 18) == expected
+
+    @pytest.mark.parametrize("g, n", BLOCKS_UP_TO_18)
+    def test_integer_sum_at_fixed_points(self, g, n):
+        # wide numerators and denominators, and one tie among the lambdas
+        points = [
+            [Fraction(p, q) for p, q in zip((3, 7, 11, 13, 17), (2, 5, 9, 4, 7))],
+            [Fraction(10**40 + k, 3**k) for k in range(5)],
+            [Fraction(2), Fraction(-1, 3), Fraction(2), Fraction(5, 7), Fraction(9)],
+        ]
+        for lams in points:
+            assert kontsevich_sum(g, n, lams[:n], 18) == oracle_kontsevich_sum(g, n, lams[:n], 18)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize(
+        "lams", [(Fraction(3), Fraction(4), Fraction(5)), (Fraction(1, 2), Fraction(7, 3))]
+    )
+    def test_kontsevich_match_agrees_with_the_oracle_sum(self, monkeypatch, order, lams):
+        report = kontsevich_match(len(lams), lams, order)
+        assert report["agree"] and report["order2_agrees"]
+        monkeypatch.setattr(wick, "kontsevich_sum", oracle_kontsevich_sum)
+        assert kontsevich_match(len(lams), lams, order) == report
+
+    def test_block_table_merges_equal_pair_tuples(self):
+        # one integer coefficient per distinct edge_face_pairs tuple, summing
+        # 2^{-V}/|Aut| over its classes, over the common denominator
+        for g, n in BLOCKS_UP_TO_18:
+            classes = enumerate_trivalent(g, n, 18)
+            pairs, edges, den, terms = ribbon._graph_sum_table(g, n, 18)
+            assert edges == classes[0].canonical.edge_count
+            assert len(terms) == len({cls.edge_face_pairs for cls in classes})
+            assert sum(Fraction(c, den) for _, c in terms) == sum(
+                Fraction(1, 2 ** cls.canonical.vertex_count * cls.aut_order) for cls in classes
+            )
+            assert sorted(pairs) == sorted({p for cls in classes for p in cls.edge_face_pairs})
 
 
 FROZEN_TABLE = {
