@@ -84,8 +84,6 @@ def _floats(text: str) -> tuple[float, ...]:
 
 def _emit(payload, config: RunConfig, csv_rows=None) -> None:
     if config.output_format == "csv":
-        if csv_rows is None:
-            raise DomainError("this subcommand has no CSV table form")
         text = "\n".join(",".join(str(cell) for cell in row) for row in csv_rows)
         text += "\n"
     else:
@@ -108,7 +106,8 @@ def _emit(payload, config: RunConfig, csv_rows=None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations: each returns (payload, csv_rows, passed)
+# Subcommand implementations: each returns (payload, csv_rows, passed); only
+# those registered with csv=True return rows
 # ---------------------------------------------------------------------------
 
 
@@ -342,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     intersect = sub.add_parser("intersect", help="extract intersection numbers")
     intersect.add_argument("-g", "--genus", type=int, required=True)
     intersect.add_argument("-n", type=int, required=True)
-    intersect.set_defaults(func=_cmd_intersect)
+    intersect.set_defaults(func=_cmd_intersect, csv=True)
 
     verify = sub.add_parser("verify", help="KdV / string residual reports")
     verify.add_argument("which", choices=("kdv", "string"))
@@ -379,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     moment.set_defaults(func=_cmd_matrix_moment)
     genus = matrix_sub.add_parser("genus")
     genus.add_argument("--word", required=True)
-    genus.set_defaults(func=_cmd_matrix_genus)
+    genus.set_defaults(func=_cmd_matrix_genus, csv=True)
     match = matrix_sub.add_parser("match")
     match.add_argument("--order", type=int, default=2)
     match.add_argument("--lambda", dest="lambda_diag", default="3,4,5")
@@ -429,6 +428,9 @@ def run(argv=None) -> int:
             value = getattr(config, field)
             if value is not None and value < 0:
                 raise DomainError(f"--{field.replace('_', '-')} must be >= 0")
+        # refused before the subcommand does any work
+        if config.output_format == "csv" and not getattr(args, "csv", False):
+            raise DomainError("this subcommand has no CSV table form")
         payload, csv_rows, passed = args.func(args, config)
         _emit(payload, config, csv_rows)
         return EXIT_PASS if passed else EXIT_FAIL

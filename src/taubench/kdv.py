@@ -9,8 +9,12 @@ fully determined; residual coefficients are classified as verified_zero,
 uncovered or nonzero accordingly.
 
 Each residual is one formula in F, run on a MaskedSeries or a plain series.
-Masks depend only on the (g, n) fragments covered, not on entry values, so
-the mutation harness computes them once; an entry costs one plain residual.
+A MaskedSeries holds its mask as packed integers grouped by weighted degree
+(one radix-(cap + 1) digit per variable), so a mask product is one integer
+addition per pair of exponents whose degrees fit under the cap.  Masks
+depend only on the (g, n) fragments covered, not on entry values, so the
+mutation harness computes the two residual masks once and reads nothing
+else of them; an entry costs one plain residual per formula.
 """
 
 from __future__ import annotations
@@ -38,67 +42,136 @@ DEFAULT_MAX_INDEX = 4
 MAX_FREE_ENERGY_MONOMIALS = 5000
 
 
-@dataclass(frozen=True)
 class MaskedSeries:
     """Truncated series plus the set of exponent tuples it does not determine.
 
     A masked exponent means "this coefficient has unknown extra
     contributions"; masked coefficients are stored as whatever partial value
     is known (usually zero) and must never be classified as verified.
+
+    The mask is taken and returned as a frozenset of exponent tuples, but held
+    packed: a tuple is one integer in radix cap + 1, slot 0 the most
+    significant digit, so integer order is tuple order.  Weights are >= 1, so
+    every slot of an exponent of degree <= cap is <= cap, and adding two
+    packed exponents whose degrees sum to <= cap never carries: the sum packs
+    the tuple sum.  The packed exponents are grouped by weighted degree.  An
+    exponent over the cap says nothing about a truncated series and is
+    dropped, as a term over the cap is.
     """
 
-    series: TruncatedSeries
-    mask: frozenset[Exponents]
+    __slots__ = ("series", "_places", "_groups", "_mask")
 
-    def _supports(self) -> frozenset[Exponents]:
-        return frozenset(self.series.terms) | self.mask
+    def __init__(self, series: TruncatedSeries, mask: frozenset[Exponents]):
+        self.series = series
+        k = len(series.variables)
+        # place value of slot i: (cap + 1)^(k - 1 - i)
+        self._places = tuple((series.cap + 1) ** (k - 1 - i) for i in range(k))
+        self._groups = self._grouped(mask)
+        self._mask = None
+
+    def _like(self, series: TruncatedSeries, groups: dict[int, set[int]]) -> "MaskedSeries":
+        """A masked series with packed groups, over self's variables and cap."""
+        out = MaskedSeries.__new__(MaskedSeries)
+        out.series, out._places, out._groups, out._mask = series, self._places, groups, None
+        return out
+
+    def _grouped(self, exponents) -> dict[int, set[int]]:
+        """The exponents of degree <= cap, packed and grouped by degree."""
+        places, weights, cap = self._places, self.series.weights, self.series.cap
+        groups: dict[int, set[int]] = {}
+        for expo in exponents:
+            degree = sum(map(operator.mul, expo, weights))
+            if degree <= cap:
+                groups.setdefault(degree, set()).add(sum(map(operator.mul, expo, places)))
+        return groups
+
+    @property
+    def mask(self) -> frozenset[Exponents]:
+        if self._mask is None:
+            radix = self.series.cap + 1
+            self._mask = frozenset(
+                tuple(packed // place % radix for place in self._places)
+                for group in self._groups.values()
+                for packed in group
+            )
+        return self._mask
+
+    def __contains__(self, expo: Exponents) -> bool:
+        group = self._groups.get(self.series.degree_of(expo), ())
+        return sum(map(operator.mul, expo, self._places)) in group
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, MaskedSeries)
+            and self.series == other.series
+            and self._groups == other._groups
+        )
+
+    def __repr__(self) -> str:
+        return f"MaskedSeries({self.series!r}, mask={sorted(self.mask)!r})"
+
+    def _union(self, other: "MaskedSeries", series: TruncatedSeries) -> "MaskedSeries":
+        groups = dict(self._groups)
+        for degree, group in other._groups.items():
+            groups[degree] = groups[degree] | group if degree in groups else group
+        return self._like(series, groups)
 
     def __add__(self, other: "MaskedSeries") -> "MaskedSeries":
-        return MaskedSeries(self.series + other.series, self.mask | other.mask)
+        return self._union(other, self.series + other.series)
 
     def __sub__(self, other: "MaskedSeries") -> "MaskedSeries":
-        return MaskedSeries(self.series - other.series, self.mask | other.mask)
+        return self._union(other, self.series - other.series)
 
     def scale(self, value) -> "MaskedSeries":
         if not value:
-            return MaskedSeries(self.series.scale(0), frozenset())
-        return MaskedSeries(self.series.scale(value), self.mask)
+            return self._like(self.series.scale(0), {})
+        return self._like(self.series.scale(value), self._groups)
+
+    def _support(self) -> dict[int, set[int]]:
+        """Terms and mask, packed and grouped by degree."""
+        support = self._grouped(self.series.terms)
+        for degree, group in self._groups.items():
+            support.setdefault(degree, set()).update(group)
+        return support
 
     def __mul__(self, other: "MaskedSeries") -> "MaskedSeries":
         """Product; its mask is every ea + eb of degree <= cap with ea masked
         on one side and eb in the other side's support (terms or mask).
 
-        Degrees add, so each support is bucketed by degree once and a masked
-        ea visits only the buckets of degree <= cap - deg(ea).  The cost is
-        the number of pairs that fit under the cap, not |mask| x |support|.
+        Degrees add, so only the degree pairs under the cap are visited: the
+        cost is the number of pairs that fit, not |mask| x |support|, each
+        pair one integer addition.
         """
         series = self.series * other.series
         cap = series.cap
-        mask: set[Exponents] = set()
-        for mask_side, support_side in (
-            (self.mask, other._supports()),
-            (other.mask, self._supports()),
+        groups: dict[int, set[int]] = {}
+        for masked, support in (
+            (self._groups, other._support()),
+            (other._groups, self._support()),
         ):
-            buckets: dict[int, list[Exponents]] = {}
-            for eb in support_side:
-                buckets.setdefault(series.degree_of(eb), []).append(eb)
-            for ea in mask_side:
-                room = cap - series.degree_of(ea)
-                for degree, group in buckets.items():
-                    if degree <= room:
-                        mask.update(tuple(map(operator.add, ea, eb)) for eb in group)
-        return MaskedSeries(series, frozenset(mask))
+            for da, group_a in masked.items():
+                for db, group_b in support.items():
+                    if da + db > cap:
+                        continue
+                    few, many = sorted((group_a, group_b), key=len)
+                    acc = groups.setdefault(da + db, set())
+                    for packed in few:
+                        acc.update(map(packed.__add__, many))
+        return self._like(series, groups)
 
     def diff(self, name: str, order: int = 1) -> "MaskedSeries":
+        """Each degree group shifts down by order * weight(name); an exponent
+        with fewer than `order` powers of `name` differentiates away."""
         series = self.series.diff(name, order)
         idx = series.variables.index(name)
-        mask = set()
-        for expo in self.mask:
-            if expo[idx] >= order:
-                new = list(expo)
-                new[idx] -= order
-                mask.add(tuple(new))
-        return MaskedSeries(series, frozenset(mask))
+        place, radix = self._places[idx], series.cap + 1
+        drop, step = order * series.weights[idx], order * place
+        groups = {}
+        for degree, group in self._groups.items():
+            shifted = {packed - step for packed in group if packed // place % radix >= order}
+            if shifted:
+                groups[degree - drop] = shifted
+        return self._like(series, groups)
 
 
 @dataclass(frozen=True)
@@ -195,14 +268,12 @@ class ResidualReport:
 
 def _classify(name: str, residual: MaskedSeries, window: int) -> ResidualReport:
     series = residual.series
-    if window < 0:
-        raise DomainError("series cap too small for a reliable window")
     entries = []
     for expo in sorted(
         weight_monomials(series.weights, window), key=lambda e: (series.degree_of(e), e)
     ):
         coeff = series.coefficient(expo)
-        if expo in residual.mask:
+        if expo in residual:
             status = "uncovered"
         elif coeff:
             status = "nonzero"
@@ -240,16 +311,33 @@ def _string_formula(f):
     return residual
 
 
+# residual -> (formula, loss): a coefficient of degree d draws on F up to
+# degree d + loss, so the residual is reliable to cap - loss.  KdV loses 5:
+# two t0-derivatives into U, then up to three more.
+_RESIDUALS = {"kdv": (_kdv_formula, 5), "string": (_string_formula, 1)}
+
+
+def _masked_residual(name: str, free_energy: FreeEnergy) -> tuple[int, MaskedSeries]:
+    """(window, residual) of one formula run on the masked F; a negative
+    window is refused before the formula runs."""
+    formula, loss = _RESIDUALS[name]
+    window = free_energy.cap - loss
+    if window < 0:
+        raise DomainError("series cap too small for a reliable window")
+    return window, formula(free_energy.masked())
+
+
 def kdv_residual(free_energy: FreeEnergy) -> ResidualReport:
-    """The KdV residual R of F in the window cap - 5: a coefficient at degree
-    d draws on F up to degree d + 5 (two t0-derivatives into U, then up to
-    three more), so higher degrees would be truncation artifacts."""
-    return _classify("kdv", _kdv_formula(free_energy.masked()), free_energy.cap - 5)
+    """The KdV residual R of F in the window cap - 5; higher degrees would be
+    truncation artifacts."""
+    window, residual = _masked_residual("kdv", free_energy)
+    return _classify("kdv", residual, window)
 
 
 def string_residual(free_energy: FreeEnergy) -> ResidualReport:
     """The string residual S of F, reliable to cap - 1."""
-    return _classify("string", _string_formula(free_energy.masked()), free_energy.cap - 1)
+    window, residual = _masked_residual("string", free_energy)
+    return _classify("string", residual, window)
 
 
 def mutation_report(
@@ -262,22 +350,25 @@ def mutation_report(
     coefficient of the KdV or the string residual that is nonzero.
 
     The masks and windows come from the two masked residuals of the table's
-    own F, computed once.  An entry moves the one F coefficient the assembly
-    recorded for it by its weight, so each entry costs one plain-series
-    residual per formula."""
+    own F, computed once; no per-monomial report is built.  An entry moves
+    the one F coefficient the assembly recorded for it by its weight, so each
+    entry costs one plain-series residual per formula."""
     if not table.entries:
         return {}
     fe = assemble_free_energy(table, max_genus, cap, max_index)
-    bases = [(_kdv_formula, kdv_residual(fe)), (_string_formula, string_residual(fe))]
+    bases = [
+        (name, formula, *_masked_residual(name, fe))
+        for name, (formula, _) in _RESIDUALS.items()
+    ]
     out = {}
     for key in sorted(table.entries):
         f = fe.series
         if key in fe.entry_monomials:
             f = f + TruncatedSeries(f.variables, f.weights, f.cap, dict([fe.entry_monomials[key]]))
         out[entry_key(*key)] = sorted(
-            f"{base.name}:{monomial_name(f.variables, expo)}"
-            for formula, base in bases
+            f"{name}:{monomial_name(f.variables, expo)}"
+            for name, formula, window, masked in bases
             for expo in formula(f).terms
-            if f.degree_of(expo) <= base.window and expo not in base.residual.mask
+            if f.degree_of(expo) <= window and expo not in masked
         )
     return out

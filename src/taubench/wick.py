@@ -493,6 +493,8 @@ def hciz_check(
         trace = np.einsum("i,j,sij->s", np.asarray(x), np.asarray(y), absq)
         values[done : done + size] = np.exp(trace)
         done += size
+        # freed before the next chunk is drawn, so two chunks never coexist
+        del u, absq, trace
     with np.errstate(over="ignore", invalid="ignore"):
         estimate = float(values.mean())
         stderr = float(values.std(ddof=1) / math.sqrt(sample_count))

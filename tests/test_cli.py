@@ -879,6 +879,28 @@ class TestOutputs:
         code, _, _ = invoke(capsys, "--format", "csv", "verify", "kdv")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,module,name", [
+        (["suite", "quick"], "taubench.suite", "run_suite"),
+        (["--max-darts", "24", "graphs", "enumerate", "--genus", "2", "--faces", "2"],
+         "taubench.ribbon", "enumerate_trivalent"),
+        # a cap over the monomial budget would exit 3 once the work ran
+        (["--cap", "13", "verify", "kdv"], "taubench.ribbon", "base_table"),
+        (["matrix", "moment", "--N", "2", "--word", "tr2"], "taubench.wick", "wick_moment"),
+    ])
+    def test_csv_is_refused_before_the_work(self, capsys, monkeypatch, argv, module, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+
+        monkeypatch.setattr(f"{module}.{name}", refuse)
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "--format", "csv", *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert json.loads(err) == {
+            "error": "usage", "message": "this subcommand has no CSV table form",
+        }
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code, out, _ = invoke(

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taubench.errors import BudgetError, DomainError
+from taubench import kdv
 from taubench.exact import TruncatedSeries, t_variables, weight_monomials, x_variables
 from taubench.kdv import (
     MAX_FREE_ENERGY_MONOMIALS,
@@ -222,10 +223,10 @@ def all_pairs_mask(a, b):
 @st.composite
 def masked_pairs(draw):
     """Two compatible masked series over t-variables (weight 1) or
-    x-variables (weights 1..3), caps 0..8; either side may be empty."""
+    x-variables (weights 1..3), caps 0..12; either side may be empty."""
     family = draw(st.sampled_from(["t", "x"]))
     arity = draw(st.integers(1, 3))
-    cap = draw(st.integers(0, 8))
+    cap = draw(st.integers(0, 12))
     names, weights, cap = (
         t_variables(arity - 1, cap) if family == "t" else x_variables(arity, cap)
     )
@@ -288,12 +289,49 @@ class TestMaskedSeries:
         assert prod.mask == all_pairs_mask(a, b)
         assert prod.series == a.series * b.series
 
+    @pytest.mark.parametrize("family,arity,cap", [("t", 3, 8), ("t", 5, 12), ("x", 3, 9)])
+    def test_a_slot_at_the_cap_does_not_carry(self, family, arity, cap):
+        # the leading variable's slot reaches the cap, the largest digit the
+        # packed form holds; one more would carry into the slot before it
+        names, weights, cap = (
+            t_variables(arity - 1, cap) if family == "t" else x_variables(arity, cap)
+        )
+        zero = (0,) * arity
+
+        def unit(slot, power):
+            return tuple(power if i == slot else 0 for i in range(arity))
+
+        top, last = unit(0, cap), unit(arity - 1, 1)
+        one = MaskedSeries(TruncatedSeries.constant(names, weights, cap, 1), frozenset())
+        masked_top = MaskedSeries(TruncatedSeries.zero(names, weights, cap), frozenset({top}))
+        assert masked_top.mask == {top}
+        assert (masked_top * one).mask == (one * masked_top).mask == {top}
+        assert top in masked_top * one and zero not in masked_top * one
+        # (cap - 1) + 1 lands on the cap; cap + 1 and cap + weight(last) do not fit
+        below = MaskedSeries(
+            _series(names, weights, cap, unit(0, 1), last), frozenset({unit(0, cap - 1)})
+        )
+        for a, b in ((below, masked_top), (masked_top, below), (below, below)):
+            assert (a * b).mask == all_pairs_mask(a, b)
+        assert top in (below * below).mask
+
     def test_diff_shifts_and_drops_mask(self):
         names, weights, cap = self._vars()
         zero = TruncatedSeries.zero(names, weights, cap)
         masked = MaskedSeries(zero, frozenset({(2, 1), (0, 1)}))
         d = masked.diff("t0")
         assert d.mask == {(1, 1)}  # the t0-free monomial differentiates away
+
+    def test_diff_of_a_slot_equal_to_the_order(self):
+        names, weights, cap = x_variables(3, 9)
+        zero = TruncatedSeries.zero(names, weights, cap)
+        masked = MaskedSeries(zero, frozenset({(9, 0, 0), (1, 1, 2), (0, 1, 2), (2, 2, 0)}))
+        assert masked.diff("x1", 9).mask == {(0, 0, 0)}
+        assert masked.diff("x3", 2).mask == {(1, 1, 0), (0, 1, 0)}
+        assert masked.diff("x2", 2).mask == {(2, 0, 0)}
+        assert masked.diff("x2", 0).mask == masked.mask
+        # each degree group shifts by order x weight: x3^2 drops 6
+        assert (0, 1, 0) in masked.diff("x3", 2) and (0, 1, 2) not in masked.diff("x3", 2)
 
 
 class TestResiduals:
@@ -373,6 +411,15 @@ PINNED_RESIDUALS = {
     ),
 }
 
+# The mutation report of the 12-dart base table at cap 10.
+PINNED_MUTATION_CAP_TEN = {
+    "g0:(0,0,0)": ["kdv:t0", "string:t0^2", "string:t0^2*t1"],
+    "g0:(1,0,0,0)": ["kdv:t0", "string:t0^2*t1"],
+    "g1:(1)": ["string:t2"],
+    "g1:(1,1)": [],
+    "g1:(2,0)": ["string:t2"],
+}
+
 
 class TestPinnedResiduals:
     @pytest.mark.parametrize("cap,name", sorted(PINNED_RESIDUALS))
@@ -385,13 +432,16 @@ class TestPinnedResiduals:
         )
 
     def test_mutation_report_at_cap_ten(self, table):
-        assert mutation_report(table, cap=10) == {
-            "g0:(0,0,0)": ["kdv:t0", "string:t0^2", "string:t0^2*t1"],
-            "g0:(1,0,0,0)": ["kdv:t0", "string:t0^2*t1"],
-            "g1:(1)": ["string:t2"],
-            "g1:(1,1)": [],
-            "g1:(2,0)": ["string:t2"],
-        }
+        assert mutation_report(table, cap=10) == PINNED_MUTATION_CAP_TEN
+
+
+    def test_mutation_report_reads_only_the_masks(self, table, monkeypatch):
+        # no per-monomial report is built: the report needs the masks alone
+        def refuse(*args):
+            raise AssertionError("a residual report was classified")
+
+        monkeypatch.setattr(kdv, "_classify", refuse)
+        assert mutation_report(table, cap=10) == PINNED_MUTATION_CAP_TEN
 
 
 class TestMutation:
