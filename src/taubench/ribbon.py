@@ -370,10 +370,12 @@ def entry_key(g: int, d: tuple[int, ...]) -> str:
     return f"g{g}:({','.join(map(str, d))})"
 
 
-def block_indices(g: int, n: int, largest: int | None = None) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def block_indices(g: int, n: int, largest: int | None = None) -> tuple[tuple[int, ...], ...]:
     """Descending tuples (d_1 >= ... >= d_n >= 0) of block (g, n): sum(d_i) =
     3g - 3 + n, each d_i <= largest when given.  A branch stops once the
-    slots left cannot hold the remaining sum."""
+    slots left cannot hold the remaining sum.  Memoized, so the result is a
+    tuple no caller can change."""
     total = 3 * g - 3 + n
     out = []
 
@@ -388,7 +390,7 @@ def block_indices(g: int, n: int, largest: int | None = None) -> list[tuple[int,
 
     if total >= 0:
         rec(total, n, total if largest is None else largest, ())
-    return out
+    return tuple(out)
 
 
 def _sample_points(n: int, count: int, denom: int) -> list[list[Fraction]]:

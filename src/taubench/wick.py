@@ -18,6 +18,12 @@ and two numeric cross-checks: the normalization constant by a product of
 one-dimensional Gauss-Legendre rules, one per independent real coordinate
 of M, and the rank-2 Harish-Chandra/Itzykson-Zuber formula by Monte Carlo
 over Haar unitaries.  Only these two import numpy, inside the functions.
+
+The Monte Carlo reads one number per unitary.  For U in U(2), unitarity
+gives |U_01|^2 = |U_10|^2 = 1 - p and |U_11|^2 = p with p = |U_00|^2, so
+tr(X U Y U*) = (x0 y0 + x1 y1) p + (x0 y1 + x1 y0)(1 - p).  Gram-Schmidt on
+a complex Gaussian draw z normalizes its first column, so
+p = |z_00|^2 / (|z_00|^2 + |z_10|^2) and the unitary is never formed.
 """
 
 from __future__ import annotations
@@ -379,10 +385,20 @@ def _formula_value(lams: Sequence[float]) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(points: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per
+    point count: every coordinate of every quadrature shares them."""
+    import numpy as np
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _gauss_legendre(scale: float, points: int) -> float:
     """Gauss-Legendre rule for int exp(-scale x^2/2) dx over +-14 std devs."""
     import numpy as np
-    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes, weights = _legendre_rule(points)
     half = 14.0 / math.sqrt(scale)
     x = nodes * half
     return float(np.dot(weights * half, np.exp(-0.5 * scale * x * x)))
@@ -437,17 +453,6 @@ def gaussian_normalization_check(
     }
 
 
-def _haar_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Batch of Haar U(2) by Gram-Schmidt with positive-real diagonal R."""
-    import numpy as np
-    z = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
-    q1 = z[:, :, 0]
-    q1 = q1 / np.linalg.norm(q1, axis=1, keepdims=True)
-    v = z[:, :, 1] - np.sum(np.conj(q1) * z[:, :, 1], axis=1, keepdims=True) * q1
-    q2 = v / np.linalg.norm(v, axis=1, keepdims=True)
-    return np.stack([q1, q2], axis=2)
-
-
 def hciz_closed_form(x: Sequence[float], y: Sequence[float]) -> float:
     x1, x2 = (float(v) for v in x)
     y1, y2 = (float(v) for v in y)
@@ -460,19 +465,60 @@ def hciz_closed_form(x: Sequence[float], y: Sequence[float]) -> float:
     )
 
 
+MAX_HCIZ_SAMPLES = 10**7  # 80 MB of float64 samples, refused before numpy loads
+HCIZ_CHUNK = 50_000  # unitaries drawn at a time
+
+
+def _sampled_traces(
+    x: Sequence[float], y: Sequence[float], sample_count: int, seed: int
+) -> np.ndarray:
+    """tr(X U Y U*) for each of sample_count Haar U(2), as a float array.
+
+    Each chunk draws the real and then the imaginary parts of complex
+    Gaussian 2x2 matrices z, as Gram-Schmidt sampling does, and reads only
+    p from their first columns (see hciz_check).
+    """
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    same = x[0] * y[0] + x[1] * y[1]
+    cross = x[0] * y[1] + x[1] * y[0]
+    traces = np.empty(sample_count)
+    done = 0
+    while done < sample_count:
+        size = min(HCIZ_CHUNK, sample_count - done)
+        re = rng.standard_normal((size, 2, 2))
+        im = rng.standard_normal((size, 2, 2))
+        column = re[:, :, 0] ** 2 + im[:, :, 0] ** 2
+        p = column[:, 0] / (column[:, 0] + column[:, 1])
+        traces[done : done + size] = same * p + cross * (1.0 - p)
+        done += size
+        # freed before the next chunk is drawn, so two chunks never coexist
+        del re, im, column, p
+    return traces
+
+
 def hciz_check(
     x: Sequence[float],
     y: Sequence[float],
     sample_count: int = 200_000,
     seed: int = 0,
 ) -> dict:
-    """Monte Carlo of <exp tr(X U Y U*)> over Haar U(2) vs the closed form."""
+    """Monte Carlo of <exp tr(X U Y U*)> over Haar U(2) vs the closed form.
+
+    By unitarity the integrand depends on U only through p = |U_00|^2:
+    tr(X U Y U*) = (x0 y0 + x1 y1) p + (x0 y1 + x1 y0)(1 - p), and the
+    Gram-Schmidt unitary of a Gaussian draw z has p = |z_00|^2 /
+    (|z_00|^2 + |z_10|^2), read from z's first column (_sampled_traces).
+    Over MAX_HCIZ_SAMPLES samples raises BudgetError before numpy loads.
+    """
     x = [float(v) for v in x]
     y = [float(v) for v in y]
     if len(x) != 2 or len(y) != 2:
         raise DomainError("rank-2 check needs two x values and two y values")
     if sample_count < 2:
         raise DomainError("need at least two samples")
+    if sample_count > MAX_HCIZ_SAMPLES:
+        raise BudgetError(f"{sample_count} samples exceed the budget of {MAX_HCIZ_SAMPLES}")
     try:  # a zero division is (x1 - x2)(y1 - y2) underflowing
         peak = math.exp(max(a * b for a in x for b in y))
         closed = hciz_closed_form(x, y)
@@ -481,20 +527,8 @@ def hciz_check(
     if not (math.isfinite(peak) and math.isfinite(closed)):
         raise DomainError("exp(x_i y_j) or the closed form is out of float range")
     import numpy as np
-    rng = np.random.default_rng(seed)
-    values = np.empty(sample_count)
-    chunk = 50_000
-    done = 0
-    while done < sample_count:
-        size = min(chunk, sample_count - done)
-        u = _haar_unitaries(rng, size)
-        absq = np.abs(u) ** 2
-        # tr(X U Y U*) = sum_ij x_i y_j |U_ij|^2
-        trace = np.einsum("i,j,sij->s", np.asarray(x), np.asarray(y), absq)
-        values[done : done + size] = np.exp(trace)
-        done += size
-        # freed before the next chunk is drawn, so two chunks never coexist
-        del u, absq, trace
+    values = _sampled_traces(x, y, sample_count, seed)
+    np.exp(values, out=values)
     with np.errstate(over="ignore", invalid="ignore"):
         estimate = float(values.mean())
         stderr = float(values.std(ddof=1) / math.sqrt(sample_count))

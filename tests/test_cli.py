@@ -180,6 +180,20 @@ class TestExitCodes:
             "message": "the sample mean or variance is out of float range",
         }
 
+    def test_oversized_sample_count_is_three_before_numpy(self, capsys, monkeypatch):
+        # 10^11 float64 samples would need 800 GB; a None entry in
+        # sys.modules makes any `import numpy` fail, so the budget comes first
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        code, out, err = invoke(
+            capsys, "matrix", "hciz", "--x", "1,-1", "--y", "1,-1", "--samples", "100000000000"
+        )
+        assert (code, out) == (3, "")
+        assert_one_error_line(err)
+        assert json.loads(err) == {
+            "error": "budget",
+            "message": "100000000000 samples exceed the budget of 10000000",
+        }
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from(["intersect", "graphs"]),

@@ -160,7 +160,19 @@ class TestBlockWalk:
                     d for d in itertools.product(range(top + 1), repeat=n)
                     if sum(d) == total and list(d) == sorted(d, reverse=True)
                 ]
-                assert block_indices(g, n, largest) == sorted(brute, reverse=True), (g, n)
+                assert block_indices(g, n, largest) == tuple(sorted(brute, reverse=True)), (g, n)
+
+    def test_block_indices_are_memoized_and_immutable(self):
+        first = block_indices(2, 3, 4)
+        assert block_indices(2, 3, 4) is first
+        assert isinstance(first, tuple) and all(isinstance(d, tuple) for d in first)
+        with pytest.raises(AttributeError):
+            first.append((0, 0, 0))
+        with pytest.raises(TypeError):
+            first[0] = (0, 0, 0)
+        # the walk that assembles F reads the cache: equal tables each time
+        table = genus_two_table(12)
+        assert assemble_free_energy(table, 1, 10) == assemble_free_energy(table, 1, 10)
 
     @pytest.mark.parametrize("max_darts", [12, 18])
     @pytest.mark.parametrize("max_index", [1, 2, 3, 4, 5])

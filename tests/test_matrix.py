@@ -35,7 +35,9 @@ from taubench.wick import (
     MAX_VERTEX_ORDER,
     GaussianSpec,
     TraceWord,
+    _legendre_rule,
     _quadrature,
+    _sampled_traces,
     _shape_table,
     gaussian_normalization_check,
     genus_expansion,
@@ -461,6 +463,31 @@ def tensor_rule_n2(lams, points):
 
 
 class TestGaussianNormalization:
+    def test_criterion_10_bytes_are_pinned(self):
+        # suite criterion 10's inputs; each Gauss-Legendre rule is built once
+        # and shared, so these strings also pin the cached nodes and weights
+        expected = {
+            1: ("1.7716596207925437e-16", "2.5066282746310007"),
+            2: ("7.6360140644039243e-16", "18.610304532370357"),
+        }
+        for _ in range(2):
+            r1 = gaussian_normalization_check(1, (Fraction(1),), 1e-10)
+            r2 = gaussian_normalization_check(2, (Fraction(1), Fraction(2)), 1e-6)
+            assert (r1["relative_error"], r1["quadrature"]) == expected[1]
+            assert (r2["relative_error"], r2["quadrature"]) == expected[2]
+
+    def test_cached_rule_is_read_only(self):
+        nodes, weights = _legendre_rule(80)
+        assert _legendre_rule(80)[0] is nodes
+        fresh_nodes, fresh_weights = np.polynomial.legendre.leggauss(80)
+        assert nodes.tobytes() == fresh_nodes.tobytes()
+        assert weights.tobytes() == fresh_weights.tobytes()
+        for array in (nodes, weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+            with pytest.raises(ValueError):
+                array *= 2.0
+
     def test_n1(self):
         report = gaussian_normalization_check(1, (Fraction(1),), 1e-10)
         assert report["pass"]
@@ -530,7 +557,49 @@ class TestGaussianNormalization:
         )
 
 
+def _haar_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Batch of Haar U(2) by Gram-Schmidt with positive-real diagonal R."""
+    z = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
+    q1 = z[:, :, 0]
+    q1 = q1 / np.linalg.norm(q1, axis=1, keepdims=True)
+    v = z[:, :, 1] - np.sum(np.conj(q1) * z[:, :, 1], axis=1, keepdims=True) * q1
+    q2 = v / np.linalg.norm(v, axis=1, keepdims=True)
+    return np.stack([q1, q2], axis=2)
+
+
+def oracle_traces(x, y, sample_count: int, seed: int) -> np.ndarray:
+    """sum_ij x_i y_j |U_ij|^2 over whole Gram-Schmidt unitaries, drawn in
+    the sampler's chunks from the same seed."""
+    rng = np.random.default_rng(seed)
+    chunks = []
+    for start in range(0, sample_count, wick.HCIZ_CHUNK):
+        u = _haar_unitaries(rng, min(wick.HCIZ_CHUNK, sample_count - start))
+        chunks.append(np.einsum("i,j,sij->s", np.asarray(x), np.asarray(y), np.abs(u) ** 2))
+    return np.concatenate(chunks)
+
+
 class TestHciz:
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    @pytest.mark.parametrize("sample_count", [2, 50_000, 50_001])
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            ((1.0, -1.0), (1.0, -1.0)),
+            ((0.5, 2.0), (1.0, 3.0)),
+            ((1.0, -1.0), (0.0, 0.0)),
+            ((1.0, 1.0), (2.0, 3.0)),
+        ],
+    )
+    def test_traces_match_gram_schmidt_unitaries(self, x, y, sample_count, seed):
+        traces = _sampled_traces(x, y, sample_count, seed)
+        oracle = oracle_traces(x, y, sample_count, seed)
+        assert traces.shape == oracle.shape == (sample_count,)
+        # relative to sum |x_i y_j|, the largest |tr| can be: a trace near 0
+        # cancels, and the oracle's Gram-Schmidt loses orthogonality (up to
+        # 1.3e-13 of that scale at seed 0) when z's columns nearly align
+        scale = sum(abs(a * b) for a in x for b in y)
+        np.testing.assert_allclose(traces, oracle, rtol=0, atol=1e-12 * scale)
+
     def test_generic_configurations(self):
         for x, y in (((1, -1), (1, -1)), ((0.5, 2), (1, 3))):
             report = hciz_check(x, y, 200_000, seed=7)
