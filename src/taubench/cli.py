@@ -128,8 +128,6 @@ def _cmd_intersect(args, config):
     from .exact import rational_to_str
     from .ribbon import extract_intersection_numbers
 
-    if args.genus < 0 or args.n < 1:
-        raise DomainError("need genus >= 0 and n >= 1")
     table = extract_intersection_numbers(args.genus, args.n, config.max_darts)
     numbers = {}
     rows = [("genus", "indices", "value")]

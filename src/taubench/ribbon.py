@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +30,7 @@ from .exact import common_denominator, double_factorial, solve_linear_exact
 DEFAULT_MAX_DARTS = 12
 # rooted maps x face labelings x roots; the 18-dart block (0, 5) needs
 # 1105 x 5! x 18 = 2386800.  An upper bound: each labeling compares only the
-# roots tied at the least unlabeled encoding, most often one.
+# roots tied at the least unlabeled encoding, and the graph sum compares none.
 MAX_GRAPH_WORK = 2_500_000
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -70,17 +71,6 @@ class DartStructure:
         if chi % 2:
             raise DomainError("odd Euler characteristic")
         return (2 - chi) // 2
-
-    def to_json(self, aut_order: int | None = None) -> dict:
-        out = {
-            "darts": self.dart_count,
-            "sigma": list(self.sigma),
-            "alpha": list(self.alpha),
-            "face_labels": list(self.face_labels),
-        }
-        if aut_order is not None:
-            out["aut_order"] = aut_order
-        return out
 
 
 def face_cycles(sigma: Sequence[int], alpha: Sequence[int]) -> list[tuple[int, ...]]:
@@ -139,10 +129,16 @@ class RibbonGraphClass:
 
     canonical: DartStructure
     aut_order: int
-    edge_face_pairs: tuple[tuple[int, int], ...]
 
     def to_json(self) -> dict:
-        return self.canonical.to_json(aut_order=self.aut_order)
+        c = self.canonical
+        return {
+            "darts": c.dart_count,
+            "sigma": list(c.sigma),
+            "alpha": list(c.alpha),
+            "face_labels": list(c.face_labels),
+            "aut_order": self.aut_order,
+        }
 
 
 def _canonical_sigma(darts: int) -> tuple[int, ...]:
@@ -180,14 +176,14 @@ def _rooted_maps(darts: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, 1)
 
 
-def _edge_face_pairs(struct: DartStructure) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for d in range(struct.dart_count):
-        e = struct.alpha[d]
-        if d < e:
-            f1, f2 = struct.face_labels[d], struct.face_labels[e]
-            pairs.append((min(f1, f2), max(f1, f2)))
-    return tuple(sorted(pairs))
+def _faced_maps(darts: int, n: int) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+    """(alpha, face) for each rooted map of _rooted_maps(darts) with n faces,
+    where face[x] numbers the face of dart x, 0..n-1 in first-dart order."""
+    sigma = _canonical_sigma(darts)
+    for alpha in _rooted_maps(darts):
+        faces = face_cycles(sigma, alpha)
+        if len(faces) == n:
+            yield alpha, {x: fi for fi, cycle in enumerate(faces) for x in cycle}
 
 
 def _rooted_map_counts() -> Iterator[int]:
@@ -247,7 +243,7 @@ def enumerate_trivalent(
 
     Vertices V = 2(n+2g-2), edges E = 3(n+2g-2), faces n; every class is
     connected with Euler genus g.  Each rooted connected map with n faces is
-    generated once (_rooted_maps); its class under every face labeling is
+    generated once (_faced_maps); its class under every face labeling is
     the minimum encoding over all roots, so the result does not depend on
     which map of a class comes first.  Face labels come last in an encoding,
     so that minimum lies among the roots whose unlabeled encoding is least
@@ -258,14 +254,7 @@ def enumerate_trivalent(
     sigma = _canonical_sigma(darts)
     classes: dict[tuple, RibbonGraphClass] = {}
     labelings = list(itertools.permutations(range(1, n + 1)))
-    for alpha in _rooted_maps(darts):
-        faces = face_cycles(sigma, alpha)
-        if len(faces) != n:
-            continue
-        face_index = [0] * darts  # unlabeled face id per dart
-        for fi, cycle in enumerate(faces):
-            for x in cycle:
-                face_index[x] = fi
+    for alpha, face_index in _faced_maps(darts, n):
         # rooted encodings computed once; labelings only permute face ids, so
         # the least labeled encoding is among the roots of least (sig2, alf2)
         rooted = [_rooted_encoding(sigma, alpha, root) for root in range(darts)]
@@ -283,11 +272,7 @@ def enumerate_trivalent(
                 continue
             struct = DartStructure(*canon)
             assert struct.genus == g and struct.face_count == n
-            classes[canon] = RibbonGraphClass(
-                canonical=struct,
-                aut_order=encodings.count(labels),
-                edge_face_pairs=_edge_face_pairs(struct),
-            )
+            classes[canon] = RibbonGraphClass(struct, encodings.count(labels))
     return tuple(classes[key] for key in sorted(classes))
 
 
@@ -298,34 +283,44 @@ def enumerate_trivalent(
 
 @lru_cache(maxsize=None)
 def _graph_sum_table(g: int, n: int, max_darts: int) -> tuple:
-    """The block's classes as one integer polynomial in the edge factors.
+    """The block's graph sum as one integer polynomial in the edge factors.
 
-    Returns (pairs, E, den, terms): the face pairs in first use (class
-    order, then edge_face_pairs order), the edge count, den = 2^V *
-    lcm(aut_order), and (pair indices, c) per distinct edge_face_pairs
-    tuple, where c/den is the sum of 2^{-V}/|Aut| over its classes.
+    A class with automorphism group Aut is d/|Aut| rooted maps with labeled
+    faces (orbit-stabilizer), and a rooted map's n! face labelings are
+    distinct, so sum_classes 2^{-V}/|Aut| prod_e = 1/(d * 2^V) sum over
+    rooted maps and labelings of prod_e: no class or aut_order is formed.
+    Returns (pairs, E, den, terms): the sorted face pairs, the edge count,
+    den = d * 2^V and (pair indices, c) per sorted tuple of edge face pairs,
+    c its labeled rooted maps, with den and every c divided by their gcd.
     """
-    classes = enumerate_trivalent(g, n, max_darts)
-    aut_lcm = math.lcm(*(cls.aut_order for cls in classes))
-    index: dict[tuple[int, int], int] = {}
-    coeffs: dict[tuple[int, ...], int] = {}
-    for cls in classes:
-        key = tuple(index.setdefault(pair, len(index)) for pair in cls.edge_face_pairs)
-        coeffs[key] = coeffs.get(key, 0) + aut_lcm // cls.aut_order
-    den = 2 ** classes[0].canonical.vertex_count * aut_lcm
-    return tuple(index), classes[0].canonical.edge_count, den, tuple(coeffs.items())
+    darts = _trivalent_darts(g, n, max_darts)
+    counts: Counter[tuple[tuple[int, int], ...]] = Counter()
+    for alpha, face in _faced_maps(darts, n):
+        edges = [(face[x], face[alpha[x]]) for x in range(darts) if x < alpha[x]]
+        for lab in itertools.permutations(range(1, n + 1)):
+            key = sorted(
+                (lab[a], lab[b]) if lab[a] <= lab[b] else (lab[b], lab[a]) for a, b in edges
+            )
+            counts[tuple(key)] += 1
+    den = darts * 2 ** (darts // 3)
+    divisor = math.gcd(den, *counts.values())
+    pairs = tuple(sorted({pair for key in counts for pair in key}))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    terms = tuple((tuple(map(index.get, key)), c // divisor) for key, c in counts.items())
+    return pairs, darts // 2, den // divisor, terms
 
 
 def kontsevich_sum(
     g: int, n: int, lams: Sequence[Fraction], max_darts: int = DEFAULT_MAX_DARTS
 ) -> Fraction:
-    """Sum over classes of 2^{-V}/|Aut| * prod_e 2/(lambda_i + lambda_j).
+    """Sum over classes of 2^{-V}/|Aut| * prod_e 2/(lambda_i + lambda_j),
+    read from the rooted maps (orbit-stabilizer; see _graph_sum_table).
 
     With lambda_i = P_i/D and L = lcm(P_a + P_b) over the block's face
-    pairs, each edge factor is (2D/L) * L/(P_a + P_b), so the classes are
+    pairs, each edge factor is (2D/L) * L/(P_a + P_b), so the terms are
     summed in integers over _graph_sum_table's den and divided once:
     sum = sum_terms c * prod_e L/(P_a + P_b) * (2D)^E / (den * L^E).
-    A zero pair sum raises PoleError, for the first pair in class order.
+    A zero pair sum raises PoleError on the least vanishing face pair (a, b).
     """
     lams = [Fraction(x) for x in lams]
     if len(lams) != n:
@@ -425,16 +420,13 @@ def extract_intersection_numbers(
     Evaluates the graph sum at >= 25% more deterministic sample points than
     unknowns and demands an exactly zero overdetermination residual.
     """
+    _trivalent_darts(g, n, max_darts)  # refuse a bad or over-budget block before any sum
     ratios = _convention_ratios(max_darts)
     if ratios != (Fraction(1), Fraction(1)):
         raise ConventionMismatch(
             "graph-sum normalisation does not close at the base cases",
             ratios=ratios,
         )
-    total = 3 * g - 3 + n
-    if total < 0:
-        raise Unstable(f"negative dimension for (g, n) = ({g}, {n})")
-    _trivalent_darts(g, n, max_darts)  # refuse an over-budget block before any row
     multisets = block_indices(g, n)
     unknowns = len(multisets)
     count = max(unknowns + 1, -(-unknowns * 5 // 4))

@@ -435,6 +435,8 @@ def gaussian_normalization_check(
         lams = [math.inf]
     if not all(0 < v < math.inf for v in lams):
         raise DomainError("lambda out of float range")
+    if not 0 < tol < math.inf:
+        raise DomainError("tol must be finite and > 0")
     coarse = _quadrature(lams, 60)
     value = _quadrature(lams, 80)
     if not math.isfinite(value) or abs(value - coarse) > max(tol, 1e-9) * abs(value):

@@ -21,7 +21,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from taubench.cli import CONFIG_ENV, run
-from taubench import schur
+from taubench import ribbon, schur
 from taubench.schur import partitions_of
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "schemas"
@@ -159,6 +159,34 @@ class TestExitCodes:
         ],
     )
     def test_out_of_float_range_is_two(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert json.loads(err) == {"error": "usage", "message": message}
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_normalization_tol_must_be_finite_and_positive(self, capsys, tol):
+        # nan, 0 and -1 used to end in "verification failed" (exit 1), and
+        # inf passed whatever the quadrature gave
+        code, out, err = invoke(
+            capsys, "matrix", "normalization", "--N", "1", "--lambda", "2", f"--tol={tol}"
+        )
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert json.loads(err) == {"error": "usage", "message": "tol must be finite and > 0"}
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("intersect", "-g", "0", "-n", "2"), "no trivalent graph for (g, n) = (0, 2)"),
+            (("intersect", "-g", "-1", "-n", "3"), "need genus >= 0 and at least one face"),
+            (("intersect", "-g", "1", "-n", "0"), "need genus >= 0 and at least one face"),
+            # the block is checked before the budget of the base cases
+            (("--max-darts", "0", "intersect", "-g", "0", "-n", "1"),
+             "no trivalent graph for (g, n) = (0, 1)"),
+        ],
+    )
+    def test_one_block_domain_check(self, capsys, argv, message):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, "")
         assert_one_error_line(err)
@@ -562,6 +590,15 @@ class TestEighteenDarts:
         code, out, _ = invoke(capsys, "--max-darts", "18", "intersect", "-g", "2", "-n", "1")
         assert code == 0
         assert json.loads(out)["numbers"] == {"(4)": "1/1152"}
+
+    def test_genus_two_two_faces_at_24_darts(self, capsys):
+        # the table comes from 8112 rooted maps x 2 labelings, no class
+        ribbon._graph_sum_table.cache_clear()
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "--max-darts", "24", "intersect", "-g", "2", "-n", "2")
+        assert time.perf_counter() - start < 1.5
+        assert code == 0
+        assert json.loads(out)["numbers"] == {"(3,2)": "29/5760", "(4,1)": "1/384", "(5,0)": "1/1152"}
 
 
 class TestDeterminism:

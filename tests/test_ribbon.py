@@ -8,9 +8,10 @@ Oracles used here are independent of the production code paths:
 - class lists are cross-checked against a brute-force walk over every
   fixed-point-free involution on the canonical vertex permutation;
 - extracted amplitudes are checked against hand-frozen table values;
-- kontsevich_sum's one integer division is checked against the per-class
-  Fraction loop (oracle_kontsevich_sum), and the class lists up to 18
-  darts against sha256 digests of the `graphs enumerate` bytes.
+- kontsevich_sum, built from the rooted maps with no class, is checked
+  against the per-class Fraction loop (oracle_kontsevich_sum) and its
+  integer table against the class-by-class fold, and the class lists up
+  to 18 darts against sha256 digests of the `graphs enumerate` bytes.
 
 The per-structure oracles validate, canonical_encoding and
 automorphism_order check one dart structure at a time; enumerate_trivalent
@@ -20,7 +21,7 @@ computes the same canonical form and automorphism order inline.
 import hashlib
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -111,26 +112,46 @@ def automorphism_order(struct: DartStructure) -> int:
     return sum(1 for enc in encodings if enc == best)
 
 
+def edge_face_pairs(struct: DartStructure) -> tuple[tuple[int, int], ...]:
+    """The sorted (lesser, greater) face labels across each edge."""
+    return tuple(sorted(
+        tuple(sorted((struct.face_labels[x], struct.face_labels[struct.alpha[x]])))
+        for x in range(struct.dart_count)
+        if x < struct.alpha[x]
+    ))
+
+
+def class_fold(g, n, max_darts) -> dict[tuple, Fraction]:
+    """Sum of 2^{-V}/|Aut| over the classes, per edge_face_pairs tuple."""
+    fold = {}
+    for cls in enumerate_trivalent(g, n, max_darts):
+        key = edge_face_pairs(cls.canonical)
+        weight = Fraction(1, 2 ** cls.canonical.vertex_count * cls.aut_order)
+        fold[key] = fold.get(key, 0) + weight
+    return fold
+
+
 def oracle_kontsevich_sum(g, n, lams, max_darts=12) -> Fraction:
-    """The graph sum class by class, one Fraction product per class, with
-    2/(lambda_a + lambda_b) computed at a pair's first use (class order,
-    then edge_face_pairs order), where a zero sum raises PoleError."""
+    """The graph sum class by class, one Fraction product per class.  The
+    face pairs of every class are checked first in sorted order, so a zero
+    sum raises PoleError on the least pair (a, b) whose sum vanishes."""
     lams = [Fraction(x) for x in lams]
     if len(lams) != n:
         raise DomainError("need one lambda per face")
-    total = Fraction(0)
+    classes = [
+        (cls, edge_face_pairs(cls.canonical)) for cls in enumerate_trivalent(g, n, max_darts)
+    ]
     pair_weight = {}
-    for cls in enumerate_trivalent(g, n, max_darts):
+    for f1, f2 in sorted({pair for _, pairs in classes for pair in pairs}):
+        denom = lams[f1 - 1] + lams[f2 - 1]
+        if denom == 0:
+            raise PoleError(f"lambda_{f1} + lambda_{f2} = 0")
+        pair_weight[f1, f2] = Fraction(2) / denom
+    total = Fraction(0)
+    for cls, pairs in classes:
         weight = Fraction(1, 2 ** cls.canonical.vertex_count * cls.aut_order)
-        for pair in cls.edge_face_pairs:
-            factor = pair_weight.get(pair)
-            if factor is None:
-                f1, f2 = pair
-                denom = lams[f1 - 1] + lams[f2 - 1]
-                if denom == 0:
-                    raise PoleError(f"lambda_{f1} + lambda_{f2} = 0")
-                factor = pair_weight[pair] = Fraction(2) / denom
-            weight *= factor
+        for pair in pairs:
+            weight *= pair_weight[pair]
         total += weight
     return total
 
@@ -234,13 +255,7 @@ def brute_force_classes(g: int, n: int) -> tuple[RibbonGraphClass, ...]:
             struct = DartStructure(sigma, alpha, tuple(labels))
             canon = canonical_encoding(struct)
             if canon not in classes:
-                c = DartStructure(*canon)
-                pairs = sorted(
-                    tuple(sorted((c.face_labels[x], c.face_labels[c.alpha[x]])))
-                    for x in range(d)
-                    if x < c.alpha[x]
-                )
-                classes[canon] = RibbonGraphClass(c, automorphism_order(struct), tuple(pairs))
+                classes[canon] = RibbonGraphClass(DartStructure(*canon), automorphism_order(struct))
     return tuple(classes[key] for key in sorted(classes))
 
 
@@ -409,11 +424,13 @@ class TestKontsevichSum:
             (0, [3, -3, -3], "lambda_1 + lambda_2 = 0"),
             (0, [1, 2, -1, 3], "lambda_1 + lambda_3 = 0"),
             (1, [1, -1], "lambda_1 + lambda_2 = 0"),
+            # (1, 4), (2, 4) and (3, 4) all vanish; the least pair is named
+            (0, [-2, -2, -2, 2], "lambda_1 + lambda_4 = 0"),
         ],
     )
     def test_first_pole_is_reported(self, g, lams, message):
-        # pair sums are checked in first-use order, so the first vanishing
-        # edge of the class walk raises, with the oracle's message
+        # pair sums are checked in sorted pair order, so the least vanishing
+        # face pair raises, with the oracle's message
         for graph_sum in (kontsevich_sum, oracle_kontsevich_sum):
             with pytest.raises(PoleError) as info:
                 graph_sum(g, len(lams), [Fraction(v) for v in lams])
@@ -477,17 +494,34 @@ class TestKontsevichSum:
         assert kontsevich_match(len(lams), lams, order) == report
 
     def test_block_table_merges_equal_pair_tuples(self):
-        # one integer coefficient per distinct edge_face_pairs tuple, summing
-        # 2^{-V}/|Aut| over its classes, over the common denominator
-        for g, n in BLOCKS_UP_TO_18:
-            classes = enumerate_trivalent(g, n, 18)
-            pairs, edges, den, terms = ribbon._graph_sum_table(g, n, 18)
-            assert edges == classes[0].canonical.edge_count
-            assert len(terms) == len({cls.edge_face_pairs for cls in classes})
-            assert sum(Fraction(c, den) for _, c in terms) == sum(
-                Fraction(1, 2 ** cls.canonical.vertex_count * cls.aut_order) for cls in classes
-            )
-            assert sorted(pairs) == sorted({p for cls in classes for p in cls.edge_face_pairs})
+        # one integer coefficient per sorted pair tuple: the labeled rooted
+        # maps over d * 2^V equal 2^{-V}/|Aut| summed over the tuple's classes
+        for g, n, max_darts in [(g, n, 18) for g, n in BLOCKS_UP_TO_18] + [(2, 2, 24)]:
+            pairs, edges, den, terms = ribbon._graph_sum_table(g, n, max_darts)
+            fold = class_fold(g, n, max_darts)
+            assert edges == 3 * (n + 2 * g - 2)
+            assert list(pairs) == sorted({p for key in fold for p in key})
+            assert {tuple(pairs[i] for i in key): Fraction(c, den) for key, c in terms} == fold
+            assert gcd(den, *(c for _, c in terms)) == 1
+
+    def test_the_sum_needs_no_classes(self, monkeypatch, capsys):
+        lams = [Fraction(3), Fraction(5, 2)]
+        expected = oracle_kontsevich_sum(1, 2, lams)
+
+        def refuse(*args):
+            raise AssertionError("the graph sum enumerated classes")
+
+        # the caches are bypassed, so every table is built afresh
+        monkeypatch.setattr(ribbon, "enumerate_trivalent", refuse)
+        monkeypatch.setattr(ribbon, "_graph_sum_table", ribbon._graph_sum_table.__wrapped__)
+        monkeypatch.setattr(ribbon, "_convention_ratios", ribbon._convention_ratios.__wrapped__)
+        assert kontsevich_sum(1, 2, lams) == expected
+        assert extract_intersection_numbers(1, 2).entries == {
+            (1, (1, 1)): Fraction(1, 24),
+            (1, (2, 0)): Fraction(1, 24),
+        }
+        assert run(["intersect", "-g", "0", "-n", "4"]) == 0
+        assert capsys.readouterr().out == '{"genus":0,"n":4,"numbers":{"(1,0,0,0)":"1"}}\n'
 
 
 FROZEN_TABLE = {
