@@ -314,6 +314,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise DomainError(message)
 
+    def _get_values(self, action, arg_strings):
+        # argparse drops a "--" given as an option's value (--word=--) and
+        # stores [] for it; it is a missing value, as in --word --
+        if action.option_strings and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -356,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     osc = virasoro_sub.add_parser("oscillator")
     osc.add_argument("--lambda", dest="lambda_param", default="0")
     osc.add_argument("--mu", default="0")
-    # SUPPRESS keeps a global --cap given before the subcommand
-    osc.add_argument("--cap", type=int, default=argparse.SUPPRESS)
     osc.add_argument("--max-mode", type=int, default=2, dest="max_mode")
     osc.set_defaults(func=_cmd_virasoro_oscillator)
     target = virasoro_sub.add_parser("target")
@@ -385,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     hciz.add_argument("--x", required=True)
     hciz.add_argument("--y", required=True)
     hciz.add_argument("--samples", type=int, default=200_000)
-    # SUPPRESS keeps a global --seed given before the subcommand
-    hciz.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     hciz.set_defaults(func=_cmd_matrix_hciz)
     norm = matrix_sub.add_parser("normalization")
     norm.add_argument("--N", type=int, required=True)

@@ -10,12 +10,13 @@ the lcm of its scalars' denominators; its columns hold D times the image in
 once per output term.  Two operator families are built:
 
 - the oscillator representation on C[x_1, x_2, ...] with a_n = d/dx_n,
-  a_{-n} = hbar n x_n, a_0 = mu, and L_k built from the quadratic a-form
+  a_{-n} = n x_n, a_0 = mu, and L_k built from the quadratic a-form
   (central charge 1 + 12 lambda^2);
 - the target-manifold family L_n, n >= -1, built literally from the printed
   display: a t d-block with C^(j) coefficients, a second-derivative block
   with D^(j) coefficients, and a t.t block, over cohomology data
-  (eta, nilpotent C, b_alpha, independent b^alpha).
+  (eta, nilpotent C, b_alpha, independent b^alpha), at genus parameter
+  lambda = 1.
 
 Q(i) lives here and only here: GaussianRational is born where the i*lambda
 terms of the oscillator L_k multiply in GR_I (with int parts in the columns).
@@ -218,12 +219,10 @@ def _times(scalar, d: int):
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    hbar: Fraction = Fraction(1)
     mu: Fraction = Fraction(0)
     lambda_param: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "hbar", Fraction(self.hbar))
         object.__setattr__(self, "mu", Fraction(self.mu))
         object.__setattr__(self, "lambda_param", Fraction(self.lambda_param))
 
@@ -234,11 +233,11 @@ def fock_space(cap: int):
 
 
 def heisenberg(n: int, params: OscillatorParams) -> OperatorExpr:
-    """a_n = d/dx_n (n > 0), a_{-n} = hbar n x_n, a_0 = mu."""
+    """a_n = d/dx_n (n > 0), a_{-n} = n x_n, a_0 = mu."""
     if n > 0:
         return OperatorExpr.build([(1, (), (f"x{n}",))])
     if n < 0:
-        return OperatorExpr.build([(params.hbar * -n, (f"x{-n}",), ())])
+        return OperatorExpr.build([(-n, (f"x{-n}",), ())])
     return OperatorExpr.build([(params.mu, (), ())])
 
 
@@ -501,6 +500,13 @@ def cd_identity_check(
 # ---------------------------------------------------------------------------
 
 
+# Cohomology work: dim^4, the entry products of the up to dim successive
+# dim x dim products of C that one L_n build forms.  Dimension 10 costs 1e4
+# (the slowest target request tried there took 2.9 s on a 2-core x86 VM);
+# dimension 11 and up are refused before the first product.
+MAX_COHOMOLOGY_WORK = 10**4
+
+
 @dataclass
 class CohomologyData:
     """eta pairing, nilpotent C matrix, b_alpha, and independent b^alpha."""
@@ -515,6 +521,10 @@ class CohomologyData:
         if not isinstance(self.eta, (list, tuple)):
             raise DomainError("eta must be a square matrix")
         d = len(self.eta)
+        if d**4 > MAX_COHOMOLOGY_WORK:
+            raise BudgetError(
+                f"cohomology work {d**4} (dim^4) exceeds the budget {MAX_COHOMOLOGY_WORK}"
+            )
         self.eta = rational_matrix(self.eta, d, d, "eta")
         self.cmat = rational_matrix(self.cmat, d, d, "C")
         self.b = rational_vector(self.b, d, "b")
@@ -523,19 +533,16 @@ class CohomologyData:
             raise DomainError("eta must be symmetric")
         if rational_rank(self.eta) != d:
             raise DomainError("eta must be invertible")
-        if any(x for row in self.matrix_power(d) for x in row):
+        # C^dim = 0 exactly when C^(2^k) = 0 for the least 2^k >= dim
+        power, reach = self.cmat, 1
+        while reach < d:
+            power, reach = mat_mul(power, power), 2 * reach
+        if any(x for row in power for x in row):
             raise DomainError("C must be nilpotent (C^dim = 0)")
 
     @property
     def dim(self) -> int:
         return len(self.eta)
-
-    def matrix_power(self, j: int) -> list[list[Fraction]]:
-        d = self.dim
-        out = [[Fraction(i == k) for k in range(d)] for i in range(d)]
-        for _ in range(j):
-            out = mat_mul(out, self.cmat)
-        return out
 
     def eta_inverse(self) -> list[list[Fraction]]:
         # __post_init__ checked eta invertible: reducing [eta | 1] leaves [1 | eta^-1]
@@ -599,21 +606,20 @@ def target_virasoro_build(
     data: CohomologyData,
     n: int,
     max_m: int,
-    lam: Fraction = Fraction(1),
 ) -> OperatorExpr:
-    """L_n, n >= -1, literally as printed; lam is the genus parameter."""
+    """L_n, n >= -1, literally as printed, at genus parameter lambda = 1:
+    the printed lambda^2 / 2 and 1 / (2 lambda^2) are both 1/2."""
     if n < -1:
         raise DomainError("target operators are defined for n >= -1")
     d = data.dim
     big_n = d - 1  # the printed N, with dim = N + 1
-    lam2 = Fraction(lam) ** 2
-    inv2lam2 = Fraction(1, 2) / lam2
+    half = Fraction(1, 2)
     raw = []
     if n == -1:
         for alpha in range(d):
             for m in range(1, max_m + 1):
                 raw.append((Fraction(m), (t_var(m, alpha),), (t_var(m - 1, alpha),)))
-        raw += _t0_pairs(data.eta, inv2lam2)
+        raw += _t0_pairs(data.eta, half)
         return OperatorExpr.build(raw)
     if n == 0:
         for alpha in range(d):
@@ -621,26 +627,16 @@ def target_virasoro_build(
                 raw.append(((m + data.b[alpha]), (t_var(m, alpha),), (t_var(m, alpha),)))
         for alpha in range(big_n):  # alpha in [0, N-1]
             for m in range(1, max_m + 1):
-                raw.append(
-                    (
-                        Fraction((big_n + 1) * m),
-                        (t_var(m, alpha),),
-                        (t_var(m - 1, alpha + 1),),
-                    )
-                )
+                scalar = Fraction((big_n + 1) * m)
+                raw.append((scalar, (t_var(m, alpha),), (t_var(m - 1, alpha + 1),)))
         # rows 1..N of eta, row alpha + 1 paired with t^alpha_0
-        raw += _t0_pairs(data.eta[1:], inv2lam2 * (big_n - 1))
-        raw.append(
-            (
-                Fraction(-(big_n - 1) * (big_n + 1) * (big_n + 3), 48),
-                (),
-                (),
-            )
-        )
+        raw += _t0_pairs(data.eta[1:], half * (big_n - 1))
+        raw.append((Fraction(-(big_n - 1) * (big_n + 1) * (big_n + 3), 48), (), ()))
         return OperatorExpr.build(raw)
     # n >= 1
     eta_inv = data.eta_inverse()
-    powers = [data.matrix_power(0)]  # C^j for j <= min(n + 1, dim - 1)
+    # C^j for j <= min(n + 1, d - 1)
+    powers = [[[Fraction(i == k) for k in range(d)] for i in range(d)]]
     for _ in range(min(n + 1, d - 1)):
         powers.append(mat_mul(powers[-1], data.cmat))
     for j, cj in enumerate(powers):
@@ -654,14 +650,9 @@ def target_virasoro_build(
                 for m in range(max_m + 1):
                     target = m + n - j
                     if 0 <= target <= max_m:
-                        raw.append(
-                            (
-                                coeff_C(j, m, n, data.b[alpha]) * cj[alpha][beta],
-                                (t_var(m, alpha),),
-                                (t_var(target, beta),),
-                            )
-                        )
-                # d d block: (lam^2/2) D^(j)(m, n) d^alpha_m d_{n-m-j-1, beta}
+                        scalar = coeff_C(j, m, n, data.b[alpha]) * cj[alpha][beta]
+                        raw.append((scalar, (t_var(m, alpha),), (t_var(target, beta),)))
+                # d d block: (1/2) D^(j)(m, n) d^alpha_m d_{n-m-j-1, beta}
                 # m and its target n - m - j - 1 both in [0, max_m]
                 for m in range(max(0, n - j - 1 - max_m), min(n - j, max_m + 1)):
                     target = n - m - j - 1
@@ -670,16 +661,11 @@ def target_virasoro_build(
                         continue
                     for gamma in range(d):
                         if eta_inv[alpha][gamma]:
-                            raw.append(
-                                (
-                                    lam2 / 2 * dval * cj[alpha][beta] * eta_inv[alpha][gamma],
-                                    (),
-                                    (t_var(m, gamma), t_var(target, beta)),
-                                )
-                            )
+                            scalar = half * dval * cj[alpha][beta] * eta_inv[alpha][gamma]
+                            raw.append((scalar, (), (t_var(m, gamma), t_var(target, beta))))
     # __post_init__ checked C^dim = 0, so C^(n+1) is the last power or zero
     if n + 1 < d:
-        raw += _t0_pairs(mat_mul(powers[-1], data.eta), inv2lam2)
+        raw += _t0_pairs(mat_mul(powers[-1], data.eta), half)
     return OperatorExpr.build(raw)
 
 
@@ -688,17 +674,16 @@ def target_commutator_report(
     n: int,
     data: CohomologyData,
     window: int = 3,
-    lam: Fraction = Fraction(1),
 ) -> dict:
     """([L_{n1}, L_n] - (n - n1) L_{n+n1}) p for window monomials; a report,
     not an assertion -- the printed operators need not close."""
     max_m = window + 3  # index growth is at most +1 per application
     family = target_space(data, max_m, window + 6)
     monomials = _window(family[1], window)
-    l_n1 = target_virasoro_build(data, n1, max_m, lam)
-    l_n = target_virasoro_build(data, n, max_m, lam)
+    l_n1 = target_virasoro_build(data, n1, max_m)
+    l_n = target_virasoro_build(data, n, max_m)
     if n + n1 >= -1:
-        l_sum = target_virasoro_build(data, n + n1, max_m, lam)
+        l_sum = target_virasoro_build(data, n + n1, max_m)
     elif n != n1:
         raise DomainError("commutator target outside the represented range")
     else:

@@ -34,6 +34,8 @@ DEFAULT_MAX_DARTS = 12
 MAX_GRAPH_WORK = 2_500_000
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the extraction samples lambda_i = p_i + (k + 1)/SAMPLE_DENOMINATOR
+SAMPLE_DENOMINATOR = 11
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +390,10 @@ def block_indices(g: int, n: int, largest: int | None = None) -> tuple[tuple[int
     return tuple(out)
 
 
-def _sample_points(n: int, count: int, denom: int) -> list[list[Fraction]]:
+def _sample_points(n: int, count: int) -> list[list[Fraction]]:
     """Deterministic pole-free, rank-robust lambda tuples."""
     return [
-        [Fraction(_PRIMES[i]) + Fraction(k + 1, denom) for i in range(n)]
+        [Fraction(_PRIMES[i]) + Fraction(k + 1, SAMPLE_DENOMINATOR) for i in range(n)]
         for k in range(count)
     ]
 
@@ -413,7 +415,6 @@ def extract_intersection_numbers(
     g: int,
     n: int,
     max_darts: int = DEFAULT_MAX_DARTS,
-    denom: int = 11,
 ) -> IntersectionTable:
     """Solve the main identity for all amplitudes with sum(d_i) = 3g-3+n.
 
@@ -430,7 +431,7 @@ def extract_intersection_numbers(
     multisets = block_indices(g, n)
     unknowns = len(multisets)
     count = max(unknowns + 1, -(-unknowns * 5 // 4))
-    points = _sample_points(n, count, denom)
+    points = _sample_points(n, count)
     rows = []
     rhs = []
     for lams in points:

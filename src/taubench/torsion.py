@@ -141,15 +141,13 @@ def is_acyclic(c: BasedChainComplex) -> bool:
     return all(len(pivots[i]) + len(pivots[i + 1]) == n for i, n in enumerate(c.ranks))
 
 
-def torsion(c: BasedChainComplex, lift_rng: random.Random | None = None) -> Fraction:
+def torsion(c: BasedChainComplex) -> Fraction:
     """Alternating determinant product; exact nonzero rational.
 
     In degree i the columns of T_i are d_{i+1} e_j for the pivot columns j
     of d_{i+1} (a basis of im d_{i+1} = ker d_i) followed by e_j for the
     pivot columns j of d_i, which d_i maps onto the degree i-1 image basis;
-    tau = prod det(T_i)^{(-1)^{i+1}}.  An optional RNG perturbs the lifts
-    by kernel elements -- the result is provably unchanged, and the
-    invariance is exercised by tests.
+    tau = prod det(T_i)^{(-1)^{i+1}}.
     """
     if not is_acyclic(c):
         raise NotAcyclic("torsion requires an acyclic complex")
@@ -158,11 +156,6 @@ def torsion(c: BasedChainComplex, lift_rng: random.Random | None = None) -> Frac
     for i, n in enumerate(c.ranks):
         image = [[row[j] for j in pivots[i + 1]] for row in c.boundary(i + 1)]
         lift = [[Fraction(r == j) for j in pivots[i]] for r in range(n)]
-        if lift_rng is not None:
-            for col in range(len(pivots[i])):
-                coeffs = [lift_rng.randint(-3, 3) for _ in pivots[i + 1]]
-                for row in range(n):
-                    lift[row][col] += sum(a * b for a, b in zip(coeffs, image[row]))
         det = determinant([b + l for b, l in zip(image, lift)]) if n else Fraction(1)
         tau *= det if (i + 1) % 2 == 0 else 1 / det
     return tau
@@ -318,35 +311,29 @@ def standard_sum_maps(cp: BasedChainComplex, cpp: BasedChainComplex, c: BasedCha
     return inclusions, projections
 
 
-def random_acyclic_complex(
-    rng: random.Random, max_length: int = 3, max_rank: int = 5
-) -> BasedChainComplex:
+# random_acyclic_complex draws a length in 1..MAX_RANDOM_LENGTH and, per
+# degree, 0..MAX_RANDOM_BLOCKS elementary blocks
+MAX_RANDOM_LENGTH = 3
+MAX_RANDOM_BLOCKS = 4
+
+
+def random_acyclic_complex(rng: random.Random) -> BasedChainComplex:
     """Rationally acyclic integer complex: elementary d-blocks twisted by
     unimodular based changes with small entries."""
-    length = rng.randint(1, max_length)
-    blocks_per_degree = [0] * (length + 1)
-    total = 0
-    for i in range(1, length + 1):
-        count = rng.randint(0, max_rank - 1)
-        blocks_per_degree[i] = count
-        total += count
-    if total == 0:
+    length = rng.randint(1, MAX_RANDOM_LENGTH)
+    blocks_per_degree = [0] + [rng.randint(0, MAX_RANDOM_BLOCKS) for _ in range(length)]
+    if not any(blocks_per_degree):
         blocks_per_degree[1] = 1
-    ranks = [0] * (length + 1)
-    for i in range(1, length + 1):
-        ranks[i] += blocks_per_degree[i]
-        ranks[i - 1] += blocks_per_degree[i]
     # layout: in degree i the first blocks_per_degree[i] basis vectors are
     # block sources, the rest are targets of degree i+1 blocks
-    boundaries = [_mat(ranks[i - 1], ranks[i]) for i in range(1, length + 1)]
+    ranks = [a + b for a, b in zip(blocks_per_degree, blocks_per_degree[1:] + [0])]
+    mats = [_mat(ranks[i - 1], ranks[i]) for i in range(1, length + 1)]
     for i in range(1, length + 1):
-        mat = boundaries[i - 1]
         target_offset = blocks_per_degree[i - 1]  # skip degree i-1 sources
         for b in range(blocks_per_degree[i]):
             d = rng.choice([1, 1, 2, 3, 5, -2, -3])
-            mat[target_offset + b][b] = Fraction(d)
+            mats[i - 1][target_offset + b][b] = Fraction(d)
     # twist by unimodular based changes: d_i -> P_{i-1} d_i P_i^{-1}
-    mats = boundaries
     for i in range(length + 1):
         n = ranks[i]
         if n < 2:

@@ -184,6 +184,14 @@ MAX_COLORINGS = 10**6
 # three 150-digit lambda (0.9 s on a 2-core x86 VM); three 1000-digit lambda
 # (1.4e9, 27.6 s) are refused.
 MAX_DIAGONAL_WORK = 2 * 10**8
+# Weight-table work, priced before the pair sums are formed: N^2 quotients
+# L/(P_a + P_b), each about bits(L) x words(P_a + P_b).  L divides
+# lcm(1..top), top = 2 P_max, which has under 1.5 top bits (Rosser-Schoenfeld),
+# and divides the product of the at most S distinct pair sums; the smaller
+# bound prices bits(L).  lambda = 1..1000 costs 3.0e9 (1.2 s on a 2-core x86 VM) and 100
+# ten-digit lambda 1.8e9 (1.4 s); 130 ten-digit lambda (5.0e9, 3.4 s) and
+# lambda = 1..2000 (2.4e10) are refused.
+MAX_DIAGONAL_TABLE_WORK = 4 * 10**9
 
 
 def _diagonal_sum(table, lams: Sequence[Fraction], pairs: int) -> Fraction:
@@ -191,13 +199,23 @@ def _diagonal_sum(table, lams: Sequence[Fraction], pairs: int) -> Fraction:
 
     With lambda_i = P_i/D and L = lcm(P_a + P_b), each edge factor is
     (2D/L) * L/(P_a + P_b), so the colorings are summed in integers and
-    divided once.  Over MAX_COLORINGS colorings, or over MAX_DIAGONAL_WORK,
-    raises BudgetError before the walk.
+    divided once.  Over MAX_COLORINGS colorings, over MAX_DIAGONAL_TABLE_WORK
+    before the pair sums are formed, or over MAX_DIAGONAL_WORK before the
+    walk, raises BudgetError.
     """
     colorings = sum(len(lams) ** faces for _, faces, _ in table)
     if colorings > MAX_COLORINGS:
         raise BudgetError(f"{colorings} face colorings exceed the budget of {MAX_COLORINGS}")
     denom, scaled = common_denominator(lams)
+    size, top = len(scaled), 2 * max(scaled)
+    sums = min(size * (size + 1) // 2, top - 2 * min(scaled) + 1)
+    bits = min(sums * top.bit_length(), 3 * top // 2 + 1)
+    table_work = size * size * bits * (top.bit_length() // 64 + 1)
+    if table_work > MAX_DIAGONAL_TABLE_WORK:
+        raise BudgetError(
+            f"diagonal table work {table_work} (N^2 x bits x words)"
+            f" exceeds the budget {MAX_DIAGONAL_TABLE_WORK}"
+        )
     lcm = math.lcm(*{a + b for a in scaled for b in scaled})
     work = colorings * pairs * lcm.bit_length()
     if work > MAX_DIAGONAL_WORK:

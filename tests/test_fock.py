@@ -370,9 +370,7 @@ class TestApplyAgainstOracle:
 
     @pytest.mark.parametrize("k", range(-3, 4))
     def test_builders(self, k):
-        params = OscillatorParams(
-            hbar=Fraction(1, 3), mu=Fraction(3, 2), lambda_param=Fraction(2, 3)
-        )
+        params = OscillatorParams(mu=Fraction(3, 2), lambda_param=Fraction(2, 3))
         names, weights, cap = fock_space(6)
         ops = [
             heisenberg(k, params),
@@ -414,19 +412,18 @@ class TestHeisenberg:
         params = OscillatorParams(mu=Fraction(5, 3))
         assert heisenberg(0, params).apply(one) == one.scale(Fraction(5, 3))
 
-    @pytest.mark.parametrize("hbar", [Fraction(1), Fraction(2), Fraction(1, 3)])
-    def test_commutation_relations(self, hbar):
-        # [a_m, a_n] = m hbar delta_{m,-n} on a guarded window
+    def test_commutation_relations(self):
+        # [a_m, a_n] = m delta_{m,-n} on a guarded window
         cap = 10
         names, weights, series_cap = fock_space(cap)
-        params = OscillatorParams(hbar=hbar)
+        params = OscillatorParams()
         for m, n in itertools.product(range(-4, 5), repeat=2):
             bound = cap - abs(m) - abs(n)  # two applications never truncate
             for expo in weight_monomials(weights, bound):
                 p = monomial(names, weights, series_cap, expo)
                 lhs = heisenberg(m, params).apply(heisenberg(n, params).apply(p))
                 lhs = lhs - heisenberg(n, params).apply(heisenberg(m, params).apply(p))
-                expected = p.scale(m * hbar) if m == -n else p.scale(0)
+                expected = p.scale(m) if m == -n else p.scale(0)
                 assert lhs == expected, (m, n, expo)
 
     def test_truncation_guard(self):
@@ -685,6 +682,34 @@ class TestCohomologyData:
             CohomologyData(eta=[[1, 0], [0, 0]], cmat=[[0, 0], [0, 0]], b=[0, 0], b_raised=[0, 0])
         with pytest.raises(DomainError):
             CohomologyData(eta=[[1, 0], [0, 1]], cmat=[[1, 0], [0, 1]], b=[0, 0], b_raised=[0, 0])
+
+    @staticmethod
+    def shift_data(d, corner=0):
+        # eta antidiagonal, C the shift (C^d = 0, C^(d-1) != 0); a corner
+        # entry closes the shift into a cycle, which is not nilpotent
+        cmat = [[int(i == k + 1 or (corner and (i, k) == (0, d - 1))) for k in range(d)]
+                for i in range(d)]
+        eta = [[int(i + k == d - 1) for k in range(d)] for i in range(d)]
+        return {"eta": eta, "cmat": cmat, "b": [0] * d, "b_raised": [0] * d}
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_nilpotency_by_squaring(self, d):
+        # the shift of every index up to the budget passes; the cycle fails
+        assert CohomologyData.from_json(self.shift_data(d)).dim == d
+        with pytest.raises(DomainError, match="nilpotent"):
+            CohomologyData.from_json(self.shift_data(d, corner=1))
+
+    def test_dimension_priced_before_the_first_product(self, monkeypatch):
+        # dim^4 = 10^4 is the budget; dimension 11 is refused at once
+        with pytest.raises(
+            BudgetError, match=r"^cohomology work 14641 \(dim\^4\) exceeds the budget 10000$"
+        ):
+            CohomologyData.from_json(self.shift_data(11))
+        # neither the rank of eta nor a power of C is started
+        monkeypatch.setattr(fock, "rational_rank", None)
+        monkeypatch.setattr(fock, "mat_mul", None)
+        with pytest.raises(BudgetError):
+            CohomologyData.from_json(self.shift_data(40))
 
     def test_json_roundtrip(self):
         data = two_class_data()

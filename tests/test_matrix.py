@@ -289,6 +289,35 @@ class TestWickMoment:
             f' exceeds the budget {MAX_DIAGONAL_WORK}"}}\n'
         )
 
+    def test_diagonal_table_priced_as_n_squared_bits_words(self, monkeypatch):
+        # tr3^4 at lambda = 3,4,5: N^2 = 9 quotients; top = 10, and L divides
+        # lcm(1..10) (at most 16 bits) and has at most 5 sums of 4 bits
+        word = TraceWord((3, 3, 3, 3))
+        spec = GaussianSpec(3, (Fraction(3), Fraction(4), Fraction(5)))
+        value = wick_moment(spec, word)
+        monkeypatch.setattr(wick, "MAX_DIAGONAL_TABLE_WORK", 144)
+        assert wick_moment(spec, word) == value
+        monkeypatch.setattr(wick, "MAX_DIAGONAL_TABLE_WORK", 143)
+        with pytest.raises(
+            BudgetError,
+            match=r"^diagonal table work 144 \(N\^2 x bits x words\) exceeds the budget 143$",
+        ):
+            wick_moment(spec, word)
+
+    def test_wide_weight_table_is_three_at_once(self, capsys):
+        # one face, so 2000 colorings and 2000 x 1 x 5756 diagonal work: only
+        # the 2000 x 2000 weight table is large, and building it took 13 s
+        lams = ",".join(map(str, range(1, 2001)))
+        start = time.perf_counter()
+        code = run(["matrix", "moment", "--N", "2000", "--word", "tr1^2", "--lambda", lams])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (
+            '{"error":"budget","message":"diagonal table work 24004000000'
+            f' (N^2 x bits x words) exceeds the budget {wick.MAX_DIAGONAL_TABLE_WORK}"}}\n'
+        )
+
     def test_budget_holds_for_a_cached_word(self, capsys):
         # the budget prices the (d-1)!! matchings of a table miss, and is
         # checked before the table is looked up

@@ -540,10 +540,14 @@ class TestExtraction:
             assert table.entries[key] == value, key
         assert table.fragments() == {(0, 3), (1, 1), (0, 4), (1, 2)}
 
-    def test_extraction_independent_of_sample_family(self):
+    def test_extraction_independent_of_sample_family(self, monkeypatch):
+        # the shipped grid, and a grid of denominator 13
         for g, n in [(0, 4), (1, 2)]:
-            a = extract_intersection_numbers(g, n, denom=11)
-            b = extract_intersection_numbers(g, n, denom=13)
+            a = extract_intersection_numbers(g, n)
+            monkeypatch.setattr(ribbon, "SAMPLE_DENOMINATOR", 13)
+            assert ribbon._sample_points(n, 2)[0][0] == Fraction(2) + Fraction(1, 13)
+            b = extract_intersection_numbers(g, n)
+            monkeypatch.undo()
             assert a.entries == b.entries
 
     def test_table_merge_and_json(self):

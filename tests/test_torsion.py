@@ -68,7 +68,8 @@ def complex_5():
 def torsion_by_solved_lifts(c, lift_rng=None):
     """The alternating determinant product with each lift solved from
     d_i X = b_{i-1} (free variables zero) and b_i taken from a separate
-    elimination of d_{i+1}; the same RNG draws perturb the lifts."""
+    elimination of d_{i+1}; an optional RNG perturbs the lifts by image
+    elements, which leaves the torsion unchanged."""
     if not is_acyclic(c):
         raise NotAcyclic("torsion requires an acyclic complex")
     image_bases = []
@@ -165,23 +166,16 @@ class TestTorsion:
             total = torsion(direct_sum(cp, cpp))
             assert abs(total) == abs(torsion(cp) * torsion(cpp))
 
-    def test_lift_invariance(self):
-        rng = random.Random(23)
-        for _ in range(5):
-            c = random_acyclic_complex(rng)
-            base = torsion(c)
-            for seed in range(10):
-                assert torsion(c, random.Random(seed)) == base
-
-    def test_agrees_with_solved_lifts(self):
-        # signed equality, and the lift RNG makes the same draws
+    def test_agrees_with_solved_lifts(self, monkeypatch):
+        # signed equality, also when the oracle's lifts are perturbed by
+        # image elements; complexes up to length 4 with 5 blocks per degree
+        monkeypatch.setattr(torsion_module, "MAX_RANDOM_LENGTH", 4)
+        monkeypatch.setattr(torsion_module, "MAX_RANDOM_BLOCKS", 5)
         rng = random.Random(29)
         for trial in range(240):
-            c = random_acyclic_complex(rng, max_length=4, max_rank=6)
+            c = random_acyclic_complex(rng)
             assert torsion(c) == torsion_by_solved_lifts(c), trial
-            ours, oracle = random.Random(trial), random.Random(trial)
-            assert torsion(c, ours) == torsion_by_solved_lifts(c, oracle), trial
-            assert ours.getstate() == oracle.getstate(), trial
+            assert torsion(c) == torsion_by_solved_lifts(c, random.Random(trial)), trial
 
     def test_based_change_scales_by_unimodular_det(self):
         # swap the C_0 basis of the rank-2 identity complex: P has det -1
