@@ -176,12 +176,12 @@ def _cmd_schur(args, config):
 
 def _cmd_virasoro_oscillator(args, config):
     from .exact import to_rational
-    from .fock import OscillatorParams, oscillator_sweep
+    from .fock import DEFAULT_OSCILLATOR_CAP, OscillatorParams, oscillator_sweep
 
     if args.max_mode < 0:
         raise DomainError("--max-mode must be >= 0")
     params = OscillatorParams(mu=to_rational(args.mu), lambda_param=to_rational(args.lambda_param))
-    cap = config.cap_or(10)
+    cap = config.cap_or(DEFAULT_OSCILLATOR_CAP)
     reports = oscillator_sweep(args.max_mode, params, cap)
     passed = all(r["all_zero"] for r in reports)
     payload = {

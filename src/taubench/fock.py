@@ -266,6 +266,8 @@ def oscillator_virasoro(k: int, params: OscillatorParams, cap: int) -> OperatorE
     return OperatorExpr.build(raw)
 
 
+DEFAULT_OSCILLATOR_CAP = 10  # x_1..x_10, the oscillator checks' cap when none is given
+
 # Most basis monomials one commutator sweep may visit.  The largest window
 # any shipped check uses is 139 monomials (weight <= 10 in x_1..x_10).
 MAX_WINDOW = 1000
@@ -276,11 +278,15 @@ MAX_WINDOW = 1000
 MAX_SWEEP_WORK = 50_000
 
 
+def _window_refusal(bound: int) -> BudgetError:
+    return BudgetError(f"over {MAX_WINDOW} monomials of weight <= {bound} in the window")
+
+
 def _window(weights: Sequence[int], bound: int) -> list[tuple[int, ...]]:
     """Basis monomials of weighted degree <= bound, at most MAX_WINDOW."""
     window = list(itertools.islice(weight_monomials(weights, bound), MAX_WINDOW + 1))
     if len(window) > MAX_WINDOW:
-        raise BudgetError(f"over {MAX_WINDOW} monomials of weight <= {bound} in the window")
+        raise _window_refusal(bound)
     if not window:
         raise InsufficientCap(f"no monomials of weight <= {bound}")
     return window
@@ -297,12 +303,13 @@ def _commutator_images(a: OperatorExpr, b: OperatorExpr, c: OperatorExpr, family
 
 
 def oscillator_commutator_check(
-    m: int, n: int, params: OscillatorParams, safe_cap: int = 10
+    m: int, n: int, params: OscillatorParams, safe_cap: int = DEFAULT_OSCILLATOR_CAP
 ) -> dict:
     """Sweep ([L_m, L_n] - (m-n) L_{m+n} - central) p over the guarded window.
 
-    Window: basis monomials of weight <= safe_cap - |m| - |n| - max(|m|,|n|),
-    so no intermediate application can silently truncate.
+    Window: basis monomials of weight <= safe_cap - |m| - |n| - max(|m|,|n|)
+    (safe_cap is DEFAULT_OSCILLATOR_CAP unless given), so no intermediate
+    application can silently truncate.
     """
     family = fock_space(safe_cap)
     window = _window(family[1], _sweep_bound(m, n, safe_cap))
@@ -338,8 +345,11 @@ def _sweep_bound(m: int, n: int, safe_cap: int) -> int:
     return safe_cap - abs(m) - abs(n) - max(abs(m), abs(n))
 
 
-def oscillator_sweep(max_mode: int, params: OscillatorParams, safe_cap: int = 10) -> list[dict]:
-    """oscillator_commutator_check for every m, n in [-max_mode, max_mode].
+def oscillator_sweep(
+    max_mode: int, params: OscillatorParams, safe_cap: int = DEFAULT_OSCILLATOR_CAP
+) -> list[dict]:
+    """oscillator_commutator_check for every m, n in [-max_mode, max_mode],
+    at safe_cap (DEFAULT_OSCILLATOR_CAP unless given).
 
     Before the first sweep, the windows are walked in sweep order and their
     monomial visits times the arity (cap) are summed; past MAX_SWEEP_WORK
@@ -550,15 +560,6 @@ class CohomologyData:
         augmented = [row + [Fraction(i == k) for k in range(d)] for i, row in enumerate(self.eta)]
         return [row[d:] for row in row_reduce(augmented, d)[0]]
 
-    def to_json(self) -> dict:
-        r = rational_to_str
-        return {
-            "eta": [[r(x) for x in row] for row in self.eta],
-            "cmat": [[r(x) for x in row] for row in self.cmat],
-            "b": [r(x) for x in self.b],
-            "b_raised": [r(x) for x in self.b_raised],
-        }
-
     @classmethod
     def from_json(cls, payload) -> "CohomologyData":
         keys = ("eta", "cmat", "b", "b_raised")
@@ -677,6 +678,10 @@ def target_commutator_report(
 ) -> dict:
     """([L_{n1}, L_n] - (n - n1) L_{n+n1}) p for window monomials; a report,
     not an assertion -- the printed operators need not close."""
+    # the window * dim variables t^alpha_m of weight m + 1 <= window, and 1,
+    # are window monomials: refused by their count before the family is built
+    if window * data.dim >= MAX_WINDOW:
+        raise _window_refusal(window)
     max_m = window + 3  # index growth is at most +1 per application
     family = target_space(data, max_m, window + 6)
     monomials = _window(family[1], window)

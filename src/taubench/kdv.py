@@ -176,16 +176,18 @@ class MaskedSeries:
 
 @dataclass(frozen=True)
 class FreeEnergy:
-    """Assembled free energy with provenance and coverage bookkeeping."""
+    """Assembled free energy: the series, the monomials it leaves undetermined
+    (mask, from the (g, n, d) of coverage_gap) and each entry's monomial."""
 
     series: TruncatedSeries
     mask: frozenset[Exponents]
-    provenance: frozenset[tuple[int, int]]  # (g, n) fragments consumed
     coverage_gap: tuple[tuple[int, int, tuple[int, ...]], ...]  # missing (g,n,d)
-    max_index: int
-    cap: int
     # (g, d) of each entry read -> (prod t_i^{k_i}, 1 / prod k_i!); not compared
     entry_monomials: dict = field(compare=False, repr=False)
+
+    @property
+    def cap(self) -> int:
+        return self.series.cap
 
     def masked(self) -> MaskedSeries:
         return MaskedSeries(self.series, self.mask)
@@ -208,11 +210,11 @@ def assemble_free_energy(
             f" exceed {MAX_FREE_ENERGY_MONOMIALS}"
         )
     names, weights, cap = t_variables(max_index, cap)
-    provenance = table.fragments()
+    fragments = table.fragments()
     terms, read, mask, gap = {}, {}, set(), []
     for n in range(1, cap + 1):
         for g in range((max_index - 1) * n // 3 + 2):  # 3g - 3 + n <= max_index * n
-            covered = g <= max_genus and (g, n) in provenance
+            covered = g <= max_genus and (g, n) in fragments
             for dtuple in block_indices(g, n, max_index):
                 expo = tuple(dtuple.count(i) for i in range(max_index + 1))
                 if not covered:
@@ -227,10 +229,7 @@ def assemble_free_energy(
     return FreeEnergy(
         series=TruncatedSeries(names, weights, cap, terms),
         mask=frozenset(mask),
-        provenance=frozenset(provenance),
         coverage_gap=tuple(sorted(gap)),
-        max_index=max_index,
-        cap=cap,
         entry_monomials=read,
     )
 

@@ -75,22 +75,19 @@ class DartStructure:
         return (2 - chi) // 2
 
 
-def face_cycles(sigma: Sequence[int], alpha: Sequence[int]) -> list[tuple[int, ...]]:
-    """Cycles of sigma o alpha, each cycle one face, in first-dart order."""
-    d = len(sigma)
-    seen = [False] * d
-    cycles = []
-    for start in range(d):
-        if seen[start]:
-            continue
-        cycle = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cycle.append(x)
-            x = sigma[alpha[x]]
-        cycles.append(tuple(cycle))
-    return cycles
+def face_numbers(sigma: Sequence[int], alpha: Sequence[int]) -> tuple[list[int], int]:
+    """(face of each dart, face count): the faces are the cycles of
+    sigma o alpha, numbered 0, 1, ... in first-dart order."""
+    face = [-1] * len(sigma)
+    count = 0
+    for start in range(len(sigma)):
+        if face[start] < 0:
+            x = start
+            while face[x] < 0:
+                face[x] = count
+                x = sigma[alpha[x]]
+            count += 1
+    return face, count
 
 
 def _rooted_encoding(sigma, alpha, root):
@@ -178,14 +175,14 @@ def _rooted_maps(darts: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, 1)
 
 
-def _faced_maps(darts: int, n: int) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+def _faced_maps(darts: int, n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """(alpha, face) for each rooted map of _rooted_maps(darts) with n faces,
-    where face[x] numbers the face of dart x, 0..n-1 in first-dart order."""
+    face[x] the face of dart x as face_numbers numbers it (0..n-1)."""
     sigma = _canonical_sigma(darts)
     for alpha in _rooted_maps(darts):
-        faces = face_cycles(sigma, alpha)
-        if len(faces) == n:
-            yield alpha, {x: fi for fi, cycle in enumerate(faces) for x in cycle}
+        face, count = face_numbers(sigma, alpha)
+        if count == n:
+            yield alpha, face
 
 
 def _rooted_map_counts() -> Iterator[int]:
@@ -347,11 +344,6 @@ class IntersectionTable:
 
     entries: dict[tuple[int, tuple[int, ...]], Fraction]
 
-    def merge(self, other: "IntersectionTable") -> "IntersectionTable":
-        merged = dict(self.entries)
-        merged.update(other.entries)
-        return IntersectionTable(merged)
-
     def fragments(self) -> set[tuple[int, int]]:
         """The (g, n) blocks this table covers."""
         return {(g, len(d)) for g, d in self.entries}
@@ -457,11 +449,11 @@ def extract_intersection_numbers(
 
 def base_table(max_genus: int = 1, max_darts: int = DEFAULT_MAX_DARTS) -> IntersectionTable:
     """All fragments with n + 2g - 2 <= max_darts/6 and g <= max_genus."""
-    table = IntersectionTable({})
+    entries = {}
     kmax = max_darts // 6
     for g in range(max_genus + 1):
         for k in range(1, kmax + 1):
             n = k + 2 - 2 * g
             if n >= 1:
-                table = table.merge(extract_intersection_numbers(g, n, max_darts))
-    return table
+                entries.update(extract_intersection_numbers(g, n, max_darts).entries)
+    return IntersectionTable(entries)

@@ -120,14 +120,6 @@ class BasedChainComplex:
         target = self.ranks[i - 1] if 0 <= i - 1 <= self.length else 0
         return _mat(target, 0)
 
-    def to_json(self) -> dict:
-        return {
-            "ranks": list(self.ranks),
-            "boundaries": [
-                [[rational_to_str(x) for x in row] for row in mat] for mat in self.boundaries
-            ],
-        }
-
     @classmethod
     def from_json(cls, payload: dict) -> "BasedChainComplex":
         if not isinstance(payload, dict) or not {"ranks", "boundaries"} <= payload.keys():

@@ -43,7 +43,7 @@ from .errors import (
     Unsupported,
 )
 from .exact import TruncatedSeries, common_denominator, double_factorial, rational_to_str
-from .ribbon import kontsevich_sum
+from .ribbon import DEFAULT_MAX_DARTS, face_numbers, kontsevich_sum
 
 DEFAULT_MAX_MATCHINGS = 20_000
 MAX_WORD_FACTORS = 10**6  # a longer word is refused before its factor list is built
@@ -122,21 +122,13 @@ def _shape(partner: list[int], nxt: list[int]) -> tuple:
     """Face multigraph of one Wick matching, as a key shared by equal shapes.
 
     Slot s carries the entry M_{a_s b_s} with b_s = a_{nxt(s)}; pairing s~t
-    forces a_s = b_t = a_{nxt(t)}, so the index loops (faces) are the cycles
-    of s -> nxt(partner(s)), and the pair s~t is an edge between the faces
-    of s and t.  Face ids are relabeled by first appearance and the edge
-    list is sorted.  Returns (edges as face-id pairs, face count).
+    forces a_s = b_t = a_{nxt(t)}, so the index loops (faces) are the faces
+    of the ribbon map sigma = nxt, alpha = partner (ribbon.face_numbers),
+    and the pair s~t is an edge between the faces of s and t.  Face ids are
+    relabeled by first appearance and the edge list is sorted.  Returns
+    (edges as face-id pairs, face count).
     """
-    face = [-1] * len(nxt)
-    faces = 0
-    for start in range(len(nxt)):
-        if face[start] >= 0:
-            continue
-        s = start
-        while face[s] < 0:
-            face[s] = faces
-            s = nxt[partner[s]]
-        faces += 1
+    face, faces = face_numbers(nxt, partner)
     relabel: dict[int, int] = {}
     edges = []
     for s, t in enumerate(partner):
@@ -318,7 +310,7 @@ def kontsevich_match(
     N: int,
     lambda_diag: Sequence[Fraction],
     vertex_order: int = 2,
-    max_darts: int = 12,
+    max_darts: int = DEFAULT_MAX_DARTS,
     max_matchings: int = DEFAULT_MAX_MATCHINGS,
 ) -> dict:
     """Match the cubic Wick expansion against the colored ribbon-graph sum.

@@ -438,6 +438,29 @@ class TestVirasoroArgs:
         assert_one_error_line(err)
         assert json.loads(err)["error"] == "budget"
 
+    @pytest.mark.parametrize("data", [False, True])
+    def test_million_weight_window_is_three_at_once(self, capsys, tmp_path, data):
+        # a window's variable family grows with the window; at 2e6 it took
+        # 7.7 GB before the window was refused
+        argv = ["virasoro", "target", "--window", "1000000"]
+        if data:
+            (tmp_path / "two_class.json").write_text(json.dumps({
+                "eta": [[0, 1], [1, 0]],
+                "cmat": [[0, 0], [1, 0]],
+                "b": ["-1/2", "1/2"],
+                "b_raised": ["-1/2", "1/2"],
+            }))
+            argv += ["--data", str(tmp_path / "two_class.json")]
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (3, "")
+        assert_one_error_line(err)
+        assert json.loads(err) == {
+            "error": "budget",
+            "message": "over 1000 monomials of weight <= 1000000 in the window",
+        }
+
     @pytest.mark.parametrize(
         "argv",
         [

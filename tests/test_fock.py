@@ -711,10 +711,6 @@ class TestCohomologyData:
         with pytest.raises(BudgetError):
             CohomologyData.from_json(self.shift_data(40))
 
-    def test_json_roundtrip(self):
-        data = two_class_data()
-        assert CohomologyData.from_json(data.to_json()).to_json() == data.to_json()
-
     def test_eta_inverse(self):
         data = two_class_data()
         inv = data.eta_inverse()
@@ -776,3 +772,16 @@ class TestTargetVirasoro:
     def test_empty_window(self):
         with pytest.raises(InsufficientCap):
             target_commutator_report(-1, 0, point_target_data(), window=-1)
+
+    @pytest.mark.parametrize("dim, window", [(1, 1000), (2, 500), (2, 10**6)])
+    def test_wide_window_is_refused_before_the_family(self, monkeypatch, dim, window):
+        # window * dim variables of weight <= window, and 1: over MAX_WINDOW
+        data = point_target_data() if dim == 1 else two_class_data()
+        monkeypatch.setattr(fock, "target_space", None)
+        with pytest.raises(BudgetError, match=f"^over 1000 monomials of weight <= {window} in"):
+            target_commutator_report(0, 1, data, window)
+
+    def test_window_below_the_variable_count_is_refused_by_the_walk(self):
+        # 999 variables and 1 fit, so the family is built; the walk refuses
+        with pytest.raises(BudgetError, match="^over 1000 monomials of weight <= 999 in"):
+            target_commutator_report(0, 1, point_target_data(), 999)

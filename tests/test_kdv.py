@@ -59,21 +59,22 @@ class TestAssembly:
         assert free_energy.series.coefficient((2, 0, 0, 0, 0)).real == 0
         assert (2, 0, 0, 0, 0) not in free_energy.mask
 
-    def test_gap_lists_missing_fragments(self, free_energy):
+    def test_gap_lists_missing_fragments(self, table, free_energy):
         gaps = {(g, n) for g, n, _ in free_energy.coverage_gap}
         assert (0, 5) in gaps  # t0^5 needs the 18-dart block
         assert (1, 3) in gaps
-        assert not gaps & free_energy.provenance
+        assert not gaps & table.fragments()
 
     def test_empty_table_is_zero_with_full_gap(self):
-        fe = assemble_free_energy(IntersectionTable({}))
+        empty = IntersectionTable({})
+        fe = assemble_free_energy(empty)
         assert fe.series.is_zero()
-        assert fe.provenance == frozenset()
+        assert empty.fragments() == set()
         # every dimension-consistent monomial in the cap is reported missing
         assert (0, 3, (0, 0, 0)) in fe.coverage_gap
 
-    def test_provenance(self, free_energy):
-        assert free_energy.provenance == {(0, 3), (0, 4), (1, 1), (1, 2)}
+    def test_provenance(self, table):
+        assert table.fragments() == {(0, 3), (0, 4), (1, 1), (1, 2)}
 
 
 def _forced_genus(dsum, n):
@@ -90,7 +91,7 @@ def oracle_assemble_free_energy(table, max_genus=1, cap=8, max_index=4):
     second pass over the table entries.  It has no budget, so every cap the
     block walk accepts can be compared."""
     names, weights, cap = t_variables(max_index, cap)
-    provenance = table.fragments()
+    fragments = table.fragments()
     mask = set()
     gap = []
     for expo in weight_monomials(weights, cap):
@@ -106,7 +107,7 @@ def oracle_assemble_free_energy(table, max_genus=1, cap=8, max_index=4):
                 reverse=True,
             )
         )
-        if g <= max_genus and (g, n) in provenance:
+        if g <= max_genus and (g, n) in fragments:
             if (g, dtuple) not in table.entries:
                 raise DomainError(f"table fragment ({g},{n}) missing {dtuple}")
         else:
@@ -126,10 +127,7 @@ def oracle_assemble_free_energy(table, max_genus=1, cap=8, max_index=4):
     return FreeEnergy(
         series=TruncatedSeries(names, weights, cap, terms),
         mask=frozenset(mask),
-        provenance=frozenset(provenance),
         coverage_gap=tuple(sorted(set(gap))),
-        max_index=max_index,
-        cap=cap,
         entry_monomials=read,
     )
 

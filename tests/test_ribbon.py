@@ -7,6 +7,8 @@ Oracles used here are independent of the production code paths:
   dart structure (all vertex permutations, not just the canonical one);
 - class lists are cross-checked against a brute-force walk over every
   fixed-point-free involution on the canonical vertex permutation;
+- face_numbers, and the Wick shape table that reads it, are checked
+  against a test-side cycle walk (face_cycles), which validate also uses;
 - extracted amplitudes are checked against hand-frozen table values;
 - kontsevich_sum, built from the rooted maps with no class, is checked
   against the per-class Fraction loop (oracle_kontsevich_sum) and its
@@ -20,6 +22,7 @@ computes the same canonical form and automorphism order inline.
 
 import hashlib
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -40,10 +43,24 @@ from taubench.ribbon import (
     base_table,
     enumerate_trivalent,
     extract_intersection_numbers,
-    face_cycles,
+    face_numbers,
     kontsevich_sum,
 )
 from taubench.wick import kontsevich_match
+
+
+def face_cycles(sigma, alpha) -> list[tuple[int, ...]]:
+    """Cycles of sigma o alpha, one per face, each listed from its least
+    dart and in order of that dart: the oracle for face_numbers."""
+    cycles, seen = [], set()
+    for start in range(len(sigma)):
+        if start not in seen:
+            cycle = [start]
+            while (x := sigma[alpha[cycle[-1]]]) != start:
+                cycle.append(x)
+            seen.update(cycle)
+            cycles.append(tuple(cycle))
+    return cycles
 
 
 def _is_connected(sigma, alpha) -> bool:
@@ -259,6 +276,41 @@ def brute_force_classes(g: int, n: int) -> tuple[RibbonGraphClass, ...]:
     return tuple(classes[key] for key in sorted(classes))
 
 
+def perfect_matchings(slots):
+    if not slots:
+        yield []
+        return
+    for i in range(1, len(slots)):
+        for rest in perfect_matchings(slots[1:i] + slots[i + 1 :]):
+            yield [(slots[0], slots[i])] + rest
+
+
+def oracle_shape_counts(word) -> Counter:
+    """Matchings per Wick shape of the word: the slots of each trace factor
+    form one cycle of sigma, a matching is alpha, the faces are
+    face_cycles(sigma, alpha), and each pair is an edge between the faces
+    of its slots, face ids renumbered by first appearance over the pairs."""
+    sigma, base = [], 0
+    for k in word.powers:
+        sigma += [base + (i + 1) % k for i in range(k)]
+        base += k
+    counts = Counter()
+    for matching in perfect_matchings(list(range(base))):
+        alpha = [0] * base
+        for s, t in matching:
+            alpha[s], alpha[t] = t, s
+        cycles = face_cycles(sigma, alpha)
+        face = {x: fi for fi, cycle in enumerate(cycles) for x in cycle}
+        relabel = {}
+        edges = []
+        for s, t in sorted(matching):
+            a = relabel.setdefault(face[s], len(relabel))
+            b = relabel.setdefault(face[t], len(relabel))
+            edges.append((min(a, b), max(a, b)))
+        counts[tuple(sorted(edges)), len(cycles)] += 1
+    return counts
+
+
 ROOTED_MAPS = {6: 5, 12: 60, 18: 1105}  # OEIS A062980
 BLOCKS_BY_DARTS = {6: [(0, 3), (1, 1)], 12: [(0, 4), (1, 2)], 18: [(0, 5), (1, 3), (2, 1)]}
 BLOCKS_UP_TO_18 = [block for blocks in BLOCKS_BY_DARTS.values() for block in blocks]
@@ -289,6 +341,24 @@ class TestRootedMapGeneration:
         assert len(set(maps)) == len(maps)
         for alpha in maps:
             validate(DartStructure(sigma, alpha, (1,) * 12))
+
+    def test_face_numbers_match_the_cycle_walk(self):
+        for darts in ROOTED_MAPS:
+            sigma = _canonical_sigma(darts)
+            for alpha in _rooted_maps(darts):
+                cycles = face_cycles(sigma, alpha)
+                face = [0] * darts
+                for fi, cycle in enumerate(cycles):
+                    for x in cycle:
+                        face[x] = fi
+                assert face_numbers(sigma, alpha) == (face, len(cycles))
+
+    @pytest.mark.parametrize("text", ["tr3^4", "tr4^2,tr2", "tr8", "tr3^2,tr1^2", "tr5,tr3"])
+    def test_wick_shape_table_matches_the_cycle_walk(self, text):
+        word = wick.TraceWord.from_string(text)
+        assert dict(oracle_shape_counts(word)) == {
+            (edges, faces): mult for edges, faces, mult in wick._shape_table(word)
+        }
 
     def test_orbit_count_identity(self):
         # each class of n labeled faces and automorphism group Aut is
@@ -550,11 +620,11 @@ class TestExtraction:
             monkeypatch.undo()
             assert a.entries == b.entries
 
-    def test_table_merge_and_json(self):
-        a = extract_intersection_numbers(0, 3)
-        b = extract_intersection_numbers(1, 1)
-        merged = a.merge(b)
-        assert merged.to_json() == {"g0:(0,0,0)": "1", "g1:(1)": "1/24"}
+    def test_two_block_table_json(self):
+        # the 6-dart base table holds the blocks (0, 3) and (1, 1)
+        table = base_table(max_darts=6)
+        assert table.fragments() == {(0, 3), (1, 1)}
+        assert table.to_json() == {"g0:(0,0,0)": "1", "g1:(1)": "1/24"}
 
     def test_unstable_guard(self):
         with pytest.raises(Unstable):

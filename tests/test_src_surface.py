@@ -1,8 +1,10 @@
 """Every module-level function and class in src/taubench has a caller there,
-and every function the benchmark's tracer hooks still exists.
+every dataclass field there is read there, and every function the
+benchmark's tracer hooks still exists.
 
 Code that only the tests call lives in the tests, as an oracle next to the
-assertions that use it, so src/ holds what the CLI and the suite run.  The
+assertions that use it, so src/ holds what the CLI and the suite run; a
+field nothing in src/ reads is a second copy of a fact or a dead one.  The
 tracer (perfbench/tracer.py) names its hooks as strings, so a rename in src/
 would silently drop a layer's timings; the hook test reads those names.
 """
@@ -27,10 +29,14 @@ def referenced_names(node) -> collections.Counter:
     return names
 
 
+def parsed_modules(src: pathlib.Path) -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+
+
 def unreferenced_definitions(src: pathlib.Path) -> list[tuple[str, str]]:
     """(file, name) of each module-level def or class that no src/ code
     names outside its own body."""
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    trees = parsed_modules(src)
     everywhere = sum((referenced_names(tree) for tree in trees.values()), collections.Counter())
     return [
         (file, node.name)
@@ -53,6 +59,62 @@ def test_the_guard_sees_an_unused_definition(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import used\n")
     assert unreferenced_definitions(tmp_path) == [("a.py", "recursive"), ("a.py", "Orphan")]
+
+
+def is_dataclass_decorator(node) -> bool:
+    """@dataclass, @dataclass(...) or @dataclasses.dataclass(...)."""
+    target = node.func if isinstance(node, ast.Call) else node
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name == "dataclass"
+
+
+def unread_fields(src: pathlib.Path) -> list[tuple[str, str, str]]:
+    """(file, class, field) of each annotated field of a src/ dataclass that
+    no src/ code reads as an attribute, the class's own methods included."""
+    trees = parsed_modules(src)
+    read = {
+        sub.attr
+        for tree in trees.values()
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    return [
+        (file, node.name, stmt.target.id)
+        for file, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass_decorator, node.decorator_list))
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read
+    ]
+
+
+def test_every_dataclass_field_is_read_in_src():
+    assert unread_fields(SRC) == []
+
+
+def test_the_field_guard_sees_an_unread_field(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Point:\n"
+        "    x: int\n"
+        "    y: int\n"
+        "    label: str = field(default='')\n\n"
+        "    def square(self):\n"
+        "        return self.x * self.x\n\n\n"
+        "@dataclasses.dataclass\n"
+        "class Box:\n"
+        "    width: int\n\n\n"
+        "class Plain:\n"
+        "    depth: int\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "def height(point):\n    return point.y\n\n\n"
+        "def widen(box):\n    box.width = 2\n"
+    )
+    assert unread_fields(tmp_path) == [("a.py", "Point", "label"), ("a.py", "Box", "width")]
 
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
