@@ -145,13 +145,11 @@ def _cmd_verify(args, config):
 
     table = base_table(max_darts=config.max_darts)
     fe = assemble_free_energy(table, cap=config.cap_or(DEFAULT_CAP))
-    report = (kdv_residual if args.which == "kdv" else string_residual)(fe)
-    payload = report.to_json()
+    payload = (kdv_residual if args.which == "kdv" else string_residual)(fe)
     payload["coverage_gap"] = [
         {"genus": g, "n": n, "indices": list(d)} for g, n, d in fe.coverage_gap
     ]
-    passed = not report.covered_nonzero()
-    payload["pass"] = passed
+    passed = payload["pass"] = not payload["counts"]["nonzero"]
     return payload, None, passed
 
 
@@ -211,24 +209,23 @@ def _cmd_virasoro_target(args, config):
 
 def _cmd_matrix_moment(args, config):
     from .exact import rational_to_str
-    from .wick import GaussianSpec, TraceWord, wick_moment
+    from .wick import TraceWord, wick_moment
 
     word = TraceWord.from_string(args.word)
     if args.lambda_diag:
-        spec = GaussianSpec(args.N, _fractions(args.lambda_diag))
-        value = wick_moment(spec, word, config.max_matchings)
+        lams = _fractions(args.lambda_diag)
+        value = wick_moment(lams, word, config.max_matchings)
         payload = {
             "mode": "diagonal",
-            "N": args.N,
-            "lambda": [rational_to_str(v) for v in spec.lambda_diag],
+            "N": len(lams),
+            "lambda": [rational_to_str(v) for v in lams],
             "word": list(word.powers),
             "moment": rational_to_str(value),
         }
         return payload, None, True
-    value = wick_moment(GaussianSpec(args.N), word, config.max_matchings)
+    value = wick_moment(None, word, config.max_matchings)
     payload = {
         "mode": "scalar",
-        "N": args.N,
         "word": list(word.powers),
         "laurent": {str(p): rational_to_str(c) for p, c in value.items()},
     }
@@ -275,7 +272,7 @@ def _cmd_matrix_hciz(args, config):
 def _cmd_matrix_normalization(args, config):
     from .wick import gaussian_normalization_check
 
-    report = gaussian_normalization_check(args.N, _fractions(args.lambda_diag), args.tol)
+    report = gaussian_normalization_check(_fractions(args.lambda_diag), args.tol)
     return report, None, report["pass"]
 
 
@@ -375,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     matrix = sub.add_parser("matrix", help="Gaussian matrix-model checks")
     matrix_sub = matrix.add_subparsers(dest="matrix_command", required=True)
     moment = matrix_sub.add_parser("moment")
-    moment.add_argument("--N", type=int, required=True)
     moment.add_argument("--lambda", dest="lambda_diag")
     moment.add_argument("--word", required=True)
     moment.set_defaults(func=_cmd_matrix_moment)
@@ -392,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     hciz.add_argument("--samples", type=int, default=200_000)
     hciz.set_defaults(func=_cmd_matrix_hciz)
     norm = matrix_sub.add_parser("normalization")
-    norm.add_argument("--N", type=int, required=True)
     norm.add_argument("--lambda", dest="lambda_diag", required=True)
     norm.add_argument("--tol", type=float, default=1e-6)
     norm.set_defaults(func=_cmd_matrix_normalization)

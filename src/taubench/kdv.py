@@ -234,40 +234,12 @@ def assemble_free_energy(
     )
 
 
-@dataclass
-class ResidualReport:
-    """Exact residual plus a status per monomial inside the reliable window."""
-
-    name: str
-    residual: MaskedSeries
-    window: int
-    entries: list[dict] = field(default_factory=list)
-
-    @property
-    def series(self) -> TruncatedSeries:
-        return self.residual.series
-
-    def covered_nonzero(self) -> list[dict]:
-        return [e for e in self.entries if e["status"] == "nonzero"]
-
-    def counts(self) -> dict[str, int]:
-        out = {"verified_zero": 0, "uncovered": 0, "nonzero": 0}
-        for item in self.entries:
-            out[item["status"]] += 1
-        return out
-
-    def to_json(self) -> dict:
-        return {
-            "residual": self.name,
-            "window": self.window,
-            "counts": self.counts(),
-            "monomials": self.entries,
-        }
-
-
-def _classify(name: str, residual: MaskedSeries, window: int) -> ResidualReport:
+def _classify(name: str, residual: MaskedSeries, window: int) -> dict:
+    """The residual report: a status per monomial inside the reliable window,
+    and the count of each status."""
     series = residual.series
-    entries = []
+    counts = {"verified_zero": 0, "uncovered": 0, "nonzero": 0}
+    monomials = []
     for expo in sorted(
         weight_monomials(series.weights, window), key=lambda e: (series.degree_of(e), e)
     ):
@@ -278,7 +250,8 @@ def _classify(name: str, residual: MaskedSeries, window: int) -> ResidualReport:
             status = "nonzero"
         else:
             status = "verified_zero"
-        entries.append(
+        counts[status] += 1
+        monomials.append(
             {
                 "monomial": monomial_name(series.variables, expo),
                 "exponents": list(expo),
@@ -286,7 +259,7 @@ def _classify(name: str, residual: MaskedSeries, window: int) -> ResidualReport:
                 "value": str(coeff),
             }
         )
-    return ResidualReport(name=name, residual=residual, window=window, entries=entries)
+    return {"residual": name, "window": window, "counts": counts, "monomials": monomials}
 
 
 def _kdv_formula(f):
@@ -326,15 +299,16 @@ def _masked_residual(name: str, free_energy: FreeEnergy) -> tuple[int, MaskedSer
     return window, formula(free_energy.masked())
 
 
-def kdv_residual(free_energy: FreeEnergy) -> ResidualReport:
-    """The KdV residual R of F in the window cap - 5; higher degrees would be
-    truncation artifacts."""
+def kdv_residual(free_energy: FreeEnergy) -> dict:
+    """The report (_classify) of the KdV residual R of F in the window
+    cap - 5; higher degrees would be truncation artifacts."""
     window, residual = _masked_residual("kdv", free_energy)
     return _classify("kdv", residual, window)
 
 
-def string_residual(free_energy: FreeEnergy) -> ResidualReport:
-    """The string residual S of F, reliable to cap - 1."""
+def string_residual(free_energy: FreeEnergy) -> dict:
+    """The report (_classify) of the string residual S of F, reliable to
+    cap - 1."""
     window, residual = _masked_residual("string", free_energy)
     return _classify("string", residual, window)
 

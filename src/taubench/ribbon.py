@@ -38,43 +38,6 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 SAMPLE_DENOMINATOR = 11
 
 
-# ---------------------------------------------------------------------------
-# Dart structures
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DartStructure:
-    """Trivalent combinatorial map with labeled faces."""
-
-    sigma: tuple[int, ...]
-    alpha: tuple[int, ...]
-    face_labels: tuple[int, ...]  # per dart, values in 1..n
-
-    @property
-    def dart_count(self) -> int:
-        return len(self.sigma)
-
-    @property
-    def vertex_count(self) -> int:
-        return self.dart_count // 3
-
-    @property
-    def edge_count(self) -> int:
-        return self.dart_count // 2
-
-    @property
-    def face_count(self) -> int:
-        return len(set(self.face_labels))
-
-    @property
-    def genus(self) -> int:
-        chi = self.vertex_count - self.edge_count + self.face_count
-        if chi % 2:
-            raise DomainError("odd Euler characteristic")
-        return (2 - chi) // 2
-
-
 def face_numbers(sigma: Sequence[int], alpha: Sequence[int]) -> tuple[list[int], int]:
     """(face of each dart, face count): the faces are the cycles of
     sigma o alpha, numbered 0, 1, ... in first-dart order."""
@@ -124,18 +87,20 @@ def _rooted_encoding(sigma, alpha, root):
 
 @dataclass(frozen=True)
 class RibbonGraphClass:
-    """Isomorphism class of a trivalent ribbon graph with labeled faces."""
+    """Isomorphism class of a trivalent ribbon graph with labeled faces: its
+    canonical encoding and the order of its automorphism group."""
 
-    canonical: DartStructure
+    sigma: tuple[int, ...]
+    alpha: tuple[int, ...]
+    face_labels: tuple[int, ...]  # per dart, values in 1..n
     aut_order: int
 
     def to_json(self) -> dict:
-        c = self.canonical
         return {
-            "darts": c.dart_count,
-            "sigma": list(c.sigma),
-            "alpha": list(c.alpha),
-            "face_labels": list(c.face_labels),
+            "darts": len(self.sigma),
+            "sigma": list(self.sigma),
+            "alpha": list(self.alpha),
+            "face_labels": list(self.face_labels),
             "aut_order": self.aut_order,
         }
 
@@ -240,7 +205,8 @@ def enumerate_trivalent(
 ) -> tuple[RibbonGraphClass, ...]:
     """Complete duplicate-free list of labeled-face trivalent classes.
 
-    Vertices V = 2(n+2g-2), edges E = 3(n+2g-2), faces n; every class is
+    Vertices V = 2(n+2g-2), edges E = 3(n+2g-2) and faces n (_faced_maps
+    keeps only the maps with n faces), so V - E + F = 2 - 2g: every class is
     connected with Euler genus g.  Each rooted connected map with n faces is
     generated once (_faced_maps); its class under every face labeling is
     the minimum encoding over all roots, so the result does not depend on
@@ -269,9 +235,7 @@ def enumerate_trivalent(
             canon = (*least, labels)
             if canon in classes:
                 continue
-            struct = DartStructure(*canon)
-            assert struct.genus == g and struct.face_count == n
-            classes[canon] = RibbonGraphClass(struct, encodings.count(labels))
+            classes[canon] = RibbonGraphClass(*canon, encodings.count(labels))
     return tuple(classes[key] for key in sorted(classes))
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import BudgetError, DegenerateSlice, DomainError
 from .exact import TruncatedSeries, x_variables
@@ -130,26 +129,15 @@ def schur_lambda(p: Partition) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def restrict_to_xyt(
-    tau: TruncatedSeries, eval_point: Mapping[str, Fraction]
-) -> TruncatedSeries:
-    """Substitute rational constants for x_4, x_5, ... leaving x_1..x_3; a tau
-    in fewer than three variables gets zero exponents in the missing slots."""
+def restrict_to_xyt(tau: TruncatedSeries) -> TruncatedSeries:
+    """tau on the slice x_j = 1 for j >= 4, a series in x_1..x_3: the
+    coefficients that agree on x_1..x_3 add up.  A tau in fewer than three
+    variables gets zero exponents in the missing slots."""
     names, weights, cap = x_variables(3, tau.cap)
-    values = {name: Fraction(v) for name, v in eval_point.items()}
     terms: dict[tuple[int, int, int], Fraction] = {}
     for expo, coeff in tau.terms.items():
-        scale = Fraction(1)
-        for idx in range(3, len(expo)):
-            e = expo[idx]
-            if not e:
-                continue
-            name = tau.variables[idx]
-            if name not in values:
-                raise DomainError(f"no evaluation value supplied for {name}")
-            scale *= values[name] ** e
         key = tuple(expo[:3]) + (0,) * max(0, 3 - len(expo))
-        terms[key] = terms.get(key, 0) + coeff * scale
+        terms[key] = terms.get(key, 0) + coeff
     return TruncatedSeries(names, weights, cap, terms)
 
 
@@ -165,7 +153,7 @@ def kp_hirota_residual(tau: TruncatedSeries) -> TruncatedSeries:
     if tau.is_zero():
         raise DomainError("tau must be nonzero")
     if len(tau.variables) < 3:
-        tau = restrict_to_xyt(tau, {})
+        tau = restrict_to_xyt(tau)
     tau = tau.with_cap(2 * tau.cap)
     x, y, t = tau.variables[:3]
     tau_x, tau_y = tau.diff(x), tau.diff(y)
@@ -210,16 +198,15 @@ class _TauRational:
         return _TauRational(num, self.power + 1, self.tau)
 
 
-def kp_pde_residual(
-    tau: TruncatedSeries, eval_point: Mapping[str, Fraction] | None = None
-) -> TruncatedSeries:
+def kp_pde_residual(tau: TruncatedSeries) -> TruncatedSeries:
     """Numerator of (3/4) u_yy - d/dx (u_t - (3/2) u u_x - (1/4) u_xxx).
 
     The residual is an exact rational function with denominator a power of
     tau; the returned polynomial is its numerator, identically zero exactly
-    when tau solves the KP equation on the chosen slice.
+    when tau solves the KP equation on the slice x_j = 1 for j >= 4
+    (restrict_to_xyt).
     """
-    tau3 = restrict_to_xyt(tau, eval_point or {})
+    tau3 = restrict_to_xyt(tau)
     if tau3.is_zero():
         raise DegenerateSlice("tau vanishes identically on the slice")
     weight = max((tau3.degree_of(e) for e in tau3.terms), default=0)
@@ -243,5 +230,5 @@ def kp_checks(tau: TruncatedSeries) -> dict:
     """Run both KP verifications and report agreement; the KP equation is
     checked on the slice x_j = 1 for j >= 4."""
     hirota = kp_hirota_residual(tau).is_zero()
-    pde = kp_pde_residual(tau, dict.fromkeys(tau.variables[3:], Fraction(1))).is_zero()
+    pde = kp_pde_residual(tau).is_zero()
     return {"hirota_zero": hirota, "pde_zero": pde, "agree": hirota == pde}

@@ -86,27 +86,14 @@ class TraceWord:
         return cls(tuple(powers))
 
 
-@dataclass(frozen=True)
-class GaussianSpec:
-    """Diagonal external source (lambda_diag given) or scalar 1/N mode."""
-
-    N: int
-    lambda_diag: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise DomainError("matrix size must be positive")
-        if self.lambda_diag is not None:
-            lams = tuple(Fraction(v) for v in self.lambda_diag)
-            if len(lams) != self.N:
-                raise DomainError("need exactly N diagonal entries")
-            if any(v <= 0 for v in lams):
-                raise DomainError("lambda entries must be positive")
-            object.__setattr__(self, "lambda_diag", lams)
-
-    @property
-    def scalar_mode(self) -> bool:
-        return self.lambda_diag is None
+def _diagonal(lambda_diag: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The diagonal of Lambda as Fractions; refuses an empty or non-positive one."""
+    lams = tuple(Fraction(v) for v in lambda_diag)
+    if not lams:
+        raise DomainError("matrix size must be positive")
+    if any(v <= 0 for v in lams):
+        raise DomainError("lambda entries must be positive")
+    return lams
 
 
 def _slot_cycles(word: TraceWord) -> list[int]:
@@ -244,25 +231,28 @@ def _check_budget(word: TraceWord, max_matchings: int) -> None:
 
 
 def wick_moment(
-    spec: GaussianSpec,
+    lams: Sequence[Fraction] | None,
     word: TraceWord,
     max_matchings: int = DEFAULT_MAX_MATCHINGS,
 ):
-    """<word> under the Gaussian measure.
+    """<word> under the Gaussian measure with Lambda = diag(lams).
 
     Diagonal mode: exact Fraction, summing 2/(lambda_i + lambda_j) edge
-    factors over all matchings and index-loop colorings.  Scalar mode:
-    Laurent polynomial in N as a dict {power: coefficient}, each matching
-    contributing N^{faces - pairs}.  The budget counts the (d-1)!! matchings
-    the shape table walks, and is checked even when the table is cached.
+    factors over all matchings and index-loop colorings.  Scalar mode (lams
+    None): Laurent polynomial in N as a dict {power: coefficient}, each
+    matching contributing N^{faces - pairs}.  The budget counts the (d-1)!!
+    matchings the shape table walks, and is checked even when the table is
+    cached.
     """
+    if lams is not None:
+        lams = _diagonal(lams)
     if word.degree % 2:
-        return {} if spec.scalar_mode else Fraction(0)
+        return {} if lams is None else Fraction(0)
     _check_budget(word, max_matchings)
     table = _shape_table(word)
     pairs = word.degree // 2
-    if not spec.scalar_mode:
-        return _diagonal_sum(table, spec.lambda_diag, pairs)
+    if lams is not None:
+        return _diagonal_sum(table, lams, pairs)
     laurent: dict[int, int] = {}
     for _, faces, mult in table:
         laurent[faces - pairs] = laurent.get(faces - pairs, 0) + mult
@@ -279,7 +269,7 @@ def genus_expansion(
     """
     if len(word.powers) != 1:
         raise DomainError("genus bookkeeping is defined for single-trace words")
-    laurent = wick_moment(GaussianSpec(1), word, max_matchings)
+    laurent = wick_moment(None, word, max_matchings)
     out: dict[int, Fraction] = {}
     for power, coeff in laurent.items():
         g2 = 1 - power
@@ -327,12 +317,13 @@ def kontsevich_match(
         raise DomainError("vertex order must be even and nonnegative")
     if vertex_order > MAX_VERTEX_ORDER:
         raise BudgetError(f"vertex order {vertex_order} exceeds cap {MAX_VERTEX_ORDER}")
-    spec = GaussianSpec(N, tuple(lambda_diag))
-    lams = spec.lambda_diag
+    lams = _diagonal(lambda_diag)
+    if len(lams) != N:
+        raise DomainError("need exactly N diagonal entries")
 
     wick = {(0,): 1}  # series in eps, truncated at eps^vertex_order
     for v in range(2, vertex_order + 1, 2):
-        moment = wick_moment(spec, TraceWord((3,) * v), max_matchings)
+        moment = wick_moment(lams, TraceWord((3,) * v), max_matchings)
         wick[(v,)] = Fraction((-1) ** (v // 2), 6**v * math.factorial(v)) * moment
     log_series = TruncatedSeries(("eps",), (1,), vertex_order, wick).log()
     wick_log = [log_series.coefficient((v,)) for v in range(vertex_order + 1)]
@@ -430,14 +421,14 @@ def _quadrature(lams: Sequence[float], points: int) -> float:
     return value
 
 
-def gaussian_normalization_check(
-    N: int, lambda_diag: Sequence[Fraction], tol: float
-) -> dict:
-    """Quadrature of int exp(-tr(Lambda M^2)/2) dM against the closed form."""
+def gaussian_normalization_check(lambda_diag: Sequence[Fraction], tol: float) -> dict:
+    """Quadrature of int exp(-tr(Lambda M^2)/2) dM against the closed form,
+    at N = len(lambda_diag)."""
+    exact = [Fraction(v) for v in lambda_diag]
+    N = len(exact)
     if N not in (1, 2):
         raise Unsupported("quadrature check is guarded to N <= 2")
-    exact = [Fraction(v) for v in lambda_diag]
-    if len(exact) != N or any(v <= 0 for v in exact):
+    if any(v <= 0 for v in exact):
         raise DomainError("need N positive diagonal entries")
     try:
         lams = [float(v) for v in exact]
@@ -455,7 +446,7 @@ def gaussian_normalization_check(
     rel = abs(value - formula) / abs(formula)
     return {
         "N": N,
-        "lambda": [str(Fraction(v)) for v in lambda_diag],
+        "lambda": [str(v) for v in exact],
         "quadrature": format(value, ".17g"),
         "formula": format(formula, ".17g"),
         "relative_error": format(rel, ".17g"),

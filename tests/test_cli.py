@@ -4,6 +4,7 @@ output against the versioned schemas shipped in /schemas."""
 
 import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -18,11 +19,12 @@ import warnings
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, ValidationError
 from referencing import Registry, Resource
 
 from taubench.cli import CONFIG_ENV, build_parser, run
 from taubench import ribbon, schur
+from taubench.kdv import assemble_free_energy, kdv_residual, string_residual
 from taubench.schur import partitions_of
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "schemas"
@@ -96,7 +98,7 @@ class TestExitCodes:
         code, _, err = invoke(
             capsys,
             "--max-matchings", "5",
-            "matrix", "moment", "--N", "1", "--word", "tr12",
+            "matrix", "moment", "--word", "tr12",
         )
         assert code == 3
         assert json.loads(err)["error"] == "budget"
@@ -161,10 +163,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (("matrix", "normalization", "--N", "1", "--lambda", HUGE),
+            (("matrix", "normalization", "--lambda", HUGE),
              "lambda out of float range"),
             # positive, but it rounds to 0.0
-            (("matrix", "normalization", "--N", "1", "--lambda", "1/" + HUGE),
+            (("matrix", "normalization", "--lambda", "1/" + HUGE),
              "lambda out of float range"),
             # refused before sampling: no inf estimate and no numpy warning
             (("matrix", "hciz", "--x", HUGE + ",1", "--y", "1,2", "--samples", "10"),
@@ -185,7 +187,7 @@ class TestExitCodes:
         # nan, 0 and -1 used to end in "verification failed" (exit 1), and
         # inf passed whatever the quadrature gave
         code, out, err = invoke(
-            capsys, "matrix", "normalization", "--N", "1", "--lambda", "2", f"--tol={tol}"
+            capsys, "matrix", "normalization", "--lambda", "2", f"--tol={tol}"
         )
         assert (code, out) == (2, "")
         assert_one_error_line(err)
@@ -274,6 +276,20 @@ class TestExitCodes:
         assert invoke(capsys, *argv)[0] == 2
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("matrix", "moment", "--N", "2", "--word", "tr4"),
+            ("matrix", "normalization", "--N", "2", "--lambda", "1,2"),
+        ],
+    )
+    def test_n_flag_is_two(self, capsys, argv):
+        # N is the length of --lambda, and scalar mode reads no N
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert json.loads(err) == {"error": "usage", "message": "unrecognized arguments: --N 2"}
+
+    @pytest.mark.parametrize(
         "path, option, name",
         VALUED_OPTIONS,
         ids=[" ".join((*path, option)) for path, option, _ in VALUED_OPTIONS],
@@ -317,8 +333,8 @@ class TestExitCodes:
             ("matrix", "match", "--lambda", "1e300000,1"),
             ("virasoro", "oscillator", "--lambda", "1e300000", "--max-mode", "1"),
             ("virasoro", "oscillator", "--mu=-1e-300000"),
-            ("matrix", "moment", "--N", "2", "--lambda", "1e300000,1", "--word", "tr2"),
-            ("matrix", "normalization", "--N", "1", "--lambda", "1" * 1001),
+            ("matrix", "moment", "--lambda", "1e300000,1", "--word", "tr2"),
+            ("matrix", "normalization", "--lambda", "1" * 1001),
         ],
     )
     def test_rational_over_the_digit_bound_is_two_at_once(self, capsys, argv):
@@ -334,7 +350,7 @@ class TestExitCodes:
         "argv, message",
         [
             (("matrix", "match", "--lambda", "3,x"), "'x' is not a rational string"),
-            (("matrix", "moment", "--N", "1", "--lambda", "1/0", "--word", "tr2"),
+            (("matrix", "moment", "--lambda", "1/0", "--word", "tr2"),
              "'1/0' has a zero denominator"),
             # a zero denominator was an uncaught ZeroDivisionError here
             (("virasoro", "oscillator", "--mu", "1/0"), "'1/0' has a zero denominator"),
@@ -549,14 +565,11 @@ class TestMatrixArgs:
                      min_size=1, max_size=3).map(",".join),
             st.text(alphabet="tr0123456789^,- ", max_size=8),
         ),
-        st.integers(-1, 24),
     )
-    def test_any_matrix_argv_exits_by_contract(self, command, lams, word, size):
+    def test_any_matrix_argv_exits_by_contract(self, command, lams, word):
         argv = ["matrix", command, f"--lambda={lams}"]
         if command == "moment":
-            argv += ["--N", str(size), f"--word={word}"]
-        elif command == "normalization":
-            argv += ["--N", str(size)]
+            argv.append(f"--word={word}")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
@@ -945,7 +958,7 @@ class TestPastTheDigitLimit:
     def test_moment_with_a_wide_denominator(self, capsys):
         # <(tr M^2)^5> = 945 / lambda^5 at N = 1, here 189 / (2 * 10^4949)
         code, out, err = invoke(
-            capsys, "matrix", "moment", "--N", "1", "--word", "tr2^5", "--lambda", "1" + "0" * 990
+            capsys, "matrix", "moment", "--word", "tr2^5", "--lambda", "1" + "0" * 990
         )
         assert (code, err) == (0, "")
         assert json.loads(out)["moment"] == "189/2" + "0" * 4949
@@ -1005,7 +1018,7 @@ class TestOutputs:
          "taubench.ribbon", "enumerate_trivalent"),
         # a cap over the monomial budget would exit 3 once the work ran
         (["--cap", "13", "verify", "kdv"], "taubench.ribbon", "base_table"),
-        (["matrix", "moment", "--N", "2", "--word", "tr2"], "taubench.wick", "wick_moment"),
+        (["matrix", "moment", "--word", "tr2"], "taubench.wick", "wick_moment"),
     ])
     def test_csv_is_refused_before_the_work(self, capsys, monkeypatch, argv, module, name):
         def refuse(*args, **kwargs):
@@ -1061,11 +1074,35 @@ class TestSchemas:
         validate("virasoro-target-v1", self.payload(capsys, "virasoro", "target"))
 
     def test_matrix_moment(self, capsys):
-        validate("matrix-moment-v1", self.payload(
-            capsys, "matrix", "moment", "--N", "3", "--word", "tr3^2",
-            "--lambda", "3,4,5"))
-        validate("matrix-moment-v1", self.payload(
-            capsys, "matrix", "moment", "--N", "2", "--word", "tr4"))
+        diagonal = self.payload(capsys, "matrix", "moment", "--word", "tr3^2", "--lambda", "3,4,5")
+        validate("matrix-moment-v1", diagonal)
+        validate("matrix-moment-v2", diagonal)
+        validate("matrix-moment-v2", self.payload(capsys, "matrix", "moment", "--word", "tr4"))
+
+    def test_scalar_moment_has_no_n(self, capsys):
+        payload = self.payload(capsys, "matrix", "moment", "--word", "tr4")
+        assert payload == {"laurent": {"-1": "1", "1": "2"}, "mode": "scalar", "word": [4]}
+        validate("matrix-moment-v2", payload)
+        with pytest.raises(ValidationError):
+            validate("matrix-moment-v1", payload)
+
+    @pytest.mark.parametrize("lams", ["2", "3,4", "3,4,5", "1/2,1/3,1/4,1/5"])
+    def test_diagonal_n_is_the_lambda_count(self, capsys, lams):
+        payload = self.payload(capsys, "matrix", "moment", "--word", "tr2", "--lambda", lams)
+        assert payload["N"] == len(lams.split(",")) == len(payload["lambda"])
+        validate("matrix-moment-v2", payload)
+
+    @pytest.mark.parametrize("which", ["kdv", "string"])
+    def test_verify_prints_the_residual_report(self, capsys, which):
+        fe = assemble_free_energy(ribbon.base_table())
+        report = {"kdv": kdv_residual, "string": string_residual}[which](fe)
+        report["coverage_gap"] = [
+            {"genus": g, "n": n, "indices": list(d)} for g, n, d in fe.coverage_gap
+        ]
+        report["pass"] = report["counts"]["nonzero"] == 0
+        code, out, err = invoke(capsys, "verify", which)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
     def test_matrix_genus(self, capsys):
         validate("matrix-genus-v1", self.payload(
@@ -1082,7 +1119,7 @@ class TestSchemas:
 
     def test_matrix_normalization(self, capsys):
         validate("matrix-normalization-v1", self.payload(
-            capsys, "matrix", "normalization", "--N", "1", "--lambda", "2"))
+            capsys, "matrix", "normalization", "--lambda", "2"))
 
     def test_torsion(self, capsys, tmp_path):
         path = tmp_path / "c5.json"
@@ -1093,3 +1130,49 @@ class TestSchemas:
 
     def test_suite_quick(self, capsys):
         validate("suite-v1", self.payload(capsys, "suite", "quick"))
+
+
+class TestReadmeCommands:
+    """The README's commands with exact output: exit code and sha256 of
+    stdout, pinned.  matrix hciz, matrix normalization and suite are left
+    out, because they print floats computed by numpy."""
+
+    COMPLEX = '{"ranks":[1,1],"boundaries":[[["5"]]]}'
+    PINNED = {
+        "graphs enumerate --genus 0 --faces 3":
+            "3e2df3e9b2227c48063a70cbca305dd63f4e29d4d58dff76693aa8f27529b78e",
+        "intersect -g 0 -n 3":
+            "efa7590648acd890af26bec902779ae7df4b624afa3e1f28184372a16847daed",
+        "--format csv intersect -g 1 -n 2":
+            "38916c69a0ecdd9e283dd879703ad2ec3df2a343bb04dd5bc548d7be37ea23f7",
+        "verify kdv":
+            "c0d7cdbd0c6ba5a11df196ce0f6a96f4bab2d515331919f518271ce8d16c2e09",
+        "verify string":
+            "e21a78ad42c0d8b8f5277c360e97d5f34391d3c15048bf94a145a7212751e6d7",
+        "schur --partition 2,1 --check-kp --check-hirota":
+            "3421d386e6595e6ee595852e665977b28f880e1ba9640537e827cf66fe042c8b",
+        "virasoro oscillator --lambda 2/3 --max-mode 3":
+            "1bb833f13e02c6f931655abba8601146dea2badd3ae3283a4ac64a77b1001073",
+        "virasoro target":
+            "ccfe59b6389bd4056ca95275d211f93453daa125839b901fefee01fb4e89e148",
+        "matrix moment --word tr3^2 --lambda 3,4,5":
+            "f5c5a0ca2e108ebf5ce4f62823f1dafc1b91a30fe8194eac7df9f2292a90e838",
+        # {"laurent":{"-1":"1","1":"2"},"mode":"scalar","word":[4]}
+        "matrix moment --word tr4":
+            "c4580eeaa6541a3c0b29abdeae62d9f53a554a6b31e673f78d390d20e3801586",
+        "matrix genus --word tr6":
+            "0d2687add88d2f3def806a8fa111b944728053a928aad7b1cb37ae046f0c5a29",
+        "matrix match --lambda 3,4,5":
+            "c0d2239266fdea81c68cbe625bd6a89e4819132b2f7dee2fb285cec493f8a9ac",
+        "torsion --complex complex.json --order-check":
+            "183b51a61810071465a3a1c6d144aa1f9fad88ebac0daf187e4ceea34536ad1d",
+    }
+
+    @pytest.mark.parametrize("command", sorted(PINNED))
+    def test_stdout_digest_is_pinned(self, capsys, tmp_path, command):
+        path = tmp_path / "complex.json"
+        path.write_text(self.COMPLEX)
+        argv = [str(path) if arg == "complex.json" else arg for arg in command.split()]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[command]

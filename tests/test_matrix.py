@@ -33,7 +33,6 @@ from taubench.wick import (
     MAX_COLORINGS,
     MAX_DIAGONAL_WORK,
     MAX_VERTEX_ORDER,
-    GaussianSpec,
     TraceWord,
     _legendre_rule,
     _quadrature,
@@ -103,27 +102,27 @@ def _colored_sum(edges, faces, weight):
     return total
 
 
-def oracle_moment(spec, word):
+def oracle_moment(lams, word):
     """wick_moment matching by matching: N^{faces - pairs} per matching in
-    scalar mode, the Fraction colored sum of 2/(lambda_a + lambda_b) per
-    matching in diagonal mode."""
+    scalar mode (lams None), the Fraction colored sum of
+    2/(lambda_a + lambda_b) per matching in diagonal mode."""
+    scalar_mode = lams is None
     if word.degree % 2:
-        return {} if spec.scalar_mode else Fraction(0)
+        return {} if scalar_mode else Fraction(0)
     nxt = _slot_successors(word.powers)
     pairs_count = word.degree // 2
     laurent: dict[int, Fraction] = {}
     total = Fraction(0)
-    if not spec.scalar_mode:
-        lams = spec.lambda_diag
+    if not scalar_mode:
         weight = [[Fraction(2) / (a + b) for b in lams] for a in lams]
     for pairs in _matchings(list(range(word.degree))):
         edges, faces = _matching_faces(pairs, nxt)
-        if spec.scalar_mode:
+        if scalar_mode:
             power = faces - pairs_count
             laurent[power] = laurent.get(power, Fraction(0)) + 1
         else:
             total += _colored_sum(edges, faces, weight)
-    return dict(sorted(laurent.items())) if spec.scalar_mode else total
+    return dict(sorted(laurent.items())) if scalar_mode else total
 
 
 def catalan(k: int) -> int:
@@ -152,7 +151,7 @@ class TestTraceWord:
         assert TraceWord.from_string("tr3^0").powers == ()
         with pytest.raises(DomainError, match="^negative multiplicity in 'tr3\\^-1'$"):
             TraceWord.from_string("tr4,tr3^-1")
-        code = run(["matrix", "moment", "--N", "2", "--word", "tr3^-1"])
+        code = run(["matrix", "moment", "--word", "tr3^-1"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == '{"error":"usage","message":"negative multiplicity in \'tr3^-1\'"}\n'
@@ -162,19 +161,19 @@ class TestWickMoment:
     def test_one_dimensional_moments(self):
         # oracle: <m^{2k}> = (2k-1)!!/c^k for weight exp(-c m^2/2)
         for c in (Fraction(1), Fraction(3), Fraction(5, 2)):
-            spec = GaussianSpec(1, (c,))
+            lams = (c,)
             for k in range(1, 5):
                 expected = Fraction(double_factorial(2 * k - 1)) / c**k
-                assert wick_moment(spec, TraceWord((2 * k,))) == expected
+                assert wick_moment(lams, TraceWord((2 * k,))) == expected
                 # trace factorization is irrelevant at N = 1
-                assert wick_moment(spec, TraceWord((2,) * k)) == expected
+                assert wick_moment(lams, TraceWord((2,) * k)) == expected
 
     def test_odd_degree_vanishes(self):
-        assert wick_moment(GaussianSpec(1, (Fraction(2),)), TraceWord((3,))) == 0
-        assert wick_moment(GaussianSpec(1), TraceWord((3, 4))) == {}
+        assert wick_moment((Fraction(2),), TraceWord((3,))) == 0
+        assert wick_moment(None, TraceWord((3, 4))) == {}
 
     def test_scalar_tr_m4(self):
-        assert wick_moment(GaussianSpec(1), TraceWord((4,))) == {
+        assert wick_moment(None, TraceWord((4,))) == {
             -1: Fraction(1),
             1: Fraction(2),
         }
@@ -184,24 +183,39 @@ class TestWickMoment:
         # is (N/c)^pairs times the scalar Laurent value at N
         c = Fraction(7, 3)
         for n_size in (1, 2, 3):
-            spec = GaussianSpec(n_size, (c,) * n_size)
+            lams = (c,) * n_size
             for word in (TraceWord((2,)), TraceWord((4,)), TraceWord((3, 3))):
                 pairs = word.degree // 2
-                scalar = laurent_eval(
-                    wick_moment(GaussianSpec(n_size), word), n_size
-                )
-                assert wick_moment(spec, word) == scalar * Fraction(n_size, 1) ** pairs / c**pairs
+                scalar = laurent_eval(wick_moment(None, word), n_size)
+                assert wick_moment(lams, word) == scalar * Fraction(n_size, 1) ** pairs / c**pairs
 
     def test_budget(self):
         with pytest.raises(BudgetError):
-            wick_moment(GaussianSpec(1), TraceWord((16,)), max_matchings=100)
+            wick_moment(None, TraceWord((16,)), max_matchings=100)
+
+    def test_empty_or_non_positive_lambda_is_refused(self, capsys):
+        word = TraceWord((2,))
+        with pytest.raises(DomainError, match="^matrix size must be positive$"):
+            wick_moment((), word)
+        with pytest.raises(DomainError, match="^lambda entries must be positive$"):
+            wick_moment((Fraction(1), Fraction(0)), TraceWord((3,)))
+        with pytest.raises(DomainError, match="^need exactly N diagonal entries$"):
+            kontsevich_match(3, (Fraction(3), Fraction(4)))
+        for command, message in (
+            (["moment", "--word", "tr2"], "lambda entries must be positive"),
+            (["normalization"], "need N positive diagonal entries"),
+        ):
+            code = run(["matrix", *command, "--lambda", "1,-1"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert captured.err == f'{{"error":"usage","message":"{message}"}}\n'
 
     @pytest.mark.parametrize("word", ["tr2^2000", "tr2^1000000", "tr1999,tr1"])
     def test_long_word_is_three_at_once(self, capsys, word):
         # the (d-1)!! product stops past the budget: a 4000-slot word once
         # failed to print its 6000-digit count, a 2000000-slot one ran for minutes
         start = time.perf_counter()
-        code = run(["matrix", "moment", "--N", "2", "--word", word])
+        code = run(["matrix", "moment", "--word", word])
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
@@ -214,7 +228,7 @@ class TestWickMoment:
     @pytest.mark.parametrize("word", ["tr2^99999999999999", "tr2^600000,tr1^400001"])
     def test_word_over_a_million_factors_is_three_at_once(self, capsys, word):
         # the factor list itself would not fit in memory
-        code = run(["matrix", "moment", "--N", "2", "--word", word])
+        code = run(["matrix", "moment", "--word", word])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
         assert captured.err == (
@@ -229,7 +243,7 @@ class TestWickMoment:
         # the N^faces coloring sum is priced from the shape table before it runs
         lams = ",".join(map(str, range(1, size + 1)))
         start = time.perf_counter()
-        code = run(["matrix", "moment", "--N", str(size), "--lambda", lams, "--word", word])
+        code = run(["matrix", "moment", "--lambda", lams, "--word", word])
         captured = capsys.readouterr()
         assert time.perf_counter() - start < 1
         assert (code, captured.out) == (3, "")
@@ -245,34 +259,34 @@ class TestWickMoment:
         assert sum(mult for _, _, mult in table) == 10395
         # the largest shipped use, matrix match --order 4 at N = 3
         assert sum(3**faces for _, faces, _ in table) == 17019
-        wick_moment(GaussianSpec(3, lams), word)
+        wick_moment(lams, word)
         monkeypatch.setattr(wick, "MAX_COLORINGS", 17018)
         with pytest.raises(BudgetError, match="^17019 face colorings exceed the budget of 17018$"):
-            wick_moment(GaussianSpec(3, lams), word)
-        wick_moment(GaussianSpec(3), word)  # scalar mode sums no colorings
+            wick_moment(lams, word)
+        wick_moment(None, word)  # scalar mode sums no colorings
 
     def test_diagonal_work_priced_as_colorings_pairs_bits(self, monkeypatch):
         # tr3^4 at lambda = 3,4,5: 17019 colorings x 6 pairs x 12 bits of
         # L = lcm(6, 7, 8, 9, 10) = 2520
         word = TraceWord((3, 3, 3, 3))
-        spec = GaussianSpec(3, (Fraction(3), Fraction(4), Fraction(5)))
+        lams = (Fraction(3), Fraction(4), Fraction(5))
         monkeypatch.setattr(wick, "MAX_DIAGONAL_WORK", 1225368)
-        value = wick_moment(spec, word)
+        value = wick_moment(lams, word)
         monkeypatch.setattr(wick, "MAX_DIAGONAL_WORK", 1225367)
         with pytest.raises(
             BudgetError,
             match=r"^diagonal work 1225368 \(colorings x pairs x bits\) exceeds the budget 1225367$",
         ):
-            wick_moment(spec, word)
+            wick_moment(lams, word)
         monkeypatch.setattr(wick, "MAX_DIAGONAL_WORK", MAX_DIAGONAL_WORK)
-        assert wick_moment(spec, word) == value
+        assert wick_moment(lams, word) == value
 
     @pytest.mark.parametrize(
         "argv, work",
         [
             (["match", "--order", "4", "--lambda",
               f"1{'0' * 999},2{'0' * 999},3{'0' * 998}7"], 1356380262),
-            (["moment", "--N", "1000", "--word", "tr2", "--lambda",
+            (["moment", "--word", "tr2", "--lambda",
               ",".join(map(str, range(1, 1001)))], 2878000000),
         ],
     )
@@ -293,23 +307,23 @@ class TestWickMoment:
         # tr3^4 at lambda = 3,4,5: N^2 = 9 quotients; top = 10, and L divides
         # lcm(1..10) (at most 16 bits) and has at most 5 sums of 4 bits
         word = TraceWord((3, 3, 3, 3))
-        spec = GaussianSpec(3, (Fraction(3), Fraction(4), Fraction(5)))
-        value = wick_moment(spec, word)
+        lams = (Fraction(3), Fraction(4), Fraction(5))
+        value = wick_moment(lams, word)
         monkeypatch.setattr(wick, "MAX_DIAGONAL_TABLE_WORK", 144)
-        assert wick_moment(spec, word) == value
+        assert wick_moment(lams, word) == value
         monkeypatch.setattr(wick, "MAX_DIAGONAL_TABLE_WORK", 143)
         with pytest.raises(
             BudgetError,
             match=r"^diagonal table work 144 \(N\^2 x bits x words\) exceeds the budget 143$",
         ):
-            wick_moment(spec, word)
+            wick_moment(lams, word)
 
     def test_wide_weight_table_is_three_at_once(self, capsys):
         # one face, so 2000 colorings and 2000 x 1 x 5756 diagonal work: only
         # the 2000 x 2000 weight table is large, and building it took 13 s
         lams = ",".join(map(str, range(1, 2001)))
         start = time.perf_counter()
-        code = run(["matrix", "moment", "--N", "2000", "--word", "tr1^2", "--lambda", lams])
+        code = run(["matrix", "moment", "--word", "tr1^2", "--lambda", lams])
         captured = capsys.readouterr()
         assert time.perf_counter() - start < 1
         assert (code, captured.out) == (3, "")
@@ -323,15 +337,14 @@ class TestWickMoment:
         # checked before the table is looked up
         word = TraceWord((3, 3, 3, 3))
         lams = (Fraction(3), Fraction(4), Fraction(5))
-        wick_moment(GaussianSpec(3, lams), word)
-        wick_moment(GaussianSpec(3), word)
-        for spec in (GaussianSpec(3, lams), GaussianSpec(3)):
+        wick_moment(lams, word)
+        wick_moment(None, word)
+        for diagonal in (lams, None):
             with pytest.raises(BudgetError):
-                wick_moment(spec, word, max_matchings=100)
+                wick_moment(diagonal, word, max_matchings=100)
         for lam_args in (["--lambda", "3,4,5"], []):
             code = run(
-                ["--max-matchings", "5", "matrix", "moment", "--N", "3",
-                 "--word", "tr3^4", *lam_args]
+                ["--max-matchings", "5", "matrix", "moment", "--word", "tr3^4", *lam_args]
             )
             captured = capsys.readouterr()
             assert (code, captured.out) == (3, "")
@@ -348,11 +361,9 @@ class TestWickMoment:
     @given(WORDS, st.integers(1, 3), st.data())
     def test_shape_table_matches_per_matching_oracle(self, powers, n_size, data):
         word = TraceWord(tuple(powers))
-        scalar = GaussianSpec(n_size)
-        assert wick_moment(scalar, word) == oracle_moment(scalar, word)
+        assert wick_moment(None, word) == oracle_moment(None, word)
         lams = data.draw(st.lists(self.RATIONALS, min_size=n_size, max_size=n_size))
-        diagonal = GaussianSpec(n_size, tuple(lams))
-        assert wick_moment(diagonal, word) == oracle_moment(diagonal, word)
+        assert wick_moment(lams, word) == oracle_moment(lams, word)
 
     @pytest.mark.parametrize(
         "powers,lams",
@@ -364,14 +375,12 @@ class TestWickMoment:
         ],
     )
     def test_unequal_denominators_match_oracle(self, powers, lams):
-        spec = GaussianSpec(len(lams), lams)
         word = TraceWord(powers)
-        assert wick_moment(spec, word) == oracle_moment(spec, word)
+        assert wick_moment(lams, word) == oracle_moment(lams, word)
 
     def test_mixed_word_diagonal(self):
         # <tr M^2 tr M^2> at N = 1 is the plain fourth moment
-        spec = GaussianSpec(1, (Fraction(2),))
-        assert wick_moment(spec, TraceWord((2, 2))) == Fraction(3, 4)
+        assert wick_moment((Fraction(2),), TraceWord((2, 2))) == Fraction(3, 4)
 
 
 class TestGenusExpansion:
@@ -387,7 +396,7 @@ class TestGenusExpansion:
     def test_total_at_n_one_matches_full_moment(self, k):
         word = TraceWord((2 * k,))
         total = sum(genus_expansion(word).values())
-        assert total == laurent_eval(wick_moment(GaussianSpec(1), word), 1)
+        assert total == laurent_eval(wick_moment(None, word), 1)
         assert total == double_factorial(2 * k - 1)  # all matchings counted
 
     def test_multi_trace_rejected(self):
@@ -500,8 +509,8 @@ class TestGaussianNormalization:
             2: ("7.6360140644039243e-16", "18.610304532370357"),
         }
         for _ in range(2):
-            r1 = gaussian_normalization_check(1, (Fraction(1),), 1e-10)
-            r2 = gaussian_normalization_check(2, (Fraction(1), Fraction(2)), 1e-6)
+            r1 = gaussian_normalization_check((Fraction(1),), 1e-10)
+            r2 = gaussian_normalization_check((Fraction(1), Fraction(2)), 1e-6)
             assert (r1["relative_error"], r1["quadrature"]) == expected[1]
             assert (r2["relative_error"], r2["quadrature"]) == expected[2]
 
@@ -518,12 +527,12 @@ class TestGaussianNormalization:
                 array *= 2.0
 
     def test_n1(self):
-        report = gaussian_normalization_check(1, (Fraction(1),), 1e-10)
+        report = gaussian_normalization_check((Fraction(1),), 1e-10)
         assert report["pass"]
         assert float(report["relative_error"]) < 1e-10
 
     def test_n2(self):
-        report = gaussian_normalization_check(2, (Fraction(1), Fraction(2)), 1e-6)
+        report = gaussian_normalization_check((Fraction(1), Fraction(2)), 1e-6)
         assert report["pass"]
         assert float(report["relative_error"]) < 1e-6
         # formula value 2 (2 pi)^2 (1*2)^{-1/2} / 3
@@ -535,13 +544,13 @@ class TestGaussianNormalization:
 
     def test_guards(self):
         with pytest.raises(Unsupported):
-            gaussian_normalization_check(3, (1, 1, 1), 1e-6)
+            gaussian_normalization_check((1, 1, 1), 1e-6)
         with pytest.raises(DomainError):
-            gaussian_normalization_check(2, (Fraction(1),), 1e-6)
+            gaussian_normalization_check((Fraction(1), Fraction(-1)), 1e-6)
 
     @pytest.mark.parametrize("lam", [Fraction(1, 10**6), Fraction(1, 3), Fraction(2), Fraction(10**6)])
     def test_n1_matches_closed_form(self, lam):
-        report = gaussian_normalization_check(1, (lam,), 1e-13)
+        report = gaussian_normalization_check((lam,), 1e-13)
         expected = math.sqrt(2 * math.pi / float(lam))
         assert abs(float(report["quadrature"]) - expected) <= 1e-13 * expected
         assert report["pass"]
@@ -556,8 +565,8 @@ class TestGaussianNormalization:
             "import contextlib, io, sys\n"
             "from taubench.cli import run\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert run(['matrix', 'normalization', '--N', '1', '--lambda', '2']) == 0\n"
-            "    assert run(['matrix', 'normalization', '--N', '2', '--lambda', '1,2']) == 0\n"
+            "    assert run(['matrix', 'normalization', '--lambda', '2']) == 0\n"
+            "    assert run(['matrix', 'normalization', '--lambda', '1,2']) == 0\n"
             "assert 'scipy' not in sys.modules\n"
         )
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")

@@ -16,13 +16,15 @@ Oracles used here are independent of the production code paths:
   to 18 darts against sha256 digests of the `graphs enumerate` bytes.
 
 The per-structure oracles validate, canonical_encoding and
-automorphism_order check one dart structure at a time; enumerate_trivalent
-computes the same canonical form and automorphism order inline.
+automorphism_order check one dart structure (DartStructure, a test-side
+record) at a time; enumerate_trivalent computes the same canonical form and
+automorphism order inline.
 """
 
 import hashlib
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -34,7 +36,6 @@ from taubench import ribbon, wick
 from taubench.cli import run
 from taubench.errors import BudgetError, DomainError, PoleError, Unstable
 from taubench.ribbon import (
-    DartStructure,
     RibbonGraphClass,
     _canonical_sigma,
     _rooted_map_counts,
@@ -47,6 +48,44 @@ from taubench.ribbon import (
     kontsevich_sum,
 )
 from taubench.wick import kontsevich_match
+
+
+@dataclass(frozen=True)
+class DartStructure:
+    """Trivalent combinatorial map with labeled faces: the record the
+    per-structure oracles read."""
+
+    sigma: tuple[int, ...]
+    alpha: tuple[int, ...]
+    face_labels: tuple[int, ...]  # per dart, values in 1..n
+
+    @property
+    def dart_count(self) -> int:
+        return len(self.sigma)
+
+    @property
+    def vertex_count(self) -> int:
+        return self.dart_count // 3
+
+    @property
+    def edge_count(self) -> int:
+        return self.dart_count // 2
+
+    @property
+    def face_count(self) -> int:
+        return len(set(self.face_labels))
+
+    @property
+    def genus(self) -> int:
+        chi = self.vertex_count - self.edge_count + self.face_count
+        if chi % 2:
+            raise DomainError("odd Euler characteristic")
+        return (2 - chi) // 2
+
+
+def structure(cls: RibbonGraphClass) -> DartStructure:
+    """The canonical dart structure of a class."""
+    return DartStructure(cls.sigma, cls.alpha, cls.face_labels)
 
 
 def face_cycles(sigma, alpha) -> list[tuple[int, ...]]:
@@ -142,8 +181,8 @@ def class_fold(g, n, max_darts) -> dict[tuple, Fraction]:
     """Sum of 2^{-V}/|Aut| over the classes, per edge_face_pairs tuple."""
     fold = {}
     for cls in enumerate_trivalent(g, n, max_darts):
-        key = edge_face_pairs(cls.canonical)
-        weight = Fraction(1, 2 ** cls.canonical.vertex_count * cls.aut_order)
+        key = edge_face_pairs(structure(cls))
+        weight = Fraction(1, 2 ** structure(cls).vertex_count * cls.aut_order)
         fold[key] = fold.get(key, 0) + weight
     return fold
 
@@ -156,7 +195,7 @@ def oracle_kontsevich_sum(g, n, lams, max_darts=12) -> Fraction:
     if len(lams) != n:
         raise DomainError("need one lambda per face")
     classes = [
-        (cls, edge_face_pairs(cls.canonical)) for cls in enumerate_trivalent(g, n, max_darts)
+        (cls, edge_face_pairs(structure(cls))) for cls in enumerate_trivalent(g, n, max_darts)
     ]
     pair_weight = {}
     for f1, f2 in sorted({pair for _, pairs in classes for pair in pairs}):
@@ -166,7 +205,7 @@ def oracle_kontsevich_sum(g, n, lams, max_darts=12) -> Fraction:
         pair_weight[f1, f2] = Fraction(2) / denom
     total = Fraction(0)
     for cls, pairs in classes:
-        weight = Fraction(1, 2 ** cls.canonical.vertex_count * cls.aut_order)
+        weight = Fraction(1, 2 ** structure(cls).vertex_count * cls.aut_order)
         for pair in pairs:
             weight *= pair_weight[pair]
         total += weight
@@ -272,7 +311,7 @@ def brute_force_classes(g: int, n: int) -> tuple[RibbonGraphClass, ...]:
             struct = DartStructure(sigma, alpha, tuple(labels))
             canon = canonical_encoding(struct)
             if canon not in classes:
-                classes[canon] = RibbonGraphClass(DartStructure(*canon), automorphism_order(struct))
+                classes[canon] = RibbonGraphClass(*canon, automorphism_order(struct))
     return tuple(classes[key] for key in sorted(classes))
 
 
@@ -409,15 +448,16 @@ class TestEnumeration:
             enumerate_trivalent(0, 0)
 
     def test_all_canonical_structures_validate(self):
-        for g, n in [(0, 3), (1, 1), (0, 4), (1, 2)]:
-            for cls in enumerate_trivalent(g, n):
-                validate(cls.canonical)
-                assert cls.canonical.genus == g
-                assert cls.canonical.face_count == n
+        # V - E + F = 2 - 2g holds by construction in enumerate_trivalent
+        for g, n in BLOCKS_UP_TO_18:
+            for cls in enumerate_trivalent(g, n, 18):
+                validate(structure(cls))
+                assert structure(cls).genus == g
+                assert structure(cls).face_count == n
 
     def test_canonicalize_is_idempotent(self):
         for cls in enumerate_trivalent(1, 2):
-            c = cls.canonical
+            c = structure(cls)
             assert canonical_encoding(c) == (c.sigma, c.alpha, c.face_labels)
 
     @pytest.mark.parametrize("g, n", [(1, 3), (2, 1)])
@@ -425,7 +465,7 @@ class TestEnumeration:
         # the oracles compare every root; enumerate_trivalent compares only
         # the roots tied at the least unlabeled encoding
         for cls in enumerate_trivalent(g, n, 18):
-            c = cls.canonical
+            c = structure(cls)
             assert canonical_encoding(c) == (c.sigma, c.alpha, c.face_labels)
             assert automorphism_order(c) == cls.aut_order
 
@@ -433,7 +473,7 @@ class TestEnumeration:
         for g, n in [(0, 3), (1, 1), (0, 4), (1, 2)]:
             classes = enumerate_trivalent(g, n)
             keys = {
-                (cls.canonical.sigma, cls.canonical.alpha, cls.canonical.face_labels)
+                (cls.sigma, cls.alpha, cls.face_labels)
                 for cls in classes
             }
             assert len(keys) == len(classes)
@@ -441,22 +481,22 @@ class TestEnumeration:
     def test_aut_orders_match_brute_force(self):
         for g, n in [(0, 3), (1, 1)]:  # 6 darts: 6! brute force is feasible
             for cls in enumerate_trivalent(g, n):
-                assert cls.aut_order == brute_force_aut_order(cls.canonical)
-                assert automorphism_order(cls.canonical) == cls.aut_order
+                assert cls.aut_order == brute_force_aut_order(structure(cls))
+                assert automorphism_order(structure(cls)) == cls.aut_order
 
     def test_orbit_count_matches_brute_force(self):
         # sum over classes of d!/|Aut| must equal the number of labeled
         # structures, counted by independent brute force over all of S_d
         for g, n in [(0, 3), (1, 1)]:
             classes = enumerate_trivalent(g, n)
-            d = classes[0].canonical.dart_count
+            d = structure(classes[0]).dart_count
             orbit_total = sum(factorial(d) // cls.aut_order for cls in classes)
             assert orbit_total == brute_force_labeled_count(g, n)
 
     def test_genus_one_one_face_class(self):
         (cls,) = enumerate_trivalent(1, 1)
         assert cls.aut_order == 6
-        assert cls.canonical.vertex_count == 2
+        assert structure(cls).vertex_count == 2
 
 
 class TestKontsevichSum:

@@ -130,7 +130,7 @@ def generic_kp_member(tau: TruncatedSeries, apply=hirota_apply) -> TruncatedSeri
     """The first KP member summed term by term with `apply(op, tau, tau)`, on
     tau padded to x_1..x_3 as kp_hirota_residual pads it."""
     if len(tau.variables) < 3:
-        tau = restrict_to_xyt(tau, {})
+        tau = restrict_to_xyt(tau)
     total = TruncatedSeries.zero(tau.variables, tau.weights, 2 * tau.cap)
     for scalar, op in KP_HIROTA_MEMBER:
         total = total + apply(op, tau, tau).scale(scalar)
@@ -375,14 +375,15 @@ class TestKP:
 
     def test_schur_22_with_constant(self):
         tau = schur_lambda(Partition((2, 2)))
-        assert kp_pde_residual(tau, {"x4": Fraction(1)}).is_zero()
+        assert kp_pde_residual(tau).is_zero()
         assert kp_hirota_residual(tau).is_zero()
 
     def test_degenerate_slice(self):
-        names, weights, cap = x_variables(4, 4)
-        tau = TruncatedSeries.variable(names, weights, cap, "x4")
+        # x1 x4 - x1 vanishes on the slice x4 = 1
+        names, weights, cap = x_variables(4, 5)
+        x1, x4 = (TruncatedSeries.variable(names, weights, cap, name) for name in ("x1", "x4"))
         with pytest.raises(DegenerateSlice):
-            kp_pde_residual(tau, {"x4": Fraction(0)})
+            kp_pde_residual(x1 * x4 - x1)
 
     def test_zero_tau_rejected(self):
         names, weights, cap = x_variables(3, 2)
@@ -401,11 +402,8 @@ class TestKP:
         x = {name: TruncatedSeries.variable(names, weights, cap, name) for name in names}
         tau = (x["x1"] * x["x1"]).scale(Fraction(1, 2)) + x["x2"] * x["x4"]
         assert kp_checks(tau)["pde_zero"]
-        assert kp_pde_residual(tau, {"x4": Fraction(1)}).is_zero()
-        assert not kp_pde_residual(tau, {"x4": Fraction(0)}).is_zero()
-
-    def test_restrict_handles_missing_value(self):
-        names, weights, cap = x_variables(4, 4)
-        tau = TruncatedSeries.variable(names, weights, cap, "x4")
-        with pytest.raises(DomainError):
-            restrict_to_xyt(tau, {})
+        assert kp_pde_residual(tau).is_zero()
+        # the x4 = 0 restriction, x1^2/2 in x1..x3, by hand
+        names, weights, cap = x_variables(3, 6)
+        x1 = TruncatedSeries.variable(names, weights, cap, "x1")
+        assert not kp_pde_residual((x1 * x1).scale(Fraction(1, 2))).is_zero()
