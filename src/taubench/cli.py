@@ -212,7 +212,7 @@ def _cmd_matrix_moment(args, config):
     from .wick import TraceWord, wick_moment
 
     word = TraceWord.from_string(args.word)
-    if args.lambda_diag:
+    if args.lambda_diag is not None:
         lams = _fractions(args.lambda_diag)
         value = wick_moment(lams, word, config.max_matchings)
         payload = {

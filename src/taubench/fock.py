@@ -121,7 +121,8 @@ class OperatorExpr:
     Monomials are sorted tuples of variable names; derivatives act first.
     The denominator D (the lcm of the denominators of the scalars' real and
     imaginary parts) and the basis columns, filled lazily per (family,
-    exponent) with D times each image, sit outside equality, hash and repr.
+    exponent) with D times each image, and a plan per family, sit outside
+    equality, hash and repr.
     """
 
     terms: tuple[tuple[Fraction | GaussianRational, tuple[str, ...], tuple[str, ...]], ...]
@@ -163,30 +164,28 @@ class OperatorExpr:
         """D times the operator on a plain {exponent: coeff} vector over
         family (variables, weights, cap); zero coefficients are skipped.
         Integer coefficients give integer (or Gaussian-integer) images."""
-        columns = self._columns.setdefault(family, {})
+        columns = self._columns.get(family)
+        if columns is None:
+            columns = self._columns[family] = _FamilyColumns(self, family)
         out: dict[tuple[int, ...], Fraction] = {}
         for expo, coeff in vector.items():
             if not coeff:
                 continue
             column = columns.get(expo)
             if column is None:  # a column that raises is never stored
-                column = columns[expo] = self._column(family, expo)
+                column = columns[expo] = self._column(family, columns.plan, expo)
             for key, c in column.items():
                 out[key] = out.get(key, 0) + coeff * c
         return out
 
-    def _column(self, family, expo: tuple[int, ...]) -> dict:
-        """D times the image of one basis monomial, by exponent arithmetic."""
-        variables, weights, cap = family
-        index = {name: i for i, name in enumerate(variables)}
+    def _column(self, family, plan: dict, expo: tuple[int, ...]) -> dict:
+        """D times the image of one basis monomial, by exponent arithmetic over
+        the plan's groups whose variable occurs in expo, in the terms' order."""
+        _, weights, cap = family
         degree = sum(e * w for e, w in zip(expo, weights))
+        steps = sorted(s for i, group in plan.items() if i is None or expo[i] for s in group)
         out: dict[tuple[int, ...], int] = {}
-        for scalar, (_, tmono, dmono) in zip(self._numerators, self.terms):
-            if any(name not in index for name in dmono):
-                continue
-            lower = [index[name] for name in dmono]
-            outside = [name for name in tmono if name not in index]
-            raise_ = [index[name] for name in tmono if name in index]
+        for _, scalar, lower, raise_, outside, shift in steps:
             shifted = list(expo)
             factor = 1
             for i in lower:  # repeated names give the falling factorial
@@ -194,9 +193,8 @@ class OperatorExpr:
                 shifted[i] -= 1
             if not factor:
                 continue
-            if outside:
-                raise TruncationError(f"operator variable {outside[0]} outside family")
-            shift = sum(weights[i] for i in raise_) - sum(weights[i] for i in lower)
+            if outside is not None:
+                raise TruncationError(f"operator variable {outside} outside family")
             if degree + shift > cap:
                 raise TruncationError("operator application exceeds the cap")
             for i in raise_:
@@ -204,6 +202,28 @@ class OperatorExpr:
             key = tuple(shifted)
             out[key] = out.get(key, 0) + scalar * factor
         return out
+
+
+class _FamilyColumns(dict):
+    """Memoized columns of one operator over one family, by exponent, and
+    their plan: (position, D * scalar, lowered, raised, first outside variable,
+    weight shift) of each term with no derivative outside the family, grouped
+    by first derivative variable (None: no derivative)."""
+
+    def __init__(self, op: OperatorExpr, family):
+        super().__init__()
+        variables, weights, _ = family
+        index = {name: i for i, name in enumerate(variables)}
+        self.plan: dict = {}
+        for pos, (scalar, (_, tmono, dmono)) in enumerate(zip(op._numerators, op.terms)):
+            if any(name not in index for name in dmono):
+                continue
+            lower = [index[name] for name in dmono]
+            raise_ = [index[name] for name in tmono if name in index]
+            outside = next((name for name in tmono if name not in index), None)
+            shift = sum(weights[i] for i in raise_) - sum(weights[i] for i in lower)
+            step = (pos, scalar, lower, raise_, outside, shift)
+            self.plan.setdefault(lower[0] if lower else None, []).append(step)
 
 
 def _times(scalar, d: int):

@@ -298,7 +298,7 @@ def kontsevich_sum(
         sums.append(s)
     lcm = math.lcm(*sums)
     weight = [lcm // s for s in sums]
-    total = sum(math.prod([weight[i] for i in key], start=c) for key, c in terms)
+    total = sum(c * math.prod(map(weight.__getitem__, key)) for key, c in terms)
     return Fraction(total * (2 * denom) ** edges, den * lcm**edges)
 
 

@@ -8,9 +8,10 @@ and tracks moments as exact Laurent polynomials in N.
 
 Both modes read one memoized shape table per trace word: a single walk over
 the (d-1)!! Wick matchings counts how many give each face multigraph (edges
-between index loops, up to relabeling).  Scalar mode sums mult * N^{faces -
-pairs}; diagonal mode sums the face colorings of each shape in integers,
-after scaling the lambda_i to a common denominator, and divides once.
+between index loops).  Scalar mode sums mult * N^{faces - pairs}; diagonal
+mode merges the shapes that differ by a face renumbering (equal colored sums)
+and sums the face colorings of each in integers, after scaling the lambda_i
+to a common denominator, and divides once.
 
 Also here: the 't Hooft genus regrouping, the perturbative match between
 the Wick expansion of the cubic matrix integral and the ribbon-graph sum,
@@ -130,8 +131,8 @@ def _shape(partner: list[int], nxt: list[int]) -> tuple:
 def _shape_table(word: TraceWord) -> tuple[tuple[tuple, int, int], ...]:
     """(edges, faces, matchings) for each shape of the word's Wick matchings.
 
-    The one walk over all (d-1)!! perfect matchings of the d slots; both
-    modes of wick_moment read its result.
+    The one walk over all (d-1)!! perfect matchings of the d slots; scalar
+    mode and the diagonal budgets read it, the diagonal walk its merge.
     """
     nxt = _slot_cycles(word)
     partner = [-1] * len(nxt)
@@ -154,9 +155,34 @@ def _shape_table(word: TraceWord) -> tuple[tuple[tuple, int, int], ...]:
     return tuple((edges, faces, mult) for (edges, faces), mult in counts.items())
 
 
-# Face colorings the diagonal sum may walk: sum over shapes of N^faces.  The
-# largest shipped use, tr3^4 at N = 3 in `matrix match --order 4`, needs
-# 17,019; tr8 at N = 20 needs 4.5e7 (26 s on a 2-core x86 VM).
+def _relabeled(edges: tuple, faces: int) -> tuple:
+    """The edges with the faces ranked by (degree, loops), then by rank and
+    neighbour ranks until no rank splits, ties in the old order: a renumbering
+    of this shape, so shapes with one result are isomorphic (not a canonical
+    form: tr3^4 keeps 20 results for its 17 multigraphs)."""
+    adj = [[b for a, b in edges if a == f] + [a for a, b in edges if b == f] for f in range(faces)]
+    rank, keys = [], [(len(ends), ends.count(f)) for f, ends in enumerate(adj)]
+    while len(set(keys)) > len(set(rank)):
+        ranks = {key: r for r, key in enumerate(sorted(set(keys)))}
+        rank = [ranks[key] for key in keys]
+        keys = [(rank[f], tuple(sorted(rank[x] for x in ends))) for f, ends in enumerate(adj)]
+    new = {f: i for i, f in enumerate(sorted(range(faces), key=lambda f: (rank[f], f)))}
+    return tuple(sorted(tuple(sorted((new[a], new[b]))) for a, b in edges))
+
+
+@functools.lru_cache(maxsize=32)
+def _multigraph_table(word: TraceWord) -> tuple[tuple[tuple, int, int], ...]:
+    """_shape_table merged on _relabeled, matchings summed (tr3^4: 67 -> 20)."""
+    counts: dict[tuple, int] = {}
+    for edges, faces, mult in _shape_table(word):
+        key = (_relabeled(edges, faces), faces)
+        counts[key] = counts.get(key, 0) + mult
+    return tuple((edges, faces, mult) for (edges, faces), mult in counts.items())
+
+
+# Face colorings the diagonal sum may walk, priced over the labeled shapes:
+# sum of N^faces.  `matrix match --order 4` (tr3^4 at N = 3) is priced at
+# 17,019 and walks 4,428 merged; tr8 at N = 20 is priced at 4.5e7.
 MAX_COLORINGS = 10**6
 # Diagonal work: colorings x pairs x the bit length of L, the size of each
 # edge weight.  tr3^4 at N = 3 costs 1.2e6 at lambda = 3,4,5 and 2.0e8 at
@@ -173,16 +199,16 @@ MAX_DIAGONAL_WORK = 2 * 10**8
 MAX_DIAGONAL_TABLE_WORK = 4 * 10**9
 
 
-def _diagonal_sum(table, lams: Sequence[Fraction], pairs: int) -> Fraction:
+def _diagonal_sum(word: TraceWord, lams: Sequence[Fraction], pairs: int) -> Fraction:
     """Sum over shapes and face colorings of prod_e 2/(lambda_a + lambda_b).
 
     With lambda_i = P_i/D and L = lcm(P_a + P_b), each edge factor is
-    (2D/L) * L/(P_a + P_b), so the colorings are summed in integers and
-    divided once.  Over MAX_COLORINGS colorings, over MAX_DIAGONAL_TABLE_WORK
-    before the pair sums are formed, or over MAX_DIAGONAL_WORK before the
-    walk, raises BudgetError.
+    (2D/L) * L/(P_a + P_b), so the colorings of each _multigraph_table entry
+    are summed in integers and divided once.  Raises BudgetError over
+    MAX_COLORINGS colorings, over MAX_DIAGONAL_TABLE_WORK before the pair sums
+    are formed, or over MAX_DIAGONAL_WORK (both priced on _shape_table).
     """
-    colorings = sum(len(lams) ** faces for _, faces, _ in table)
+    colorings = sum(len(lams) ** faces for _, faces, _ in _shape_table(word))
     if colorings > MAX_COLORINGS:
         raise BudgetError(f"{colorings} face colorings exceed the budget of {MAX_COLORINGS}")
     denom, scaled = common_denominator(lams)
@@ -203,7 +229,7 @@ def _diagonal_sum(table, lams: Sequence[Fraction], pairs: int) -> Fraction:
         )
     weight = [[lcm // (a + b) for b in scaled] for a in scaled]
     total = 0
-    for edges, faces, mult in table:
+    for edges, faces, mult in _multigraph_table(word):
         colored = 0
         for colors in itertools.product(range(len(weight)), repeat=faces):
             prod = 1
@@ -249,12 +275,11 @@ def wick_moment(
     if word.degree % 2:
         return {} if lams is None else Fraction(0)
     _check_budget(word, max_matchings)
-    table = _shape_table(word)
     pairs = word.degree // 2
     if lams is not None:
-        return _diagonal_sum(table, lams, pairs)
+        return _diagonal_sum(word, lams, pairs)
     laurent: dict[int, int] = {}
-    for _, faces, mult in table:
+    for _, faces, mult in _shape_table(word):
         laurent[faces - pairs] = laurent.get(faces - pairs, 0) + mult
     return {p: Fraction(c) for p, c in sorted(laurent.items())}
 

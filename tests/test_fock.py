@@ -316,6 +316,27 @@ class TestApplyAgainstOracle:
         with pytest.raises(TruncationError):
             op.apply(x3 + one)
 
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            # d/dx2 first: its later outside term must not overtake the x1 term
+            ([(1, ("x1",), ("x2",)), (1, ("x4",), ("x1",)), (1, ("y",), ("x2",))],
+             "operator application exceeds the cap"),
+            # d/dx1 first: its later cap term must not overtake the x2 term
+            ([(1, ("x2",), ("x1",)), (1, ("y",), ("x2",)), (1, ("x4",), ("x1",))],
+             "operator variable y outside family"),
+        ],
+    )
+    def test_first_truncation_follows_the_term_order(self, terms, message):
+        # the columns group terms by derivative variable; the first failing
+        # term in the operator's own order still names the error
+        names, weights, cap = fock_space(4)
+        p = TruncatedSeries(names, weights, cap, {(1, 1, 0, 0): 1})  # x1 x2
+        op = OperatorExpr(tuple(terms))
+        for apply in (OperatorExpr.apply, oracle_apply):
+            with pytest.raises(TruncationError, match=f"^{message}$"):
+                apply(op, p)
+
     def test_memo_is_outside_equality_hash_and_repr(self):
         params = OscillatorParams(mu=Fraction(1, 2), lambda_param=Fraction(2, 3))
         names, weights, cap = fock_space(6)

@@ -8,6 +8,7 @@ consistency relation, and a per-matching walk with Fraction edge products
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -35,7 +36,9 @@ from taubench.wick import (
     MAX_VERTEX_ORDER,
     TraceWord,
     _legendre_rule,
+    _multigraph_table,
     _quadrature,
+    _relabeled,
     _sampled_traces,
     _shape_table,
     gaussian_normalization_check,
@@ -210,6 +213,18 @@ class TestWickMoment:
             assert (code, captured.out) == (2, "")
             assert captured.err == f'{{"error":"usage","message":"{message}"}}\n'
 
+    @pytest.mark.parametrize(
+        "command", [["moment", "--word", "tr4"], ["match"], ["normalization"]]
+    )
+    def test_empty_lambda_list_is_two(self, capsys, command):
+        # an explicitly empty --lambda= is a usage error, never scalar mode
+        code = run(["matrix", *command, "--lambda="])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            '{"error":"usage","message":"\'\' is not a rational string"}\n'
+        )
+
     @pytest.mark.parametrize("word", ["tr2^2000", "tr2^1000000", "tr1999,tr1"])
     def test_long_word_is_three_at_once(self, capsys, word):
         # the (d-1)!! product stops past the budget: a 4000-slot word once
@@ -381,6 +396,85 @@ class TestWickMoment:
     def test_mixed_word_diagonal(self):
         # <tr M^2 tr M^2> at N = 1 is the plain fourth moment
         assert wick_moment((Fraction(2),), TraceWord((2, 2))) == Fraction(3, 4)
+
+
+def _even_words(top):
+    """Every trace word of even degree 2..top, as descending power tuples."""
+    def parts(d, most):
+        if d == 0:
+            yield ()
+        for k in range(min(d, most), 0, -1):
+            for rest in parts(d - k, k):
+                yield (k, *rest)
+
+    return [TraceWord(p) for d in range(2, top + 1, 2) for p in parts(d, d)]
+
+
+def _canonical(edges, faces):
+    """The least sorted edge list over all faces! renumberings: equal for
+    two shapes exactly when they are isomorphic face multigraphs."""
+    return min(
+        tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
+        for perm in itertools.permutations(range(faces))
+    )
+
+
+class TestMultigraphTable:
+    """The diagonal walk's table: the labeled shape table merged over face
+    renumberings (wick._multigraph_table)."""
+
+    @pytest.mark.parametrize("word", _even_words(10), ids=lambda w: str(w.powers))
+    def test_merge_keeps_the_faces_and_every_matching(self, word):
+        labeled, merged = _shape_table(word), _multigraph_table(word)
+        by_faces = {}
+        for _, faces, mult in labeled:
+            by_faces[faces] = by_faces.get(faces, 0) + mult
+        for _, faces, mult in merged:
+            by_faces[faces] -= mult
+        assert set(by_faces.values()) == {0}
+        assert sum(mult for *_, mult in merged) == double_factorial(word.degree - 1)
+        assert len({(edges, faces) for edges, faces, _ in merged}) == len(merged)
+        assert len(merged) <= len(labeled)
+
+    @pytest.mark.parametrize(
+        "powers", [(3, 3, 3, 3), (10,), (6, 4), (4, 4, 2), (5, 3, 2), (8,), (4, 3, 2, 1)]
+    )
+    def test_each_entry_is_a_renumbering_of_its_shapes(self, powers):
+        # brute force over faces!: every labeled shape and the entry it is
+        # merged into are one multigraph, and the entry's matchings are theirs
+        word = TraceWord(powers)
+        expected = {}
+        for edges, faces, mult in _shape_table(word):
+            key = (_relabeled(edges, faces), faces)
+            assert _canonical(*key) == _canonical(edges, faces)
+            expected[key] = expected.get(key, 0) + mult
+        assert {(edges, faces): mult for edges, faces, mult in _multigraph_table(word)} == expected
+
+    def test_tr3_4_walks_under_a_third_of_the_colorings(self):
+        word = TraceWord((3, 3, 3, 3))
+        labeled, merged = _shape_table(word), _multigraph_table(word)
+        assert (len(labeled), sum(3**faces for _, faces, _ in labeled)) == (67, 17019)
+        assert len(merged) <= 20 and sum(3**faces for _, faces, _ in merged) <= 4428
+        # 17 multigraphs up to isomorphism: the least any sound merge can reach
+        assert len({(_canonical(e, f), f) for e, f, _ in labeled}) == 17
+
+    @pytest.mark.parametrize(
+        "n_size, lams, digest",
+        [
+            (2, "3,4", "22763a355b24ab71c2fd6faff41fd9c24a5e8dbaf32624fb4224c9ae43969904"),
+            (2, "1/2,7/3", "2bce2828b03a5d286e1371d6922f29aa870ed50e31edbcb4e5d0ac07adeb1ff0"),
+            (2, "28,23/6", "ad4145079987c238f1b9d5b57c612bf91cca57787bfd9d2210d37a0297764533"),
+            (3, "3,4,5", "03d460e32900f672805eeb69ec4959e096cd3475a0f426b7ceecc799b90a32b3"),
+            (3, "1/2,2/3,7/5",
+             "4d6d820f53d4b935f5f99eb00ce17b3577adf4924d921618d57eb8dd81f52644"),
+            (3, "28,23/6,9", "921e5b461f1d03d6e4dcb1d03647a8b3d288560eda9d9f42dd47ce903ad3d352"),
+        ],
+    )
+    def test_order_four_match_reports_are_pinned(self, n_size, lams, digest):
+        # digests of the reports of the labeled-shape walk
+        report = kontsevich_match(n_size, [Fraction(v) for v in lams.split(",")], 4)
+        text = json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestGenusExpansion:
