@@ -14,6 +14,7 @@ determinant and the torsion pivots all rest on one Gauss-Jordan elimination,
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -89,13 +90,14 @@ class TruncatedSeries:
         self.cap = int(cap)
         clean: dict[Exponents, Fraction] = {}
         if terms:
+            arity, weights, cap, mul = len(self.variables), self.weights, self.cap, operator.mul
             for expo, coeff in terms.items():
                 if not coeff:
                     continue
                 expo = tuple(expo)
-                if len(expo) != len(self.variables):
+                if len(expo) != arity:
                     raise DomainError("exponent tuple has wrong arity")
-                if self.degree_of(expo) <= self.cap:
+                if sum(map(mul, expo, weights)) <= cap:
                     clean[expo] = coeff
         self.terms = clean
 
@@ -119,7 +121,7 @@ class TruncatedSeries:
     # -- structure ----------------------------------------------------
 
     def degree_of(self, expo: Exponents) -> int:
-        return sum(e * w for e, w in zip(expo, self.weights))
+        return sum(map(operator.mul, expo, self.weights))
 
     def compatible(self, other: "TruncatedSeries") -> bool:
         return (

@@ -11,14 +11,16 @@ uncovered or nonzero accordingly.
 Each residual is one formula in F, run on a MaskedSeries or a plain series.
 A MaskedSeries holds its mask as packed integers grouped by weighted degree
 (one radix-(cap + 1) digit per variable), so a mask product is one integer
-addition per pair of exponents whose degrees fit under the cap.  Masks
-depend only on the (g, n) fragments covered, not on entry values, so the
-mutation harness computes the two residual masks once and reads nothing
-else of them; an entry costs one plain residual per formula.
+addition per pair of exponents whose degrees fit under the cap.  A mask
+depends on the (g, n) fragments covered and on which covered coefficients are
+nonzero, so each residual's mask is memoized on F's mask and terms; a repeated
+request runs each formula on the plain F only, and the mutation harness costs
+one plain residual per formula and entry.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -40,6 +42,7 @@ DEFAULT_MAX_INDEX = 4
 # in t_0..t_K, C(cap + K, K + 1).  With K = 4 that is 1287 at cap 9, 3003 at
 # cap 11 and 4368 at cap 12; cap 13 (6188) is refused.
 MAX_FREE_ENERGY_MONOMIALS = 5000
+MEMO_SIZE = 32  # entries kept by each memo below (assembly layouts, residual masks)
 
 
 class MaskedSeries:
@@ -189,8 +192,21 @@ class FreeEnergy:
     def cap(self) -> int:
         return self.series.cap
 
-    def masked(self) -> MaskedSeries:
-        return MaskedSeries(self.series, self.mask)
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _assembly_layout(cap: int, max_index: int) -> tuple:
+    """(g, n, blocks) for each (g, n) with n <= cap, in walk order; blocks
+    pairs each index tuple of block_indices(g, n, max_index) with its
+    exponent prod t_i^{k_i}.  The weights are left to the few entries read:
+    a cold process would pay a Fraction per masked monomial."""
+    return tuple(
+        (g, n, tuple(
+            (dtuple, tuple(dtuple.count(i) for i in range(max_index + 1)))
+            for dtuple in block_indices(g, n, max_index)
+        ))
+        for n in range(1, cap + 1)
+        for g in range((max_index - 1) * n // 3 + 2)  # 3g - 3 + n <= max_index * n
+    )
 
 
 def assemble_free_energy(
@@ -212,20 +228,18 @@ def assemble_free_energy(
     names, weights, cap = t_variables(max_index, cap)
     fragments = table.fragments()
     terms, read, mask, gap = {}, {}, set(), []
-    for n in range(1, cap + 1):
-        for g in range((max_index - 1) * n // 3 + 2):  # 3g - 3 + n <= max_index * n
-            covered = g <= max_genus and (g, n) in fragments
-            for dtuple in block_indices(g, n, max_index):
-                expo = tuple(dtuple.count(i) for i in range(max_index + 1))
-                if not covered:
-                    mask.add(expo)
-                    gap.append((g, n, dtuple))
-                elif (g, dtuple) not in table.entries:
-                    raise DomainError(f"table fragment ({g},{n}) missing {dtuple}")
-                else:
-                    weight = Fraction(1, math.prod(map(math.factorial, expo)))
-                    read[g, dtuple] = expo, weight
-                    terms[expo] = table.entries[g, dtuple] * weight
+    for g, n, blocks in _assembly_layout(cap, max_index):
+        covered = g <= max_genus and (g, n) in fragments
+        for dtuple, expo in blocks:
+            if not covered:
+                mask.add(expo)
+                gap.append((g, n, dtuple))
+            elif (g, dtuple) not in table.entries:
+                raise DomainError(f"table fragment ({g},{n}) missing {dtuple}")
+            else:
+                weight = Fraction(1, math.prod(map(math.factorial, expo)))
+                read[g, dtuple] = expo, weight
+                terms[expo] = table.entries[g, dtuple] * weight
     return FreeEnergy(
         series=TruncatedSeries(names, weights, cap, terms),
         mask=frozenset(mask),
@@ -289,14 +303,30 @@ def _string_formula(f):
 _RESIDUALS = {"kdv": (_kdv_formula, 5), "string": (_string_formula, 1)}
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _residual_groups(name: str, mask, terms, family) -> tuple:
+    """The packed mask of one residual of the F with these terms and mask over
+    family = (variables, weights, cap), as (degree, frozenset) pairs; keyed on
+    F's values too, as a zero coefficient widens no product's mask."""
+    f = MaskedSeries(TruncatedSeries(*family, dict(terms)), mask)
+    groups = _RESIDUALS[name][0](f)._groups
+    return tuple((degree, frozenset(group)) for degree, group in groups.items())
+
+
 def _masked_residual(name: str, free_energy: FreeEnergy) -> tuple[int, MaskedSeries]:
-    """(window, residual) of one formula run on the masked F; a negative
-    window is refused before the formula runs."""
+    """(window, residual): the formula run on the plain F, with the mask of
+    the masked run (_residual_groups); a negative window is refused before
+    the formula runs."""
     formula, loss = _RESIDUALS[name]
     window = free_energy.cap - loss
     if window < 0:
         raise DomainError("series cap too small for a reliable window")
-    return window, formula(free_energy.masked())
+    f = free_energy.series
+    groups = _residual_groups(
+        name, free_energy.mask, frozenset(f.terms.items()), (f.variables, f.weights, f.cap)
+    )
+    plain = MaskedSeries(formula(f), frozenset())
+    return window, plain._like(plain.series, dict(groups))
 
 
 def kdv_residual(free_energy: FreeEnergy) -> dict:
@@ -323,9 +353,9 @@ def mutation_report(
     coefficient of the KdV or the string residual that is nonzero.
 
     The masks and windows come from the two masked residuals of the table's
-    own F, computed once; no per-monomial report is built.  An entry moves
-    the one F coefficient the assembly recorded for it by its weight, so each
-    entry costs one plain-series residual per formula."""
+    own F (memoized, _residual_groups); no per-monomial report is built.  An
+    entry moves the one F coefficient the assembly recorded for it by its
+    weight, so each entry costs one plain-series residual per formula."""
     if not table.entries:
         return {}
     fe = assemble_free_energy(table, max_genus, cap, max_index)

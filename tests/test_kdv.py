@@ -461,6 +461,70 @@ class TestPinnedResiduals:
         assert mutation_report(table, cap=10) == PINNED_MUTATION_CAP_TEN
 
 
+def _formula_run(name, fe):
+    """The residual of the formula run on the masked F, no memo read."""
+    return kdv._RESIDUALS[name][0](MaskedSeries(fe.series, fe.mask))
+
+
+class TestResidualMemo:
+    def test_the_memo_is_keyed_on_values(self, table):
+        # zeroing <tau_0^3> keeps the coverage and so F's mask, yet shrinks
+        # the KdV mask at cap 5 from 67 to 65 monomials
+        primed = assemble_free_energy(table, cap=5)
+        assert len(kdv._masked_residual("kdv", primed)[1].mask) == 67
+        zeroed = assemble_free_energy(
+            IntersectionTable({**table.entries, (0, (0, 0, 0)): Fraction(0)}), cap=5
+        )
+        assert zeroed.mask == primed.mask
+        mask = kdv._masked_residual("kdv", zeroed)[1].mask
+        assert len(mask) == 65
+        assert mask == _formula_run("kdv", zeroed).mask
+
+    @pytest.mark.parametrize("max_darts,max_genus,caps", [
+        (12, 1, range(5, 13)),
+        (18, 2, (8, 10)),
+    ])
+    def test_a_hit_equals_a_miss(self, max_darts, max_genus, caps):
+        table = base_table(max_darts=12) if max_darts == 12 else genus_two_table(18)
+        for cap in caps:
+            fe = assemble_free_energy(table, max_genus, cap)
+            for name in kdv._RESIDUALS:
+                expected = _formula_run(name, fe)
+                kdv._residual_groups.cache_clear()
+                for hits in (0, 1):
+                    residual = kdv._masked_residual(name, fe)[1]
+                    assert kdv._residual_groups.cache_info().hits == hits
+                    assert residual.series == expected.series, (cap, name, hits)
+                    assert residual.mask == expected.mask, (cap, name, hits)
+                    assert residual == expected, (cap, name, hits)
+
+    def test_mutation_report_twice(self, table):
+        kdv._residual_groups.cache_clear()
+        assert mutation_report(table, cap=10) == PINNED_MUTATION_CAP_TEN
+        assert mutation_report(table, cap=10) == PINNED_MUTATION_CAP_TEN
+        assert kdv._residual_groups.cache_info().hits == 2
+
+    def test_a_handed_out_mask_is_frozen(self, table):
+        fe = assemble_free_energy(table, cap=8)
+        expected = _formula_run("kdv", fe).mask
+        residual = kdv._masked_residual("kdv", fe)[1]
+        for group in residual._groups.values():
+            with pytest.raises(AttributeError):
+                group.add(0)
+        residual._groups.clear()  # the caller's own dict, not the memo's
+        assert kdv._masked_residual("kdv", fe)[1].mask == expected
+
+    def test_the_memo_is_bounded(self, table):
+        info = kdv._residual_groups.cache_info()
+        assert info.maxsize == kdv.MEMO_SIZE
+        assert 0 < kdv.MEMO_SIZE < math.inf
+        for value in range(kdv.MEMO_SIZE + 1):
+            wrong = IntersectionTable({**table.entries, (0, (0, 0, 0)): Fraction(value)})
+            kdv._masked_residual("kdv", assemble_free_energy(wrong, cap=5))
+            assert kdv._residual_groups.cache_info().currsize <= kdv.MEMO_SIZE
+        assert kdv._residual_groups.cache_info().currsize == kdv.MEMO_SIZE
+
+
 class TestMutation:
     def test_each_reachable_entry_flips_a_covered_zero(self, table):
         report = mutation_report(table)
@@ -484,13 +548,16 @@ class TestMutation:
 
 def oracle_mutation_report(table, max_genus=1, cap=8, max_index=4):
     """Reference harness: re-assemble F and re-run both masked residuals for
-    every perturbed entry, listing each covered nonzero coefficient."""
+    every perturbed entry, listing each covered nonzero coefficient.  The
+    mask memo is cleared before each perturbed table's reports, so every
+    mask comes from its formula run on that table's F."""
     out = {}
     for key in sorted(table.entries):
         g, dtuple = key
         mutated = IntersectionTable(dict(table.entries))
         mutated.entries[key] = mutated.entries[key] + 1
         fe = assemble_free_energy(mutated, max_genus, cap, max_index)
+        kdv._residual_groups.cache_clear()
         flips = []
         for report in (kdv_residual(fe), string_residual(fe)):
             for item in nonzero_monomials(report):
