@@ -353,9 +353,10 @@ def mutation_report(
     coefficient of the KdV or the string residual that is nonzero.
 
     The masks and windows come from the two masked residuals of the table's
-    own F (memoized, _residual_groups); no per-monomial report is built.  An
-    entry moves the one F coefficient the assembly recorded for it by its
-    weight, so each entry costs one plain-series residual per formula."""
+    own F (memoized on its mask and values, _residual_groups); no
+    per-monomial report is built.  An entry moves the one F coefficient the
+    assembly recorded for it by its weight, so each entry costs one
+    plain-series residual per formula."""
     if not table.entries:
         return {}
     fe = assemble_free_energy(table, max_genus, cap, max_index)

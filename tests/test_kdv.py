@@ -485,7 +485,7 @@ class TestResidualMemo:
         (18, 2, (8, 10)),
     ])
     def test_a_hit_equals_a_miss(self, max_darts, max_genus, caps):
-        table = base_table(max_darts=12) if max_darts == 12 else genus_two_table(18)
+        table = base_table(max_genus=max_genus, max_darts=max_darts)
         for cap in caps:
             fe = assemble_free_energy(table, max_genus, cap)
             for name in kdv._RESIDUALS:
