@@ -252,13 +252,13 @@ def fock_space(cap: int):
     return x_variables(cap, cap)
 
 
-def heisenberg(n: int, params: OscillatorParams) -> OperatorExpr:
-    """a_n = d/dx_n (n > 0), a_{-n} = n x_n, a_0 = mu."""
+def _mode(n: int, mu: Fraction) -> tuple:
+    """a_n as one raw term: d/dx_n (n > 0), a_{-n} = n x_n, a_0 = mu."""
     if n > 0:
-        return OperatorExpr.build([(1, (), (f"x{n}",))])
+        return (1, (), (f"x{n}",))
     if n < 0:
-        return OperatorExpr.build([(-n, (f"x{-n}",), ())])
-    return OperatorExpr.build([(params.mu, (), ())])
+        return (-n, (f"x{-n}",), ())
+    return (mu, (), ())
 
 
 @functools.lru_cache(maxsize=128)
@@ -275,14 +275,13 @@ def oscillator_virasoro(k: int, params: OscillatorParams, cap: int) -> OperatorE
         raw = [(Fraction(mu * mu + lam * lam, 2), (), ())]
         pairs = [(-j, j, Fraction(1)) for j in range(1, cap + 1)]
     else:
-        raw = [(GR_I * lam * k * s, t, d) for s, t, d in heisenberg(k, params).terms]
+        scalar, tmono, dmono = _mode(k, mu)
+        raw = [(GR_I * lam * k * scalar, tmono, dmono)]
         reach = cap + abs(k)
         pairs = [(-j, j + k, Fraction(1, 2)) for j in range(-reach, reach + 1)]
     for r, s, weight in pairs:
-        for (s1, t1, d1), (s2, t2, d2) in itertools.product(
-            heisenberg(r, params).terms, heisenberg(s, params).terms
-        ):
-            raw.append((s1 * s2 * weight, t1 + t2, d1 + d2))
+        (s1, t1, d1), (s2, t2, d2) = _mode(r, mu), _mode(s, mu)
+        raw.append((s1 * s2 * weight, t1 + t2, d1 + d2))
     return OperatorExpr.build(raw)
 
 

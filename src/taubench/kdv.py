@@ -8,14 +8,15 @@ every series here carries a mask of monomials whose coefficients are not
 fully determined; residual coefficients are classified as verified_zero,
 uncovered or nonzero accordingly.
 
-Each residual is one formula in F, run on a MaskedSeries or a plain series.
-A MaskedSeries holds its mask as packed integers grouped by weighted degree
+Each residual is one formula in F, written once for a MaskedSeries.  A
+MaskedSeries holds its mask as packed integers grouped by weighted degree
 (one radix-(cap + 1) digit per variable), so a mask product is one integer
-addition per pair of exponents whose degrees fit under the cap.  A mask
-depends on the (g, n) fragments covered and on which covered coefficients are
-nonzero, so each residual's mask is memoized on F's mask and terms; a repeated
-request runs each formula on the plain F only, and the mutation harness costs
-one plain residual per formula and entry.
+addition per pair of exponents whose degrees fit under the cap, and a product
+of two unmasked sides is the plain product.  A mask depends on the (g, n)
+fragments covered and on which covered coefficients are nonzero, so each
+residual's masked run is memoized on F's mask and terms: a first request runs
+each formula once, a repeated one runs none, and the mutation harness costs
+one unmasked run per formula and entry.
 """
 
 from __future__ import annotations
@@ -146,6 +147,8 @@ class MaskedSeries:
         pair one integer addition.
         """
         series = self.series * other.series
+        if not (self._groups or other._groups):
+            return self._like(series, {})
         cap = series.cap
         groups: dict[int, set[int]] = {}
         for masked, support in (
@@ -161,6 +164,11 @@ class MaskedSeries:
                     for packed in few:
                         acc.update(map(packed.__add__, many))
         return self._like(series, groups)
+
+    def variable(self, name: str) -> "MaskedSeries":
+        """The variable `name`, unmasked, over self's variables and cap."""
+        s = self.series
+        return self._like(TruncatedSeries.variable(s.variables, s.weights, s.cap, name), {})
 
     def diff(self, name: str, order: int = 1) -> "MaskedSeries":
         """Each degree group shifts down by order * weight(name); an exponent
@@ -284,16 +292,9 @@ def _kdv_formula(f):
 
 def _string_formula(f):
     """S = dF/dt0 - t0^2/2 - sum_i t_{i+1} dF/dt_i."""
-    masked = isinstance(f, MaskedSeries)
-    plain = f.series if masked else f
-
-    def t(name):
-        var = TruncatedSeries.variable(plain.variables, plain.weights, plain.cap, name)
-        return MaskedSeries(var, frozenset()) if masked else var
-
-    residual = f.diff("t0") - (t("t0") * t("t0")).scale(Fraction(1, 2))
-    for i in range(len(plain.variables) - 1):
-        residual = residual - t(f"t{i + 1}") * f.diff(f"t{i}")
+    residual = f.diff("t0") - (f.variable("t0") * f.variable("t0")).scale(Fraction(1, 2))
+    for i in range(len(f.series.variables) - 1):
+        residual = residual - f.variable(f"t{i + 1}") * f.diff(f"t{i}")
     return residual
 
 
@@ -304,29 +305,25 @@ _RESIDUALS = {"kdv": (_kdv_formula, 5), "string": (_string_formula, 1)}
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _residual_groups(name: str, mask, terms, family) -> tuple:
-    """The packed mask of one residual of the F with these terms and mask over
-    family = (variables, weights, cap), as (degree, frozenset) pairs; keyed on
+def _residual_run(name: str, mask, terms, family) -> tuple:
+    """One residual run on the masked F over family = (variables, weights,
+    cap), frozen: its terms and its (degree, packed group) pairs.  Keyed on
     F's values too, as a zero coefficient widens no product's mask."""
-    f = MaskedSeries(TruncatedSeries(*family, dict(terms)), mask)
-    groups = _RESIDUALS[name][0](f)._groups
-    return tuple((degree, frozenset(group)) for degree, group in groups.items())
+    run = _RESIDUALS[name][0](MaskedSeries(TruncatedSeries(*family, dict(terms)), mask))
+    return tuple(run.series.terms.items()), tuple((d, frozenset(g)) for d, g in run._groups.items())
 
 
 def _masked_residual(name: str, free_energy: FreeEnergy) -> tuple[int, MaskedSeries]:
-    """(window, residual): the formula run on the plain F, with the mask of
-    the masked run (_residual_groups); a negative window is refused before
-    the formula runs."""
-    formula, loss = _RESIDUALS[name]
-    window = free_energy.cap - loss
+    """(window, residual): a fresh MaskedSeries from the memoized run
+    (_residual_run); a negative window is refused before the formula runs."""
+    window = free_energy.cap - _RESIDUALS[name][1]
     if window < 0:
         raise DomainError("series cap too small for a reliable window")
     f = free_energy.series
-    groups = _residual_groups(
-        name, free_energy.mask, frozenset(f.terms.items()), (f.variables, f.weights, f.cap)
-    )
-    plain = MaskedSeries(formula(f), frozenset())
-    return window, plain._like(plain.series, dict(groups))
+    family = (f.variables, f.weights, f.cap)
+    terms, groups = _residual_run(name, free_energy.mask, frozenset(f.terms.items()), family)
+    series = TruncatedSeries(*family, dict(terms))
+    return window, MaskedSeries(series, frozenset())._like(series, dict(groups))
 
 
 def kdv_residual(free_energy: FreeEnergy) -> dict:
@@ -353,10 +350,10 @@ def mutation_report(
     coefficient of the KdV or the string residual that is nonzero.
 
     The masks and windows come from the two masked residuals of the table's
-    own F (memoized on its mask and values, _residual_groups); no
-    per-monomial report is built.  An entry moves the one F coefficient the
-    assembly recorded for it by its weight, so each entry costs one
-    plain-series residual per formula."""
+    own F (memoized on its mask and values, _residual_run); no per-monomial
+    report is built.  An entry moves the one F coefficient the assembly
+    recorded for it by its weight, so each entry costs one unmasked run per
+    formula."""
     if not table.entries:
         return {}
     fe = assemble_free_energy(table, max_genus, cap, max_index)
@@ -369,10 +366,11 @@ def mutation_report(
         f = fe.series
         if key in fe.entry_monomials:
             f = f + TruncatedSeries(f.variables, f.weights, f.cap, dict([fe.entry_monomials[key]]))
+        unmasked = MaskedSeries(f, frozenset())
         out[entry_key(*key)] = sorted(
             f"{name}:{monomial_name(f.variables, expo)}"
             for name, formula, window, masked in bases
-            for expo in formula(f).terms
+            for expo in formula(unmasked).series.terms
             if f.degree_of(expo) <= window and expo not in masked
         )
     return out

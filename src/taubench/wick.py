@@ -132,7 +132,7 @@ def _shape_table(word: TraceWord) -> tuple[tuple[tuple, int, int], ...]:
     """(edges, faces, matchings) for each shape of the word's Wick matchings.
 
     The one walk over all (d-1)!! perfect matchings of the d slots; scalar
-    mode and the diagonal budgets read it, the diagonal walk its merge.
+    mode reads it, the diagonal budgets and walk its merge.
     """
     nxt = _slot_cycles(word)
     partner = [-1] * len(nxt)
@@ -180,14 +180,14 @@ def _multigraph_table(word: TraceWord) -> tuple[tuple[tuple, int, int], ...]:
     return tuple((edges, faces, mult) for (edges, faces), mult in counts.items())
 
 
-# Face colorings the diagonal sum may walk, priced over the labeled shapes:
-# sum of N^faces.  `matrix match --order 4` (tr3^4 at N = 3) is priced at
-# 17,019 and walks 4,428 merged; tr8 at N = 20 is priced at 4.5e7.
+# Face colorings the diagonal sum walks, priced over the merged table: sum of
+# N^faces.  `matrix match --order 4` (tr3^4 at N = 3) walks 4,428; tr8 at
+# N = 20 is priced at 1.3e7.
 MAX_COLORINGS = 10**6
 # Diagonal work: colorings x pairs x the bit length of L, the size of each
-# edge weight.  tr3^4 at N = 3 costs 1.2e6 at lambda = 3,4,5 and 2.0e8 at
-# three 150-digit lambda (0.9 s on a 2-core x86 VM); three 1000-digit lambda
-# (1.4e9, 27.6 s) are refused.
+# edge weight.  tr3^4 at N = 3 costs 3.2e5 at lambda = 3,4,5 and 1.8e8 at
+# three 500-digit lambda (1.4 s on a 2-core x86 VM); three 600-digit lambda
+# (2.1e8) are refused.
 MAX_DIAGONAL_WORK = 2 * 10**8
 # Weight-table work, priced before the pair sums are formed: N^2 quotients
 # L/(P_a + P_b), each about bits(L) x words(P_a + P_b).  L divides
@@ -206,9 +206,9 @@ def _diagonal_sum(word: TraceWord, lams: Sequence[Fraction], pairs: int) -> Frac
     (2D/L) * L/(P_a + P_b), so the colorings of each _multigraph_table entry
     are summed in integers and divided once.  Raises BudgetError over
     MAX_COLORINGS colorings, over MAX_DIAGONAL_TABLE_WORK before the pair sums
-    are formed, or over MAX_DIAGONAL_WORK (both priced on _shape_table).
+    are formed, or over MAX_DIAGONAL_WORK (both priced on the merged table).
     """
-    colorings = sum(len(lams) ** faces for _, faces, _ in _shape_table(word))
+    colorings = sum(len(lams) ** faces for _, faces, _ in _multigraph_table(word))
     if colorings > MAX_COLORINGS:
         raise BudgetError(f"{colorings} face colorings exceed the budget of {MAX_COLORINGS}")
     denom, scaled = common_denominator(lams)

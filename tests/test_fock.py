@@ -40,7 +40,6 @@ from taubench.fock import (
     coeff_C,
     coeff_D,
     fock_space,
-    heisenberg,
     oscillator_commutator_check,
     oscillator_virasoro,
     point_target_data,
@@ -53,6 +52,12 @@ from taubench.fock import (
 
 def monomial(names, weights, cap, expo):
     return TruncatedSeries(names, weights, cap, {tuple(expo): 1})
+
+
+def heisenberg(n: int, params: OscillatorParams) -> OperatorExpr:
+    """a_n = d/dx_n (n > 0), a_{-n} = n x_n, a_0 = mu: the one raw term
+    oscillator_virasoro reads (fock._mode) as an operator of its own."""
+    return OperatorExpr.build([fock._mode(n, params.mu)])
 
 
 def bm_display(k: int, params: OscillatorParams, cap: int) -> OperatorExpr:

@@ -1,5 +1,6 @@
 """Tests for free-energy assembly and the KdV / string residual reports."""
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -298,6 +299,11 @@ class TestMaskedSeries:
         MaskedSeries(_series(("t0",), (1,), 2), frozenset()),
         MaskedSeries(_series(("t0",), (1,), 2), frozenset({(0,), (1,), (2,)})),
     ))
+    # two unmasked sides with terms: the plain product, nothing masked
+    @example((
+        MaskedSeries(_series(("t0", "t1"), (1, 1), 3, (1, 0), (0, 1)), frozenset()),
+        MaskedSeries(_series(("t0", "t1"), (1, 1), 3, (0, 0), (1, 1), (2, 1)), frozenset()),
+    ))
     def test_mul_matches_all_pairs_reference(self, pair):
         a, b = pair
         prod = a * b
@@ -490,19 +496,19 @@ class TestResidualMemo:
             fe = assemble_free_energy(table, max_genus, cap)
             for name in kdv._RESIDUALS:
                 expected = _formula_run(name, fe)
-                kdv._residual_groups.cache_clear()
+                kdv._residual_run.cache_clear()
                 for hits in (0, 1):
                     residual = kdv._masked_residual(name, fe)[1]
-                    assert kdv._residual_groups.cache_info().hits == hits
+                    assert kdv._residual_run.cache_info().hits == hits
                     assert residual.series == expected.series, (cap, name, hits)
                     assert residual.mask == expected.mask, (cap, name, hits)
                     assert residual == expected, (cap, name, hits)
 
     def test_mutation_report_twice(self, table):
-        kdv._residual_groups.cache_clear()
+        kdv._residual_run.cache_clear()
         assert mutation_report(table, cap=10) == PINNED_MUTATION_CAP_TEN
         assert mutation_report(table, cap=10) == PINNED_MUTATION_CAP_TEN
-        assert kdv._residual_groups.cache_info().hits == 2
+        assert kdv._residual_run.cache_info().hits == 2
 
     def test_a_handed_out_mask_is_frozen(self, table):
         fe = assemble_free_energy(table, cap=8)
@@ -515,14 +521,49 @@ class TestResidualMemo:
         assert kdv._masked_residual("kdv", fe)[1].mask == expected
 
     def test_the_memo_is_bounded(self, table):
-        info = kdv._residual_groups.cache_info()
+        info = kdv._residual_run.cache_info()
         assert info.maxsize == kdv.MEMO_SIZE
         assert 0 < kdv.MEMO_SIZE < math.inf
         for value in range(kdv.MEMO_SIZE + 1):
             wrong = IntersectionTable({**table.entries, (0, (0, 0, 0)): Fraction(value)})
             kdv._masked_residual("kdv", assemble_free_energy(wrong, cap=5))
-            assert kdv._residual_groups.cache_info().currsize <= kdv.MEMO_SIZE
-        assert kdv._residual_groups.cache_info().currsize == kdv.MEMO_SIZE
+            assert kdv._residual_run.cache_info().currsize <= kdv.MEMO_SIZE
+        assert kdv._residual_run.cache_info().currsize == kdv.MEMO_SIZE
+
+
+class TestFormulaRuns:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Each _RESIDUALS formula wrapped to count its runs; memo cleared."""
+        calls = collections.Counter()
+        for name, (formula, loss) in list(kdv._RESIDUALS.items()):
+            def counted(f, name=name, formula=formula):
+                calls[name] += 1
+                return formula(f)
+            monkeypatch.setitem(kdv._RESIDUALS, name, (counted, loss))
+        kdv._residual_run.cache_clear()
+        return calls
+
+    def test_a_miss_runs_each_formula_once_and_a_hit_none(self, table, calls):
+        fe = assemble_free_energy(table, cap=8)
+        kdv_residual(fe)
+        assert calls == {"kdv": 1}
+        kdv_residual(fe)
+        string_residual(fe)
+        assert calls == {"kdv": 1, "string": 1}
+        string_residual(fe)
+        assert calls == {"kdv": 1, "string": 1}
+
+    def test_mutation_runs_each_formula_once_per_entry(self, table, calls):
+        mutation_report(table, cap=10)
+        runs = len(table.entries) + 1  # the masked miss, then one per entry
+        assert calls == {"kdv": runs, "string": runs}
+
+    def test_a_handed_out_series_is_fresh(self, table):
+        fe = assemble_free_energy(table, cap=8)
+        expected = _formula_run("string", fe)
+        kdv._masked_residual("string", fe)[1].series.terms.clear()
+        assert kdv._masked_residual("string", fe)[1] == expected
 
 
 class TestMutation:
@@ -557,7 +598,7 @@ def oracle_mutation_report(table, max_genus=1, cap=8, max_index=4):
         mutated = IntersectionTable(dict(table.entries))
         mutated.entries[key] = mutated.entries[key] + 1
         fe = assemble_free_energy(mutated, max_genus, cap, max_index)
-        kdv._residual_groups.cache_clear()
+        kdv._residual_run.cache_clear()
         flips = []
         for report in (kdv_residual(fe), string_residual(fe)):
             for item in nonzero_monomials(report):

@@ -252,10 +252,10 @@ class TestWickMoment:
 
     @pytest.mark.parametrize(
         "size, word, colorings",
-        [(20, "tr8", 45008020), (20, "tr12", 171258792020), (100, "tr4", 2000100)],
+        [(20, "tr8", 12864020), (20, "tr12", 21981112020), (100, "tr4", 1000100)],
     )
     def test_colorings_over_budget_are_three_at_once(self, capsys, size, word, colorings):
-        # the N^faces coloring sum is priced from the shape table before it runs
+        # the N^faces coloring sum is priced from the merged table before it runs
         lams = ",".join(map(str, range(1, size + 1)))
         start = time.perf_counter()
         code = run(["matrix", "moment", "--lambda", lams, "--word", word])
@@ -270,27 +270,27 @@ class TestWickMoment:
     def test_colorings_priced_as_shapes_times_n_to_the_faces(self, monkeypatch):
         word = TraceWord((3, 3, 3, 3))
         lams = (Fraction(3), Fraction(4), Fraction(5))
-        table = _shape_table(word)
-        assert sum(mult for _, _, mult in table) == 10395
-        # the largest shipped use, matrix match --order 4 at N = 3
-        assert sum(3**faces for _, faces, _ in table) == 17019
+        assert sum(mult for _, _, mult in _shape_table(word)) == 10395
+        # the largest shipped use, matrix match --order 4 at N = 3, priced
+        # over the multigraph table the walk reads
+        assert sum(3**faces for _, faces, _ in _multigraph_table(word)) == 4428
         wick_moment(lams, word)
-        monkeypatch.setattr(wick, "MAX_COLORINGS", 17018)
-        with pytest.raises(BudgetError, match="^17019 face colorings exceed the budget of 17018$"):
+        monkeypatch.setattr(wick, "MAX_COLORINGS", 4427)
+        with pytest.raises(BudgetError, match="^4428 face colorings exceed the budget of 4427$"):
             wick_moment(lams, word)
         wick_moment(None, word)  # scalar mode sums no colorings
 
     def test_diagonal_work_priced_as_colorings_pairs_bits(self, monkeypatch):
-        # tr3^4 at lambda = 3,4,5: 17019 colorings x 6 pairs x 12 bits of
+        # tr3^4 at lambda = 3,4,5: 4428 colorings x 6 pairs x 12 bits of
         # L = lcm(6, 7, 8, 9, 10) = 2520
         word = TraceWord((3, 3, 3, 3))
         lams = (Fraction(3), Fraction(4), Fraction(5))
-        monkeypatch.setattr(wick, "MAX_DIAGONAL_WORK", 1225368)
+        monkeypatch.setattr(wick, "MAX_DIAGONAL_WORK", 318816)
         value = wick_moment(lams, word)
-        monkeypatch.setattr(wick, "MAX_DIAGONAL_WORK", 1225367)
+        monkeypatch.setattr(wick, "MAX_DIAGONAL_WORK", 318815)
         with pytest.raises(
             BudgetError,
-            match=r"^diagonal work 1225368 \(colorings x pairs x bits\) exceeds the budget 1225367$",
+            match=r"^diagonal work 318816 \(colorings x pairs x bits\) exceeds the budget 318815$",
         ):
             wick_moment(lams, word)
         monkeypatch.setattr(wick, "MAX_DIAGONAL_WORK", MAX_DIAGONAL_WORK)
@@ -300,7 +300,7 @@ class TestWickMoment:
         "argv, work",
         [
             (["match", "--order", "4", "--lambda",
-              f"1{'0' * 999},2{'0' * 999},3{'0' * 998}7"], 1356380262),
+              f"1{'0' * 999},2{'0' * 999},3{'0' * 998}7"], 352902744),
             (["moment", "--word", "tr2", "--lambda",
               ",".join(map(str, range(1, 1001)))], 2878000000),
         ],
@@ -317,6 +317,17 @@ class TestWickMoment:
             f'{{"error":"budget","message":"diagonal work {work} (colorings x pairs x bits)'
             f' exceeds the budget {MAX_DIAGONAL_WORK}"}}\n'
         )
+
+    @pytest.mark.parametrize("size, powers", [(10, (8,)), (8, (4, 4))])
+    def test_unit_lambda_counts_faces(self, size, powers):
+        # every propagator 2/(1 + 1) is 1, so each matching adds N^faces:
+        # the scalar Laurent coefficients c_p give sum_p c_p N^(p + pairs);
+        # priced over the merged table, both fit under MAX_COLORINGS
+        word = TraceWord(powers)
+        pairs = word.degree // 2
+        scalar = wick_moment(None, word)
+        expected = sum(c * size ** (p + pairs) for p, c in scalar.items())
+        assert wick_moment((Fraction(1),) * size, word) == expected
 
     def test_diagonal_table_priced_as_n_squared_bits_words(self, monkeypatch):
         # tr3^4 at lambda = 3,4,5: N^2 = 9 quotients; top = 10, and L divides
