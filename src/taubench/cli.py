@@ -11,8 +11,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     BudgetError,
@@ -33,8 +33,7 @@ EXIT_BUDGET = 3
 CONFIG_ENV = "TAUBENCH_CONFIG"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     seed: int = 0
     max_darts: int = 12
     max_matchings: int = 20_000
@@ -62,7 +61,7 @@ class RunConfig:
             # bool is a subclass of int, but JSON true/false are not integers
             if type(value) is not int:
                 raise DomainError(f"config key {key!r} must be a JSON integer")
-        return replace(config, **raw)
+        return config._replace(**raw)
 
     def cap_or(self, default: int) -> int:
         """The cap a flag or the config file set, else the command's default."""
@@ -419,7 +418,7 @@ def run(argv=None) -> int:
             value = getattr(args, field, None)
             if value is not None:
                 overrides[field] = value
-        config = replace(config, **overrides)
+        config = config._replace(**overrides)
         for field in ("max_darts", "max_matchings", "cap"):
             value = getattr(config, field)
             if value is not None and value < 0:

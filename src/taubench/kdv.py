@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetError, DomainError
@@ -185,16 +184,36 @@ class MaskedSeries:
         return self._like(series, groups)
 
 
-@dataclass(frozen=True)
 class FreeEnergy:
     """Assembled free energy: the series, the monomials it leaves undetermined
-    (mask, from the (g, n, d) of coverage_gap) and each entry's monomial."""
+    (mask, from the (g, n, d) of coverage_gap) and each entry's monomial.
+    Two are equal when their series, masks and gaps are."""
 
-    series: TruncatedSeries
-    mask: frozenset[Exponents]
-    coverage_gap: tuple[tuple[int, int, tuple[int, ...]], ...]  # missing (g,n,d)
-    # (g, d) of each entry read -> (prod t_i^{k_i}, 1 / prod k_i!); not compared
-    entry_monomials: dict = field(compare=False, repr=False)
+    __slots__ = ("series", "mask", "coverage_gap", "entry_monomials")
+
+    def __init__(
+        self,
+        series: TruncatedSeries,
+        mask: frozenset[Exponents],
+        coverage_gap: tuple[tuple[int, int, tuple[int, ...]], ...],  # missing (g,n,d)
+        # (g, d) of each entry read -> (prod t_i^{k_i}, 1 / prod k_i!); not compared
+        entry_monomials: dict,
+    ):
+        self.series, self.mask, self.coverage_gap = series, mask, coverage_gap
+        self.entry_monomials = entry_monomials
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FreeEnergy):
+            return NotImplemented
+        return (self.series, self.mask, self.coverage_gap) == (
+            other.series, other.mask, other.coverage_gap
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"FreeEnergy(series={self.series!r}, mask={self.mask!r},"
+            f" coverage_gap={self.coverage_gap!r})"
+        )
 
     @property
     def cap(self) -> int:
@@ -304,25 +323,51 @@ def _string_formula(f):
 _RESIDUALS = {"kdv": (_kdv_formula, 5), "string": (_string_formula, 1)}
 
 
+class _Handoff:
+    """A value passed into and out of a memoized call beside its key: every
+    handoff equals every other and hashes alike, so it never splits a key."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Handoff)
+
+    def __hash__(self) -> int:
+        return 0
+
+
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _residual_run(name: str, mask, terms, family) -> tuple:
+def _residual_run(name: str, mask, terms, family, handoff: _Handoff) -> tuple:
     """One residual run on the masked F over family = (variables, weights,
     cap), frozen: its terms and its (degree, packed group) pairs.  Keyed on
-    F's values too, as a zero coefficient widens no product's mask."""
-    run = _RESIDUALS[name][0](MaskedSeries(TruncatedSeries(*family, dict(terms)), mask))
+    F's values too, as a zero coefficient widens no product's mask.  F's
+    series (terms as a dict) comes in through the handoff, and the run's own
+    series goes out through it."""
+    run = _RESIDUALS[name][0](MaskedSeries(handoff.value, mask))
+    handoff.value = run.series
     return tuple(run.series.terms.items()), tuple((d, frozenset(g)) for d, g in run._groups.items())
 
 
 def _masked_residual(name: str, free_energy: FreeEnergy) -> tuple[int, MaskedSeries]:
-    """(window, residual): a fresh MaskedSeries from the memoized run
-    (_residual_run); a negative window is refused before the formula runs."""
+    """(window, residual) from the memoized run (_residual_run): a miss hands
+    out the run's own series, a hit a fresh copy of the memo's terms, each
+    with the memo's frozen groups; a negative window is refused before the
+    formula runs."""
     window = free_energy.cap - _RESIDUALS[name][1]
     if window < 0:
         raise DomainError("series cap too small for a reliable window")
     f = free_energy.series
     family = (f.variables, f.weights, f.cap)
-    terms, groups = _residual_run(name, free_energy.mask, frozenset(f.terms.items()), family)
-    series = TruncatedSeries(*family, dict(terms))
+    handoff = _Handoff(f)
+    terms, groups = _residual_run(
+        name, free_energy.mask, frozenset(f.terms.items()), family, handoff
+    )
+    series, handoff.value = handoff.value, None  # a miss keys the memo on this handoff
+    if series is f:  # a hit: the formula did not run
+        series = TruncatedSeries(*family, dict(terms))
     return window, MaskedSeries(series, frozenset())._like(series, dict(groups))
 
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     BudgetError,
@@ -85,8 +84,7 @@ def _rooted_encoding(sigma, alpha, root):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RibbonGraphClass:
+class RibbonGraphClass(NamedTuple):
     """Isomorphism class of a trivalent ribbon graph with labeled faces: its
     canonical encoding and the order of its automorphism group."""
 
@@ -302,8 +300,7 @@ def kontsevich_sum(
     return Fraction(total * (2 * denom) ** edges, den * lcm**edges)
 
 
-@dataclass
-class IntersectionTable:
+class IntersectionTable(NamedTuple):
     """Map (genus, descending exponent tuple) -> exact amplitude."""
 
     entries: dict[tuple[int, tuple[int, ...]], Fraction]

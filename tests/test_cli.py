@@ -9,8 +9,10 @@ import io
 import itertools
 import json
 import math
+import os
 import pathlib
 import random
+import subprocess
 import sys
 import tempfile
 import time
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator, ValidationError
 from referencing import Registry, Resource
 
-from taubench.cli import CONFIG_ENV, build_parser, run
+from taubench.cli import CONFIG_ENV, RunConfig, build_parser, run
 from taubench import ribbon, schur
 from taubench.kdv import assemble_free_energy, kdv_residual, string_residual
 from taubench.schur import partitions_of
@@ -701,6 +703,38 @@ class TestDeterminism:
         assert a == b
 
 
+class TestImportSurface:
+    def test_graph_commands_import_neither_dataclasses_nor_inspect(self, tmp_path):
+        # the commands of the paper's ribbon-graph checks start as fresh
+        # processes, so what they import is most of their run time
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cap": 6, "max_darts": 12}))
+        commands = [
+            ["intersect", "-g", "0", "-n", "3"],
+            ["--format", "csv", "intersect", "-g", "1", "-n", "2"],
+            ["graphs", "enumerate", "--genus", "1", "--faces", "2"],
+            ["--cap", "10", "verify", "kdv"],
+            ["--cap", "10", "verify", "string"],
+            ["--config", str(cfg), "verify", "string"],
+        ]
+        code = (
+            "import contextlib, io, sys\n"
+            "from taubench.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert run(sys.argv[1:]) == 0\n"
+            "loaded = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+            "assert not loaded, (sys.argv[1:], loaded)\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        for argv in commands:
+            child = subprocess.run(
+                [sys.executable, "-c", code, *argv],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            )
+            assert child.returncode == 0, child.stderr
+
+
 class TestConfig:
     def test_config_file_sets_seed(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -719,6 +753,35 @@ class TestConfig:
             "matrix", "hciz", "--x", "1,-1", "--y", "1,-1", "--samples", "5000",
         )
         assert json.loads(out)["seed"] == 4
+
+    def test_a_run_config_is_immutable_with_its_defaults(self):
+        config = RunConfig()
+        assert (config.seed, config.max_darts, config.max_matchings, config.cap) == (0, 12, 20_000, None)
+        assert (config.output_format, config.output_path) == ("json", None)
+        for name in ("seed", "cap", "output_format"):
+            with pytest.raises(AttributeError):
+                setattr(config, name, 1)
+        assert config == RunConfig() and config.cap_or(8) == 8
+        assert RunConfig(cap=0).cap_or(8) == 0
+
+    def test_override_order(self, capsys, tmp_path, monkeypatch):
+        # defaults < the environment's file < --config's file < flags; an
+        # unset flag keeps what the file set
+        env, cfg = tmp_path / "env.json", tmp_path / "cfg.json"
+        env.write_text(json.dumps({"seed": 5, "cap": 9}))
+        cfg.write_text(json.dumps({"seed": 9, "cap": 7}))
+        monkeypatch.delenv(CONFIG_ENV, raising=False)
+        assert RunConfig.load(None) == RunConfig()
+        monkeypatch.setenv(CONFIG_ENV, str(env))
+        assert RunConfig.load(None) == RunConfig(seed=5, cap=9)
+        loaded = RunConfig.load(str(cfg))
+        assert loaded == RunConfig(seed=9, cap=7)
+        assert (loaded.max_darts, loaded.max_matchings) == (12, 20_000)
+        window = lambda *argv: json.loads(invoke(capsys, *argv, "verify", "kdv")[1])["window"]
+        assert window() == 4
+        assert window("--config", str(cfg)) == 2
+        assert window("--config", str(cfg), "--cap", "10") == 5
+        assert window("--cap", "6") == 1
 
     HCIZ = ("matrix", "hciz", "--x", "1,-1", "--y", "1,-1", "--samples", "1000")
 

@@ -83,6 +83,29 @@ class TestAssembly:
         assert table.fragments() == {(0, 3), (0, 4), (1, 1), (1, 2)}
 
 
+class TestRecords:
+    """What callers read of the FreeEnergy and IntersectionTable records."""
+
+    def test_free_energy_equality_ignores_entry_monomials(self, table):
+        fe = assemble_free_energy(table, cap=6)
+        fields = dict(series=fe.series, mask=fe.mask, coverage_gap=fe.coverage_gap)
+        other = FreeEnergy(**fields, entry_monomials={})
+        assert fe.entry_monomials and other.entry_monomials == {}
+        assert fe == other and not fe != other
+        assert fe != FreeEnergy(**{**fields, "mask": frozenset()}, entry_monomials={})
+        assert fe != FreeEnergy(**{**fields, "coverage_gap": ()}, entry_monomials={})
+        assert fe != FreeEnergy(**{**fields, "series": fe.series.scale(2)}, entry_monomials={})
+        assert fe.cap == fe.series.cap == 6
+
+    def test_intersection_table_equality_is_by_entries(self, table):
+        assert IntersectionTable(dict(table.entries)) == table
+        assert not IntersectionTable(dict(table.entries)) != table
+        assert IntersectionTable({}) == IntersectionTable({})
+        changed = {**table.entries, (0, (0, 0, 0)): Fraction(2)}
+        assert IntersectionTable(changed) != table
+        assert IntersectionTable(entries={}).entries == {}
+
+
 def _forced_genus(dsum, n):
     """Genus forced by sum(d_i) = 3g - 3 + n, or None if no genus fits."""
     num = dsum - n + 3
@@ -564,6 +587,29 @@ class TestFormulaRuns:
         expected = _formula_run("string", fe)
         kdv._masked_residual("string", fe)[1].series.terms.clear()
         assert kdv._masked_residual("string", fe)[1] == expected
+
+    def test_a_miss_builds_only_the_run_and_a_hit_one_copy(self, table, monkeypatch):
+        fe = assemble_free_energy(table, cap=8)
+        built = []
+        init = TruncatedSeries.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(TruncatedSeries, "__init__", counted)
+        for name in kdv._RESIDUALS:
+            built.clear()
+            _formula_run(name, fe)
+            run = len(built)
+            kdv._residual_run.cache_clear()
+            built.clear()
+            miss = kdv._masked_residual(name, fe)[1]
+            assert len(built) == run > 1, name  # F is not rebuilt, nor the run copied
+            assert built[-1] is miss.series, name
+            built.clear()
+            assert kdv._masked_residual(name, fe)[1] == miss
+            assert len(built) == 1, name  # the copy of the memo's terms
 
 
 class TestMutation:

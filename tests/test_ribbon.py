@@ -498,6 +498,23 @@ class TestEnumeration:
         assert cls.aut_order == 6
         assert structure(cls).vertex_count == 2
 
+    def test_classes_compare_and_hash_by_their_fields(self):
+        classes = enumerate_trivalent(0, 3)
+        copies = [RibbonGraphClass(c.sigma, c.alpha, c.face_labels, c.aut_order) for c in classes]
+        assert copies == list(classes)
+        assert [hash(c) for c in copies] == [hash(c) for c in classes]
+        assert len(set(classes) | set(copies)) == len(classes) == 4
+        first = classes[0]
+        other = RibbonGraphClass(first.sigma, first.alpha, first.face_labels, first.aut_order + 1)
+        assert other != first and not other == first
+        assert first.to_json() == {
+            "darts": 6,
+            "sigma": list(first.sigma),
+            "alpha": list(first.alpha),
+            "face_labels": list(first.face_labels),
+            "aut_order": first.aut_order,
+        }
+
 
 class TestKontsevichSum:
     def test_base_case_sphere(self):

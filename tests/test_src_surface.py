@@ -1,6 +1,7 @@
 """Every module-level function and class in src/taubench has a caller there,
-every dataclass field there is read there, and every function the
-benchmark's tracer hooks still exists.
+every record field there (of a dataclass, a NamedTuple or a __slots__
+class) is read there, and every function the benchmark's tracer hooks still
+exists.
 
 Code that only the tests call lives in the tests, as an oracle next to the
 assertions that use it, so src/ holds what the CLI and the suite run; a
@@ -68,9 +69,36 @@ def is_dataclass_decorator(node) -> bool:
     return name == "dataclass"
 
 
+def is_named_tuple_base(node) -> bool:
+    """NamedTuple or typing.NamedTuple as a base class."""
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name == "NamedTuple"
+
+
+def record_fields(node: ast.ClassDef) -> list[str]:
+    """The annotated fields of a dataclass or a NamedTuple, else the names in
+    the class's own __slots__ (none for any other class)."""
+    if any(map(is_dataclass_decorator, node.decorator_list)) or any(
+        map(is_named_tuple_base, node.bases)
+    ):
+        return [
+            stmt.target.id
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        ]
+    for stmt in node.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__slots__" for target in stmt.targets
+        ):
+            slots = ast.literal_eval(stmt.value)
+            return [slots] if isinstance(slots, str) else list(slots)
+    return []
+
+
 def unread_fields(src: pathlib.Path) -> list[tuple[str, str, str]]:
-    """(file, class, field) of each annotated field of a src/ dataclass that
-    no src/ code reads as an attribute, the class's own methods included."""
+    """(file, class, field) of each field of a src/ record class (dataclass,
+    NamedTuple or __slots__ class) that no src/ code reads as an attribute,
+    the class's own methods included."""
     trees = parsed_modules(src)
     read = {
         sub.attr
@@ -79,13 +107,12 @@ def unread_fields(src: pathlib.Path) -> list[tuple[str, str, str]]:
         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
     }
     return [
-        (file, node.name, stmt.target.id)
+        (file, node.name, name)
         for file, tree in trees.items()
         for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and any(map(is_dataclass_decorator, node.decorator_list))
-        for stmt in node.body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-        and stmt.target.id not in read
+        if isinstance(node, ast.ClassDef)
+        for name in record_fields(node)
+        if name not in read
     ]
 
 
@@ -96,6 +123,7 @@ def test_every_dataclass_field_is_read_in_src():
 def test_the_field_guard_sees_an_unread_field(tmp_path):
     (tmp_path / "a.py").write_text(
         "import dataclasses\n"
+        "import typing\n"
         "from dataclasses import dataclass, field\n\n\n"
         "@dataclass(frozen=True)\n"
         "class Point:\n"
@@ -108,13 +136,24 @@ def test_the_field_guard_sees_an_unread_field(tmp_path):
         "class Box:\n"
         "    width: int\n\n\n"
         "class Plain:\n"
-        "    depth: int\n"
+        "    depth: int\n\n\n"
+        "class Pair(typing.NamedTuple):\n"
+        "    left: int\n"
+        "    right: int = 0\n\n\n"
+        "class Slotted:\n"
+        "    __slots__ = ('inner', 'outer')\n\n"
+        "    def __init__(self):\n"
+        "        self.inner, self.outer = 1, 2\n"
     )
     (tmp_path / "b.py").write_text(
         "def height(point):\n    return point.y\n\n\n"
-        "def widen(box):\n    box.width = 2\n"
+        "def widen(box):\n    box.width = 2\n\n\n"
+        "def sides(pair, slotted):\n    return pair.left, slotted.inner\n"
     )
-    assert unread_fields(tmp_path) == [("a.py", "Point", "label"), ("a.py", "Box", "width")]
+    assert unread_fields(tmp_path) == [
+        ("a.py", "Point", "label"), ("a.py", "Box", "width"),
+        ("a.py", "Pair", "right"), ("a.py", "Slotted", "outer"),
+    ]
 
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
