@@ -419,7 +419,7 @@ def run(argv=None) -> int:
             if value is not None:
                 overrides[field] = value
         config = config._replace(**overrides)
-        for field in ("max_darts", "max_matchings", "cap"):
+        for field in ("seed", "max_darts", "max_matchings", "cap"):
             value = getattr(config, field)
             if value is not None and value < 0:
                 raise DomainError(f"--{field.replace('_', '-')} must be >= 0")

@@ -8,15 +8,14 @@ every series here carries a mask of monomials whose coefficients are not
 fully determined; residual coefficients are classified as verified_zero,
 uncovered or nonzero accordingly.
 
-Each residual is one formula in F, written once for a MaskedSeries.  A
-MaskedSeries holds its mask as packed integers grouped by weighted degree
-(one radix-(cap + 1) digit per variable), so a mask product is one integer
-addition per pair of exponents whose degrees fit under the cap, and a product
-of two unmasked sides is the plain product.  A mask depends on the (g, n)
-fragments covered and on which covered coefficients are nonzero, so each
-residual's masked run is memoized on F's mask and terms: a first request runs
-each formula once, a repeated one runs none, and the mutation harness costs
-one unmasked run per formula and entry.
+Each residual is one formula in F, written once for a MaskedSeries, whose
+cap is the degree it is reliable to: a derivative lowers it, and a sum or a
+product runs at the lower cap of its sides, so each residual's window is the
+cap its formula leaves.  A mask depends on the (g, n) fragments covered and
+on which covered coefficients are nonzero, so each residual's masked run is
+memoized on F's mask and terms: a first request runs each formula once, a
+repeated one runs none, and the mutation harness costs one unmasked run per
+formula and entry.
 """
 
 from __future__ import annotations
@@ -42,146 +41,97 @@ DEFAULT_MAX_INDEX = 4
 # in t_0..t_K, C(cap + K, K + 1).  With K = 4 that is 1287 at cap 9, 3003 at
 # cap 11 and 4368 at cap 12; cap 13 (6188) is refused.
 MAX_FREE_ENERGY_MONOMIALS = 5000
-MEMO_SIZE = 32  # entries kept by each memo below (assembly layouts, residual masks)
+MEMO_SIZE = 32  # entries per memo below (assembly layouts; residual runs, keyed on F's values)
 
 
 class MaskedSeries:
-    """Truncated series plus the set of exponent tuples it does not determine.
+    """Truncated series, reliable to its cap, plus the set of exponent tuples
+    (of degree <= cap) it does not determine.
 
     A masked exponent means "this coefficient has unknown extra
     contributions"; masked coefficients are stored as whatever partial value
-    is known (usually zero) and must never be classified as verified.
-
-    The mask is taken and returned as a frozenset of exponent tuples, but held
-    packed: a tuple is one integer in radix cap + 1, slot 0 the most
-    significant digit, so integer order is tuple order.  Weights are >= 1, so
-    every slot of an exponent of degree <= cap is <= cap, and adding two
-    packed exponents whose degrees sum to <= cap never carries: the sum packs
-    the tuple sum.  The packed exponents are grouped by weighted degree.  An
-    exponent over the cap says nothing about a truncated series and is
-    dropped, as a term over the cap is.
+    is known (usually zero) and must never be classified as verified.  A
+    derivative lowers the cap by order x weight, and a sum or product runs at
+    the lower cap of its sides, so a formula's result is reliable to its cap.
     """
 
-    __slots__ = ("series", "_places", "_groups", "_mask")
+    __slots__ = ("series", "mask")
 
     def __init__(self, series: TruncatedSeries, mask: frozenset[Exponents]):
-        self.series = series
-        k = len(series.variables)
-        # place value of slot i: (cap + 1)^(k - 1 - i)
-        self._places = tuple((series.cap + 1) ** (k - 1 - i) for i in range(k))
-        self._groups = self._grouped(mask)
-        self._mask = None
-
-    def _like(self, series: TruncatedSeries, groups: dict[int, set[int]]) -> "MaskedSeries":
-        """A masked series with packed groups, over self's variables and cap."""
-        out = MaskedSeries.__new__(MaskedSeries)
-        out.series, out._places, out._groups, out._mask = series, self._places, groups, None
-        return out
-
-    def _grouped(self, exponents) -> dict[int, set[int]]:
-        """The exponents of degree <= cap, packed and grouped by degree."""
-        places, weights, cap = self._places, self.series.weights, self.series.cap
-        groups: dict[int, set[int]] = {}
-        for expo in exponents:
-            degree = sum(map(operator.mul, expo, weights))
-            if degree <= cap:
-                groups.setdefault(degree, set()).add(sum(map(operator.mul, expo, places)))
-        return groups
-
-    @property
-    def mask(self) -> frozenset[Exponents]:
-        if self._mask is None:
-            radix = self.series.cap + 1
-            self._mask = frozenset(
-                tuple(packed // place % radix for place in self._places)
-                for group in self._groups.values()
-                for packed in group
-            )
-        return self._mask
+        self.series, self.mask = series, mask
 
     def __contains__(self, expo: Exponents) -> bool:
-        group = self._groups.get(self.series.degree_of(expo), ())
-        return sum(map(operator.mul, expo, self._places)) in group
+        return expo in self.mask
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MaskedSeries)
-            and self.series == other.series
-            and self._groups == other._groups
+        return isinstance(other, MaskedSeries) and (self.series, self.mask) == (
+            other.series, other.mask
         )
 
     def __repr__(self) -> str:
         return f"MaskedSeries({self.series!r}, mask={sorted(self.mask)!r})"
 
-    def _union(self, other: "MaskedSeries", series: TruncatedSeries) -> "MaskedSeries":
-        groups = dict(self._groups)
-        for degree, group in other._groups.items():
-            groups[degree] = groups[degree] | group if degree in groups else group
-        return self._like(series, groups)
+    def _pair(self, other: "MaskedSeries") -> tuple["MaskedSeries", ...]:
+        """Both sides at the lower of their caps, with terms and mask cut to it."""
+        cap = min(self.series.cap, other.series.cap)
+        return tuple(
+            side if side.series.cap == cap else MaskedSeries(
+                side.series.with_cap(cap),
+                frozenset(e for e in side.mask if side.series.degree_of(e) <= cap),
+            )
+            for side in (self, other)
+        )
 
     def __add__(self, other: "MaskedSeries") -> "MaskedSeries":
-        return self._union(other, self.series + other.series)
+        a, b = self._pair(other)
+        return MaskedSeries(a.series + b.series, a.mask | b.mask)
 
     def __sub__(self, other: "MaskedSeries") -> "MaskedSeries":
-        return self._union(other, self.series - other.series)
+        a, b = self._pair(other)
+        return MaskedSeries(a.series - b.series, a.mask | b.mask)
 
     def scale(self, value) -> "MaskedSeries":
-        if not value:
-            return self._like(self.series.scale(0), {})
-        return self._like(self.series.scale(value), self._groups)
-
-    def _support(self) -> dict[int, set[int]]:
-        """Terms and mask, packed and grouped by degree."""
-        support = self._grouped(self.series.terms)
-        for degree, group in self._groups.items():
-            support.setdefault(degree, set()).update(group)
-        return support
+        return MaskedSeries(self.series.scale(value), self.mask if value else frozenset())
 
     def __mul__(self, other: "MaskedSeries") -> "MaskedSeries":
-        """Product; its mask is every ea + eb of degree <= cap with ea masked
-        on one side and eb in the other side's support (terms or mask).
-
-        Degrees add, so only the degree pairs under the cap are visited: the
-        cost is the number of pairs that fit, not |mask| x |support|, each
-        pair one integer addition.
-        """
-        series = self.series * other.series
-        if not (self._groups or other._groups):
-            return self._like(series, {})
+        """Product at the lower cap; its mask is every ea + eb of degree <=
+        cap with ea masked on one side and eb in the other side's support
+        (terms or mask).  Degrees add, so each support is bucketed by degree
+        once and a masked ea visits only the buckets that fit under the cap;
+        two unmasked sides give the plain product."""
+        a, b = self._pair(other)
+        series = a.series * b.series
         cap = series.cap
-        groups: dict[int, set[int]] = {}
-        for masked, support in (
-            (self._groups, other._support()),
-            (other._groups, self._support()),
-        ):
-            for da, group_a in masked.items():
-                for db, group_b in support.items():
-                    if da + db > cap:
-                        continue
-                    few, many = sorted((group_a, group_b), key=len)
-                    acc = groups.setdefault(da + db, set())
-                    for packed in few:
-                        acc.update(map(packed.__add__, many))
-        return self._like(series, groups)
+        mask: set[Exponents] = set()
+        for masked, other_side in ((a.mask, b), (b.mask, a)):
+            if not masked:
+                continue
+            buckets: dict[int, list[Exponents]] = {}
+            for eb in other_side.series.terms.keys() | other_side.mask:
+                buckets.setdefault(series.degree_of(eb), []).append(eb)
+            for ea in masked:
+                room = cap - series.degree_of(ea)
+                for degree, group in buckets.items():
+                    if degree <= room:
+                        mask.update(tuple(map(operator.add, ea, eb)) for eb in group)
+        return MaskedSeries(series, frozenset(mask))
 
     def variable(self, name: str) -> "MaskedSeries":
         """The variable `name`, unmasked, over self's variables and cap."""
         s = self.series
-        return self._like(TruncatedSeries.variable(s.variables, s.weights, s.cap, name), {})
+        variable = TruncatedSeries.variable(s.variables, s.weights, s.cap, name)
+        return MaskedSeries(variable, frozenset())
 
     def diff(self, name: str, order: int = 1) -> "MaskedSeries":
-        """Each degree group shifts down by order * weight(name); an exponent
-        with fewer than `order` powers of `name` differentiates away."""
+        """The derivative, reliable to cap - order * weight(name).  A masked
+        exponent loses `order` powers of `name`; one with fewer
+        differentiates away."""
         series = self.series.diff(name, order)
         idx = series.variables.index(name)
-        place, radix = self._places[idx], series.cap + 1
-        drop, step = order * series.weights[idx], order * place
-        groups = {}
-        for degree, group in self._groups.items():
-            shifted = {packed - step for packed in group if packed // place % radix >= order}
-            if shifted:
-                groups[degree - drop] = shifted
-        return self._like(series, groups)
+        mask = frozenset(
+            e[:idx] + (e[idx] - order,) + e[idx + 1:] for e in self.mask if e[idx] >= order
+        )
+        return MaskedSeries(series.with_cap(series.cap - order * series.weights[idx]), mask)
 
 
 class FreeEnergy:
@@ -275,10 +225,11 @@ def assemble_free_energy(
     )
 
 
-def _classify(name: str, residual: MaskedSeries, window: int) -> dict:
-    """The residual report: a status per monomial inside the reliable window,
-    and the count of each status."""
+def _classify(name: str, residual: MaskedSeries) -> dict:
+    """The residual report: a status per monomial of degree <= the residual's
+    cap, its reliable window, and the count of each status."""
     series = residual.series
+    window = series.cap
     counts = {"verified_zero": 0, "uncovered": 0, "nonzero": 0}
     monomials = []
     for expo in sorted(
@@ -317,10 +268,9 @@ def _string_formula(f):
     return residual
 
 
-# residual -> (formula, loss): a coefficient of degree d draws on F up to
-# degree d + loss, so the residual is reliable to cap - loss.  KdV loses 5:
-# two t0-derivatives into U, then up to three more.
-_RESIDUALS = {"kdv": (_kdv_formula, 5), "string": (_string_formula, 1)}
+# residual -> formula; its derivatives set its window, the cap it leaves: KdV's
+# is cap - 5 (two t0-derivatives into U, then up to three more), string's cap - 1
+_RESIDUALS = {"kdv": _kdv_formula, "string": _string_formula}
 
 
 class _Handoff:
@@ -342,47 +292,44 @@ class _Handoff:
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _residual_run(name: str, mask, terms, family, handoff: _Handoff) -> tuple:
     """One residual run on the masked F over family = (variables, weights,
-    cap), frozen: its terms and its (degree, packed group) pairs.  Keyed on
-    F's values too, as a zero coefficient widens no product's mask.  F's
-    series (terms as a dict) comes in through the handoff, and the run's own
-    series goes out through it."""
-    run = _RESIDUALS[name][0](MaskedSeries(handoff.value, mask))
+    cap), frozen: its cap, its terms and its mask.  Keyed on F's values too:
+    they are the run's input, and a zero coefficient widens no product's
+    mask.  F's series (terms as a dict) comes in through the handoff, and
+    the run's own series goes out through it."""
+    run = _RESIDUALS[name](MaskedSeries(handoff.value, mask))
     handoff.value = run.series
-    return tuple(run.series.terms.items()), tuple((d, frozenset(g)) for d, g in run._groups.items())
+    return run.series.cap, tuple(run.series.terms.items()), run.mask
 
 
 def _masked_residual(name: str, free_energy: FreeEnergy) -> tuple[int, MaskedSeries]:
-    """(window, residual) from the memoized run (_residual_run): a miss hands
-    out the run's own series, a hit a fresh copy of the memo's terms, each
-    with the memo's frozen groups; a negative window is refused before the
-    formula runs."""
-    window = free_energy.cap - _RESIDUALS[name][1]
-    if window < 0:
-        raise DomainError("series cap too small for a reliable window")
+    """(window, residual) from the memoized run (_residual_run); the window
+    is the run's cap, the degree its formula leaves reliable, and a negative
+    one is refused.  A miss hands out the run's own series, a hit a fresh
+    copy of the memo's terms; each comes with the memo's frozen mask."""
     f = free_energy.series
     family = (f.variables, f.weights, f.cap)
     handoff = _Handoff(f)
-    terms, groups = _residual_run(
+    window, terms, mask = _residual_run(
         name, free_energy.mask, frozenset(f.terms.items()), family, handoff
     )
     series, handoff.value = handoff.value, None  # a miss keys the memo on this handoff
+    if window < 0:
+        raise DomainError("series cap too small for a reliable window")
     if series is f:  # a hit: the formula did not run
-        series = TruncatedSeries(*family, dict(terms))
-    return window, MaskedSeries(series, frozenset())._like(series, dict(groups))
+        series = TruncatedSeries(f.variables, f.weights, window, dict(terms))
+    return window, MaskedSeries(series, mask)
 
 
 def kdv_residual(free_energy: FreeEnergy) -> dict:
-    """The report (_classify) of the KdV residual R of F in the window
+    """The report (_classify) of the KdV residual R of F, reliable to
     cap - 5; higher degrees would be truncation artifacts."""
-    window, residual = _masked_residual("kdv", free_energy)
-    return _classify("kdv", residual, window)
+    return _classify("kdv", _masked_residual("kdv", free_energy)[1])
 
 
 def string_residual(free_energy: FreeEnergy) -> dict:
     """The report (_classify) of the string residual S of F, reliable to
     cap - 1."""
-    window, residual = _masked_residual("string", free_energy)
-    return _classify("string", residual, window)
+    return _classify("string", _masked_residual("string", free_energy)[1])
 
 
 def mutation_report(
@@ -394,17 +341,17 @@ def mutation_report(
     """Perturb each table entry by +1 and record, per entry, every covered
     coefficient of the KdV or the string residual that is nonzero.
 
-    The masks and windows come from the two masked residuals of the table's
-    own F (memoized on its mask and values, _residual_run); no per-monomial
-    report is built.  An entry moves the one F coefficient the assembly
-    recorded for it by its weight, so each entry costs one unmasked run per
-    formula."""
+    The masks come from the two masked residuals of the table's own F
+    (memoized on its mask and values, _residual_run), and each formula's run
+    stops at its own window; no per-monomial report is built.  An entry
+    moves the one F coefficient the assembly recorded for it by its weight,
+    so each entry costs one unmasked run per formula."""
     if not table.entries:
         return {}
     fe = assemble_free_energy(table, max_genus, cap, max_index)
     bases = [
-        (name, formula, *_masked_residual(name, fe))
-        for name, (formula, _) in _RESIDUALS.items()
+        (name, formula, _masked_residual(name, fe)[1].mask)
+        for name, formula in _RESIDUALS.items()
     ]
     out = {}
     for key in sorted(table.entries):
@@ -414,8 +361,8 @@ def mutation_report(
         unmasked = MaskedSeries(f, frozenset())
         out[entry_key(*key)] = sorted(
             f"{name}:{monomial_name(f.variables, expo)}"
-            for name, formula, window, masked in bases
+            for name, formula, masked in bases
             for expo in formula(unmasked).series.terms
-            if f.degree_of(expo) <= window and expo not in masked
+            if expo not in masked
         )
     return out

@@ -128,6 +128,10 @@ class TestExitCodes:
     NEGATIVE_BUDGETS = [
         ("--max-darts", "-5", "intersect", "-g", "0", "-n", "3"),
         ("--max-matchings", "-1", "matrix", "genus", "--word", "tr2"),
+        # refused before the sample budget is priced or numpy loads; a seed of
+        # 0 is valid, and the samples over MAX_HCIZ_SAMPLES are the budget error
+        ("--seed", "-1", "matrix", "hciz", "--x", "1,-1", "--y", "1,-1",
+         "--samples", "10000001"),
     ]
 
     @pytest.mark.parametrize("argv", NEGATIVE_BUDGETS)
@@ -809,6 +813,7 @@ class TestConfig:
             ("max_darts", ("intersect", "-g", "0", "-n", "3")),
             ("max_matchings", ("matrix", "genus", "--word", "tr2")),
             ("cap", ("verify", "kdv")),
+            ("seed", ("intersect", "-g", "0", "-n", "3")),
         ],
     )
     def test_negative_budget_in_config_is_two(self, capsys, tmp_path, key, argv):

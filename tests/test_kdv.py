@@ -242,10 +242,15 @@ class TestBlockWalk:
         assert len(fe.mask) == len(fe.coverage_gap)
 
 
+def lower_cap(a, b):
+    return min(a.series.cap, b.series.cap)
+
+
 def all_pairs_mask(a, b):
     """Reference mask rule: every masked ea on one side plus every eb in the
-    other side's terms or mask, kept when the sum's degree is <= cap."""
-    series = a.series * b.series
+    other side's terms or mask, kept when the sum's degree is <= the lower
+    cap of the two sides."""
+    cap = lower_cap(a, b)
     mask = set()
     for mask_side, support_side in (
         (a.mask, set(b.series.terms) | b.mask),
@@ -254,24 +259,25 @@ def all_pairs_mask(a, b):
         for ea in mask_side:
             for eb in support_side:
                 expo = tuple(x + y for x, y in zip(ea, eb))
-                if series.degree_of(expo) <= series.cap:
+                if a.series.degree_of(expo) <= cap:
                     mask.add(expo)
     return frozenset(mask)
 
 
 @st.composite
 def masked_pairs(draw):
-    """Two compatible masked series over t-variables (weight 1) or
-    x-variables (weights 1..3), caps 0..12; either side may be empty."""
+    """Two masked series over the same t-variables (weight 1) or
+    x-variables (weights 1..3), each with its own cap in 0..12, so the caps
+    may differ; either side may be empty."""
     family = draw(st.sampled_from(["t", "x"]))
     arity = draw(st.integers(1, 3))
-    cap = draw(st.integers(0, 12))
-    names, weights, cap = (
-        t_variables(arity - 1, cap) if family == "t" else x_variables(arity, cap)
-    )
-    monomials = st.sampled_from(list(weight_monomials(weights, cap)))
     sides = []
     for _ in range(2):
+        names, weights, cap = (
+            t_variables(arity - 1, draw(st.integers(0, 12))) if family == "t"
+            else x_variables(arity, draw(st.integers(0, 12)))
+        )
+        monomials = st.sampled_from(list(weight_monomials(weights, cap)))
         terms = draw(st.dictionaries(monomials, st.integers(1, 3), max_size=6))
         mask = draw(st.frozensets(monomials, max_size=6))
         sides.append(MaskedSeries(TruncatedSeries(names, weights, cap, terms), mask))
@@ -329,14 +335,35 @@ class TestMaskedSeries:
     ))
     def test_mul_matches_all_pairs_reference(self, pair):
         a, b = pair
+        cap = lower_cap(a, b)
         prod = a * b
         assert prod.mask == all_pairs_mask(a, b)
-        assert prod.series == a.series * b.series
+        assert prod.series.cap == cap
+        assert prod.series == a.series.with_cap(cap) * b.series.with_cap(cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(masked_pairs())
+    # caps 5 and 2: the higher side's terms and mask over degree 2 are cut
+    @example((
+        MaskedSeries(_series(("t0",), (1,), 5, (1,), (4,)), frozenset({(3,), (2,)})),
+        MaskedSeries(_series(("t0",), (1,), 2, (0,)), frozenset({(1,)})),
+    ))
+    def test_sum_and_difference_at_the_lower_cap(self, pair):
+        a, b = pair
+        cap = lower_cap(a, b)
+        union = {e for e in a.mask | b.mask if a.series.degree_of(e) <= cap}
+        for result, series in (
+            (a + b, a.series.with_cap(cap) + b.series.with_cap(cap)),
+            (a - b, a.series.with_cap(cap) - b.series.with_cap(cap)),
+        ):
+            assert result.series.cap == cap
+            assert result.series == series
+            assert result.mask == union
 
     @pytest.mark.parametrize("family,arity,cap", [("t", 3, 8), ("t", 5, 12), ("x", 3, 9)])
     def test_a_slot_at_the_cap_does_not_carry(self, family, arity, cap):
-        # the leading variable's slot reaches the cap, the largest digit the
-        # packed form holds; one more would carry into the slot before it
+        # the leading variable's slot reaches the cap: a masked exponent on
+        # the cap is kept, and a product one degree past it is not
         names, weights, cap = (
             t_variables(arity - 1, cap) if family == "t" else x_variables(arity, cap)
         )
@@ -365,6 +392,25 @@ class TestMaskedSeries:
         masked = MaskedSeries(zero, frozenset({(2, 1), (0, 1)}))
         d = masked.diff("t0")
         assert d.mask == {(1, 1)}  # the t0-free monomial differentiates away
+
+    @pytest.mark.parametrize("family", ["t", "x"])
+    def test_diff_lowers_the_cap_by_order_times_weight(self, family):
+        names, weights, cap = t_variables(2, 9) if family == "t" else x_variables(3, 9)
+        monomials = list(weight_monomials(weights, cap))
+        series = TruncatedSeries(names, weights, cap, {e: i + 1 for i, e in enumerate(monomials)})
+        masked = MaskedSeries(series, frozenset(monomials[::3]))
+        for idx, (name, weight) in enumerate(zip(names, weights)):
+            for order in range(4):
+                d = masked.diff(name, order)
+                lowered = cap - order * weight
+                assert d.series.cap == lowered, (name, order)
+                # the cut drops nothing: every shifted term and mask entry fits
+                assert d.series.terms == series.diff(name, order).terms, (name, order)
+                assert d.mask == {
+                    tuple(k - order if i == idx else k for i, k in enumerate(e))
+                    for e in masked.mask if e[idx] >= order
+                }, (name, order)
+                assert all(series.degree_of(e) <= lowered for e in d.mask), (name, order)
 
     def test_diff_of_a_slot_equal_to_the_order(self):
         names, weights, cap = x_variables(3, 9)
@@ -419,6 +465,25 @@ class TestResiduals:
         with pytest.raises(DomainError):
             kdv_residual(fe)  # window 4 - 5 < 0
 
+    @pytest.mark.parametrize("cap", range(5, 13))
+    def test_each_window_is_the_cap_its_formula_leaves(self, table, cap):
+        fe = assemble_free_energy(table, cap=cap)
+        for name, report, loss in (("kdv", kdv_residual, 5), ("string", string_residual, 1)):
+            window, residual = kdv._masked_residual(name, fe)
+            assert window == residual.series.cap == report(fe)["window"] == cap - loss, name
+
+    def test_a_new_formula_needs_no_window_entry(self, table, monkeypatch):
+        # dF/dt1 - F: one t1-derivative, so reliable to cap - 1
+        monkeypatch.setitem(kdv._RESIDUALS, "flow", lambda f: f.diff("t1") - f)
+        fe = assemble_free_energy(table, cap=8)
+        window, residual = kdv._masked_residual("flow", fe)
+        assert window == residual.series.cap == 7
+        direct = fe.series.diff("t1") - fe.series
+        assert residual.series.terms == {
+            e: c for e, c in direct.terms.items() if fe.series.degree_of(e) <= 7
+        }
+        assert kdv._classify("flow", residual)["window"] == 7
+
     def test_report_json_shape(self, free_energy):
         payload = kdv_residual(free_energy)
         assert payload["residual"] == "kdv"
@@ -431,27 +496,28 @@ def _digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-# Residuals of the 12-dart base table, computed with the all-pairs mask
-# product: (mask size, digest of the sorted mask, digest of the report JSON).
+# Residuals of the 12-dart base table: (mask size, digest of the sorted mask,
+# digest of the report JSON).  Each mask is the one the all-pairs mask
+# product gives at the full cap, restricted to the residual's window.
 PINNED_RESIDUALS = {
     (8, "kdv"): (
-        414,
-        "ba6b5f810f5832a89138329c0cc5ab93660b74eafc3c392a2428fcb6f6577fea",
+        17,
+        "b24909b1aae2e6f895f85ff25b9f2daa3e0b51bb82960c8e7bfeede343685ca7",
         "ce0c4366992e5d66d51766dd06be7067f1e3afb9ea7fb3a1bb5c829748c04fc8",
     ),
     (8, "string"): (
-        412,
-        "54d7b81ba0e386443e37a07a810c91bfca3b5e2baa7478f8e4f3da4e72990c3c",
+        251,
+        "b450fe46b308e572c7ab3b0f1fc9f5eee67716b675abe721c9da7efb2477a3ec",
         "a9ec13b58a7d073ca90334606530429c3e81297538d081a441330373d8242fac",
     ),
     (10, "kdv"): (
-        965,
-        "7eb9ce0613d6cacd0e4621019d461a5b027ac18cb2f1134f1586c1f7649c53cc",
+        81,
+        "368ffeb50db7f12cdfebf162eb1c4c4786d7358563d46203fcebf968da55b1f9",
         "9cfac7cad23c4bfe9ad3c8861b64f97e7e552bbde39e37c21f982030dea29507",
     ),
     (10, "string"): (
-        966,
-        "0048e3de496c55f1f36a8385c714d1e2ae3441603939030628f0e036a99fed9e",
+        643,
+        "829c04635aa80bb0aa540cbe0193322da71fd1830f30a2e8f114dc7cb9cdf9ee",
         "09e2a79e79a7f23c0fe267842b5bb545f8a8ea86d77c6ea86618064cdaec6b01",
     ),
 }
@@ -492,22 +558,22 @@ class TestPinnedResiduals:
 
 def _formula_run(name, fe):
     """The residual of the formula run on the masked F, no memo read."""
-    return kdv._RESIDUALS[name][0](MaskedSeries(fe.series, fe.mask))
+    return kdv._RESIDUALS[name](MaskedSeries(fe.series, fe.mask))
 
 
 class TestResidualMemo:
     def test_the_memo_is_keyed_on_values(self, table):
-        # zeroing <tau_0^3> keeps the coverage and so F's mask, yet shrinks
-        # the KdV mask at cap 5 from 67 to 65 monomials
-        primed = assemble_free_energy(table, cap=5)
-        assert len(kdv._masked_residual("kdv", primed)[1].mask) == 67
+        # zeroing <tau_0^3> keeps the coverage and so F's mask, yet flips a
+        # covered KdV coefficient at cap 8: a memo keyed on the mask alone
+        # would hand the zeroed F the primed F's residual
+        primed = assemble_free_energy(table, cap=8)
+        assert kdv_residual(primed)["counts"]["nonzero"] == 0
         zeroed = assemble_free_energy(
-            IntersectionTable({**table.entries, (0, (0, 0, 0)): Fraction(0)}), cap=5
+            IntersectionTable({**table.entries, (0, (0, 0, 0)): Fraction(0)}), cap=8
         )
         assert zeroed.mask == primed.mask
-        mask = kdv._masked_residual("kdv", zeroed)[1].mask
-        assert len(mask) == 65
-        assert mask == _formula_run("kdv", zeroed).mask
+        assert kdv_residual(zeroed)["counts"]["nonzero"] == 1
+        assert kdv._masked_residual("kdv", zeroed)[1] == _formula_run("kdv", zeroed)
 
     @pytest.mark.parametrize("max_darts,max_genus,caps", [
         (12, 1, range(5, 13)),
@@ -537,10 +603,10 @@ class TestResidualMemo:
         fe = assemble_free_energy(table, cap=8)
         expected = _formula_run("kdv", fe).mask
         residual = kdv._masked_residual("kdv", fe)[1]
-        for group in residual._groups.values():
-            with pytest.raises(AttributeError):
-                group.add(0)
-        residual._groups.clear()  # the caller's own dict, not the memo's
+        assert isinstance(residual.mask, frozenset)
+        with pytest.raises(AttributeError):
+            residual.mask.add((0,) * 5)
+        residual.mask = frozenset()  # rebinds the caller's object, not the memo's
         assert kdv._masked_residual("kdv", fe)[1].mask == expected
 
     def test_the_memo_is_bounded(self, table):
@@ -559,11 +625,11 @@ class TestFormulaRuns:
     def calls(self, monkeypatch):
         """Each _RESIDUALS formula wrapped to count its runs; memo cleared."""
         calls = collections.Counter()
-        for name, (formula, loss) in list(kdv._RESIDUALS.items()):
+        for name, formula in list(kdv._RESIDUALS.items()):
             def counted(f, name=name, formula=formula):
                 calls[name] += 1
                 return formula(f)
-            monkeypatch.setitem(kdv._RESIDUALS, name, (counted, loss))
+            monkeypatch.setitem(kdv._RESIDUALS, name, counted)
         kdv._residual_run.cache_clear()
         return calls
 
