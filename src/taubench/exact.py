@@ -69,7 +69,9 @@ class TruncatedSeries:
     """Multivariate polynomial truncated at a weighted degree cap.
 
     Terms map exponent tuples (one slot per variable) to nonzero coefficients.
-    Two series are compatible when their variable names, weights and cap agree.
+    Two series combine when their variable names and weights agree: a sum,
+    difference or product runs at the lower of their caps.  Equal series
+    agree in cap too.
     """
 
     __slots__ = ("variables", "weights", "cap", "terms")
@@ -123,16 +125,11 @@ class TruncatedSeries:
     def degree_of(self, expo: Exponents) -> int:
         return sum(map(operator.mul, expo, self.weights))
 
-    def compatible(self, other: "TruncatedSeries") -> bool:
-        return (
-            self.variables == other.variables
-            and self.weights == other.weights
-            and self.cap == other.cap
-        )
-
-    def _require_compatible(self, other):
-        if not self.compatible(other):
-            raise DomainError("incompatible series (variables/weights/cap differ)")
+    def _require_compatible(self, other) -> int:
+        """The lower cap of the two series, whose variables and weights agree."""
+        if (self.variables, self.weights) != (other.variables, other.weights):
+            raise DomainError("incompatible series (variables/weights differ)")
+        return min(self.cap, other.cap)
 
     def coefficient(self, expo: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(expo), 0)
@@ -156,7 +153,7 @@ class TruncatedSeries:
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(self.variables, self.weights, self.cap, other)
-        self._require_compatible(other)
+        cap = self._require_compatible(other)
         terms = dict(self.terms)
         for expo, coeff in other.terms.items():
             acc = terms.get(expo, 0) + coeff
@@ -164,7 +161,7 @@ class TruncatedSeries:
                 terms[expo] = acc
             else:
                 terms.pop(expo, None)
-        return TruncatedSeries(self.variables, self.weights, self.cap, terms)
+        return TruncatedSeries(self.variables, self.weights, cap, terms)
 
     __radd__ = __add__
 
@@ -193,13 +190,13 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
-        self._require_compatible(other)
+        cap = self._require_compatible(other)
         terms: dict[Exponents, Fraction] = {}
         degrees_b = {e: other.degree_of(e) for e in other.terms}
         for ea, ca in self.terms.items():
             da = self.degree_of(ea)
             for eb, cb in other.terms.items():
-                if da + degrees_b[eb] > self.cap:
+                if da + degrees_b[eb] > cap:
                     continue
                 expo = tuple(x + y for x, y in zip(ea, eb))
                 acc = terms.get(expo, 0) + ca * cb
@@ -207,7 +204,7 @@ class TruncatedSeries:
                     terms[expo] = acc
                 else:
                     terms.pop(expo, None)
-        return TruncatedSeries(self.variables, self.weights, self.cap, terms)
+        return TruncatedSeries(self.variables, self.weights, cap, terms)
 
     __rmul__ = __mul__
 
@@ -224,11 +221,9 @@ class TruncatedSeries:
         return result
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.compatible(other)
-            and self.terms == other.terms
-        )
+        return isinstance(other, TruncatedSeries) and (
+            self.variables, self.weights, self.cap, self.terms
+        ) == (other.variables, other.weights, other.cap, other.terms)
 
     def __repr__(self):
         if not self.terms:

@@ -2,12 +2,12 @@
 
 Every operator is an OperatorExpr: a normal-ordered sum of scalar *
 (variable monomial) * (derivative monomial) terms, built once and applied
-by OperatorExpr.image (OperatorExpr.apply for a series), the only applier
+to a plain {exponent: coeff} vector by OperatorExpr.image, the only applier
 here, as a sum of memoized basis columns: each monomial's image is computed
 once per operator and series family.  Each operator has one denominator D,
 the lcm of its scalars' denominators; its columns hold D times the image in
-(Gaussian) integers, image returns these numerators and apply divides by D
-once per output term.  Two operator families are built:
+(Gaussian) integers, and image returns these numerators for the commutator
+checks to divide by D.  Two operator families are built:
 
 - the oscillator representation on C[x_1, x_2, ...] with a_n = d/dx_n,
   a_{-n} = n x_n, a_0 = mu, and L_k built from the quadratic a-form
@@ -147,18 +147,6 @@ class OperatorExpr:
                 key = (tuple(sorted(tmono)), tuple(sorted(dmono)))
                 combined[key] = combined.get(key, 0) + scalar
         return cls(tuple((c, *key) for key, c in sorted(combined.items()) if c))
-
-    def apply(self, p: TruncatedSeries) -> TruncatedSeries:
-        """Apply to p: the sum of c * column(e) over the terms c * x^e of p,
-        divided by D once per output term.
-
-        A derivative in a variable outside p's family annihilates its term.
-        A nonzero result term past the cap, or one multiplied by a variable
-        outside the family, raises TruncationError: nothing is dropped.
-        """
-        family = (p.variables, p.weights, p.cap)
-        numerators = TruncatedSeries(*family, self.image(family, p.terms))
-        return numerators.scale(Fraction(1, self.denominator))
 
     def image(self, family, vector: dict) -> dict:
         """D times the operator on a plain {exponent: coeff} vector over
@@ -693,7 +681,7 @@ def target_commutator_report(
     n1: int,
     n: int,
     data: CohomologyData,
-    window: int = 3,
+    window: int,
 ) -> dict:
     """([L_{n1}, L_n] - (n - n1) L_{n+n1}) p for window monomials; a report,
     not an assertion -- the printed operators need not close."""

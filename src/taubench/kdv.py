@@ -71,24 +71,19 @@ class MaskedSeries:
     def __repr__(self) -> str:
         return f"MaskedSeries({self.series!r}, mask={sorted(self.mask)!r})"
 
-    def _pair(self, other: "MaskedSeries") -> tuple["MaskedSeries", ...]:
-        """Both sides at the lower of their caps, with terms and mask cut to it."""
-        cap = min(self.series.cap, other.series.cap)
-        return tuple(
-            side if side.series.cap == cap else MaskedSeries(
-                side.series.with_cap(cap),
-                frozenset(e for e in side.mask if side.series.degree_of(e) <= cap),
-            )
-            for side in (self, other)
-        )
+    def _mask_to(self, cap: int) -> frozenset[Exponents]:
+        """The mask cut to cap, which is at most this side's own."""
+        if cap == self.series.cap:
+            return self.mask
+        return frozenset(e for e in self.mask if self.series.degree_of(e) <= cap)
 
     def __add__(self, other: "MaskedSeries") -> "MaskedSeries":
-        a, b = self._pair(other)
-        return MaskedSeries(a.series + b.series, a.mask | b.mask)
+        series = self.series + other.series
+        return MaskedSeries(series, self._mask_to(series.cap) | other._mask_to(series.cap))
 
     def __sub__(self, other: "MaskedSeries") -> "MaskedSeries":
-        a, b = self._pair(other)
-        return MaskedSeries(a.series - b.series, a.mask | b.mask)
+        series = self.series - other.series
+        return MaskedSeries(series, self._mask_to(series.cap) | other._mask_to(series.cap))
 
     def scale(self, value) -> "MaskedSeries":
         return MaskedSeries(self.series.scale(value), self.mask if value else frozenset())
@@ -97,13 +92,13 @@ class MaskedSeries:
         """Product at the lower cap; its mask is every ea + eb of degree <=
         cap with ea masked on one side and eb in the other side's support
         (terms or mask).  Degrees add, so each support is bucketed by degree
-        once and a masked ea visits only the buckets that fit under the cap;
-        two unmasked sides give the plain product."""
-        a, b = self._pair(other)
-        series = a.series * b.series
+        once and a masked ea visits only the buckets that fit under the cap,
+        so neither side's mask needs a cut; two unmasked sides give the plain
+        product."""
+        series = self.series * other.series
         cap = series.cap
         mask: set[Exponents] = set()
-        for masked, other_side in ((a.mask, b), (b.mask, a)):
+        for masked, other_side in ((self.mask, other), (other.mask, self)):
             if not masked:
                 continue
             buckets: dict[int, list[Exponents]] = {}
@@ -125,13 +120,15 @@ class MaskedSeries:
     def diff(self, name: str, order: int = 1) -> "MaskedSeries":
         """The derivative, reliable to cap - order * weight(name).  A masked
         exponent loses `order` powers of `name`; one with fewer
-        differentiates away."""
+        differentiates away.  Every term of the derivative already lies at
+        or below the lowered cap, so the fresh series takes it in place."""
         series = self.series.diff(name, order)
         idx = series.variables.index(name)
+        series.cap -= order * series.weights[idx]
         mask = frozenset(
             e[:idx] + (e[idx] - order,) + e[idx + 1:] for e in self.mask if e[idx] >= order
         )
-        return MaskedSeries(series.with_cap(series.cap - order * series.weights[idx]), mask)
+        return MaskedSeries(series, mask)
 
 
 class FreeEnergy:
@@ -261,10 +258,11 @@ def _kdv_formula(f):
 
 
 def _string_formula(f):
-    """S = dF/dt0 - t0^2/2 - sum_i t_{i+1} dF/dt_i."""
-    residual = f.diff("t0") - (f.variable("t0") * f.variable("t0")).scale(Fraction(1, 2))
+    """S = dF/dt0 - t0^2/2 - sum_i t_{i+1} dF/dt_i, with dF/dt0 taken once."""
+    d0 = f.diff("t0")
+    residual = d0 - (f.variable("t0") * f.variable("t0")).scale(Fraction(1, 2))
     for i in range(len(f.series.variables) - 1):
-        residual = residual - f.variable(f"t{i + 1}") * f.diff(f"t{i}")
+        residual = residual - f.variable(f"t{i + 1}") * (f.diff(f"t{i}") if i else d0)
     return residual
 
 
@@ -273,51 +271,28 @@ def _string_formula(f):
 _RESIDUALS = {"kdv": _kdv_formula, "string": _string_formula}
 
 
-class _Handoff:
-    """A value passed into and out of a memoized call beside its key: every
-    handoff equals every other and hashes alike, so it never splits a key."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Handoff)
-
-    def __hash__(self) -> int:
-        return 0
-
-
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _residual_run(name: str, mask, terms, family, handoff: _Handoff) -> tuple:
-    """One residual run on the masked F over family = (variables, weights,
-    cap), frozen: its cap, its terms and its mask.  Keyed on F's values too:
-    they are the run's input, and a zero coefficient widens no product's
-    mask.  F's series (terms as a dict) comes in through the handoff, and
-    the run's own series goes out through it."""
-    run = _RESIDUALS[name](MaskedSeries(handoff.value, mask))
-    handoff.value = run.series
+def _residual_run(name: str, mask, terms, family) -> tuple:
+    """One residual run on the masked F built from its frozen key, over
+    family = (variables, weights, cap), frozen: its cap, its terms and its
+    mask.  Keyed on F's values too: they are the run's input, and a zero
+    coefficient widens no product's mask."""
+    run = _RESIDUALS[name](MaskedSeries(TruncatedSeries(*family, dict(terms)), mask))
     return run.series.cap, tuple(run.series.terms.items()), run.mask
 
 
 def _masked_residual(name: str, free_energy: FreeEnergy) -> tuple[int, MaskedSeries]:
     """(window, residual) from the memoized run (_residual_run); the window
     is the run's cap, the degree its formula leaves reliable, and a negative
-    one is refused.  A miss hands out the run's own series, a hit a fresh
-    copy of the memo's terms; each comes with the memo's frozen mask."""
+    one is refused.  Every call, hit or miss, gets a fresh series of the
+    memo's terms with the memo's frozen mask."""
     f = free_energy.series
-    family = (f.variables, f.weights, f.cap)
-    handoff = _Handoff(f)
     window, terms, mask = _residual_run(
-        name, free_energy.mask, frozenset(f.terms.items()), family, handoff
+        name, free_energy.mask, frozenset(f.terms.items()), (f.variables, f.weights, f.cap)
     )
-    series, handoff.value = handoff.value, None  # a miss keys the memo on this handoff
     if window < 0:
         raise DomainError("series cap too small for a reliable window")
-    if series is f:  # a hit: the formula did not run
-        series = TruncatedSeries(f.variables, f.weights, window, dict(terms))
-    return window, MaskedSeries(series, mask)
+    return window, MaskedSeries(TruncatedSeries(f.variables, f.weights, window, dict(terms)), mask)
 
 
 def kdv_residual(free_energy: FreeEnergy) -> dict:

@@ -12,7 +12,6 @@ rather than failures; they are listed explicitly.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from fractions import Fraction
@@ -50,20 +49,12 @@ def _crit_twelve_dart_blocks(config, full):
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _table_and_energy(max_darts: int, cap: int):
-    """The base table and its F, shared by criteria 3 and 4 (read only)."""
-    from .kdv import assemble_free_energy
+def _crit_kdv(config, full):
+    from .kdv import DEFAULT_CAP, assemble_free_energy, kdv_residual, mutation_report
     from .ribbon import base_table
 
-    table = base_table(max_darts=max_darts)
-    return table, assemble_free_energy(table, cap=cap)
-
-
-def _crit_kdv(config, full):
-    from .kdv import DEFAULT_CAP, kdv_residual, mutation_report
-
-    table, fe = _table_and_energy(config.max_darts, config.cap_or(DEFAULT_CAP))
+    table = base_table(max_darts=config.max_darts)
+    fe = assemble_free_energy(table, cap=config.cap_or(DEFAULT_CAP))
     counts = kdv_residual(fe)["counts"]
     flips = mutation_report(table, cap=fe.cap)
     invisible = sorted(k for k, v in flips.items() if not v)
@@ -86,9 +77,11 @@ def _crit_kdv(config, full):
 
 
 def _crit_string(config, full):
-    from .kdv import DEFAULT_CAP, string_residual
+    from .kdv import DEFAULT_CAP, assemble_free_energy, string_residual
+    from .ribbon import base_table
 
-    _, fe = _table_and_energy(config.max_darts, config.cap_or(DEFAULT_CAP))
+    table = base_table(max_darts=config.max_darts)
+    fe = assemble_free_energy(table, cap=config.cap_or(DEFAULT_CAP))
     counts = string_residual(fe)["counts"]
     return _criterion(4, "string residual zero", not counts["nonzero"], {"counts": counts})
 

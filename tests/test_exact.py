@@ -6,6 +6,7 @@ and particular solutions by multiplying them back out.
 """
 
 import itertools
+import operator
 import time
 from fractions import Fraction
 
@@ -133,6 +134,12 @@ def assert_rational(coeffs):
     assert all(isinstance(c, (int, Fraction)) for c in coeffs), coeffs
 
 
+def apply(op, p: TruncatedSeries) -> TruncatedSeries:
+    """The operator op on the series p: its image numerators over D."""
+    family = (p.variables, p.weights, p.cap)
+    return TruncatedSeries(*family, op.image(family, p.terms)).scale(Fraction(1, op.denominator))
+
+
 class TestOnlyFockIsComplex:
     """Q(i) is born only at the i*lambda terms of the oscillator L_k: every
     real layer keeps int or Fraction coefficients."""
@@ -162,7 +169,7 @@ class TestOnlyFockIsComplex:
         op = target_virasoro_build(data, n, 5)
         coeffs = []
         for expo in weight_monomials(weights, 2):
-            coeffs += op.apply(TruncatedSeries(names, weights, cap, {expo: 1})).terms.values()
+            coeffs += apply(op, TruncatedSeries(names, weights, cap, {expo: 1})).terms.values()
         assert_rational(coeffs)
 
     def test_oscillator_closure_at_lambda_zero(self):
@@ -173,7 +180,7 @@ class TestOnlyFockIsComplex:
         for expo in weight_monomials(weights, 2):
             p = TruncatedSeries(names, weights, cap, {expo: 1})
             for l_m, l_n in itertools.product(ops, ops):
-                coeffs += l_m.apply(l_n.apply(p)).terms.values()
+                coeffs += apply(l_m, apply(l_n, p)).terms.values()
         assert_rational(coeffs)
 
 
@@ -198,7 +205,56 @@ def _series(cap=6):
     return names, weights, c
 
 
+@st.composite
+def series_pairs(draw):
+    """Two series over the same t-variables (weight 1) or x-variables
+    (weights 1..3), each with its own cap in 0..12, so the caps may differ."""
+    family = draw(st.sampled_from([t_variables, x_variables]))
+    arity = draw(st.integers(1, 3))
+    max_index = arity - 1 if family is t_variables else arity
+    pair = []
+    for _ in range(2):
+        names, weights, cap = family(max_index, draw(st.integers(0, 12)))
+        monomials = st.sampled_from(list(weight_monomials(weights, cap)))
+        pair.append(TruncatedSeries(
+            names, weights, cap, draw(st.dictionaries(monomials, fractions, max_size=8))
+        ))
+    return tuple(pair)
+
+
 class TestTruncatedSeries:
+    @settings(max_examples=300, deadline=None)
+    @given(series_pairs())
+    def test_unequal_caps_combine_at_the_lower(self, pair):
+        a, b = pair
+        cap = min(a.cap, b.cap)
+        for op in (operator.add, operator.sub, operator.mul):
+            result = op(a, b)
+            assert result.cap == cap, op
+            assert result == op(a.with_cap(cap), b.with_cap(cap)), op
+
+    def test_differing_variables_or_weights_do_not_combine(self):
+        names, weights, cap = _series()
+        a = TruncatedSeries.variable(names, weights, cap, "t0")
+        others = [
+            TruncatedSeries.variable(("s0", "t1", "t2"), weights, cap, "t1"),
+            TruncatedSeries.variable(names, (1, 2, 1), cap, "t1"),
+            TruncatedSeries.variable(names[:2], weights[:2], cap, "t1"),
+        ]
+        for b in others:
+            for op in (operator.add, operator.sub, operator.mul):
+                for left, right in ((a, b), (b, a)):
+                    with pytest.raises(DomainError, match="incompatible series"):
+                        op(left, right)
+
+    def test_equal_terms_at_different_caps_differ(self):
+        names, weights, cap = _series()
+        a = TruncatedSeries.variable(names, weights, cap, "t0")
+        b = a.with_cap(cap + 1)
+        assert a.terms == b.terms
+        assert a != b and b != a
+        assert a == b.with_cap(cap)
+
     def test_cap_drops_terms(self):
         names, weights, cap = _series(cap=2)
         t0 = TruncatedSeries.variable(names, weights, cap, "t0")

@@ -654,7 +654,7 @@ class TestFormulaRuns:
         kdv._masked_residual("string", fe)[1].series.terms.clear()
         assert kdv._masked_residual("string", fe)[1] == expected
 
-    def test_a_miss_builds_only_the_run_and_a_hit_one_copy(self, table, monkeypatch):
+    def test_a_miss_builds_the_run_f_and_a_copy_and_a_hit_one_copy(self, table, monkeypatch):
         fe = assemble_free_energy(table, cap=8)
         built = []
         init = TruncatedSeries.__init__
@@ -671,11 +671,104 @@ class TestFormulaRuns:
             kdv._residual_run.cache_clear()
             built.clear()
             miss = kdv._masked_residual(name, fe)[1]
-            assert len(built) == run > 1, name  # F is not rebuilt, nor the run copied
-            assert built[-1] is miss.series, name
+            # F from the memo's key, the formula's own series, then the copy
+            assert len(built) == run + 2, name
+            assert built[0] == fe.series and built[0] is not fe.series, name
+            assert [series is miss.series for series in built] == [False] * (run + 1) + [True]
             built.clear()
-            assert kdv._masked_residual(name, fe)[1] == miss
-            assert len(built) == 1, name  # the copy of the memo's terms
+            hit = kdv._masked_residual(name, fe)[1]
+            assert hit == miss and hit.series is not miss.series, name
+            assert built == [hit.series], name  # the copy of the memo's terms
+
+
+def kdv_terms(scales):
+    """The KdV formula with its three terms dU/dt1, U dU/dt0 and
+    (1/12) d^3U/dt0^3 scaled by scales."""
+    def formula(f):
+        u = f.diff("t0", 2)
+        return (
+            u.diff("t1").scale(scales[0])
+            - (u * u.diff("t0")).scale(scales[1])
+            - u.diff("t0", 3).scale(Fraction(scales[2], 12))
+        )
+    return formula
+
+
+def string_terms(scales):
+    """The string formula with its terms dF/dt0, t0^2/2 and each
+    t_{i+1} dF/dt_i scaled by scales."""
+    def formula(f):
+        t0 = f.variable("t0")
+        residual = f.diff("t0").scale(scales[0]) - (t0 * t0).scale(Fraction(scales[1], 2))
+        for i in range(len(f.series.variables) - 1):
+            residual = residual - (f.variable(f"t{i + 1}") * f.diff(f"t{i}")).scale(scales[i + 2])
+        return residual
+    return formula
+
+
+TERMS = {"kdv": (kdv_terms, 3), "string": (string_terms, 6)}
+TERM_TABLES = {"12-darts": (12, 1, 8), "18-darts-genus-2": (18, 2, 10)}
+# Covered nonzero coefficients with one term scaled by 2, per term in
+# formula order; a 0 is a term this coverage cannot see.
+TERM_COUNTS = {
+    ("kdv", "12-darts"): [1, 1, 0],
+    ("kdv", "18-darts-genus-2"): [2, 2, 0],
+    ("string", "12-darts"): [3, 1, 1, 1, 0, 0],
+    ("string", "18-darts-genus-2"): [7, 1, 3, 3, 1, 0],
+}
+BLIND = {
+    ("kdv", 2): (
+        "the dispersive term (1/12) d^3U/dt0^3 reads no covered coefficient: its first"
+        " covered monomial, t3, needs the 24-dart blocks (0,6) and (1,4)"
+    ),
+    ("string", 4): (
+        "t3 dF/dt2 reads no covered coefficient at 12 darts; the coverage-frontier"
+        " report (ROADMAP item 15) will name the blocks it needs"
+    ),
+    ("string", 5): (
+        "t4 dF/dt3 reads no covered coefficient at 12 or 18 darts; the"
+        " coverage-frontier report (ROADMAP item 15) will name the blocks it needs"
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def term_table_energy(label):
+    max_darts, max_genus, cap = TERM_TABLES[label]
+    table = base_table(max_genus=max_genus, max_darts=max_darts)
+    fe = assemble_free_energy(table, max_genus, cap)
+    return MaskedSeries(fe.series, fe.mask)
+
+
+def term_cases():
+    for (name, label), counts in TERM_COUNTS.items():
+        for term, count in enumerate(counts):
+            marks = () if count else pytest.mark.xfail(strict=True, reason=BLIND[name, term])
+            yield pytest.param(name, label, term, count, marks=marks, id=f"{name}-{term}-{label}")
+
+
+class TestEachTermIsSeen:
+    """A residual check reads a term only if a fault in it shows: scaling
+    that one term by 2 must leave a covered nonzero coefficient."""
+
+    @pytest.mark.parametrize("label", sorted(TERM_TABLES))
+    @pytest.mark.parametrize("name", sorted(TERMS))
+    def test_the_unscaled_terms_are_the_formula(self, name, label):
+        variant, arity = TERMS[name]
+        f = term_table_energy(label)
+        run = variant([1] * arity)(f)
+        expected = kdv._RESIDUALS[name](f)
+        assert (run.series, run.mask) == (expected.series, expected.mask)
+
+    @pytest.mark.parametrize("name,label,term,count", term_cases())
+    def test_a_doubled_term_leaves_a_covered_nonzero(self, name, label, term, count):
+        variant, arity = TERMS[name]
+        scales = [1] * arity
+        scales[term] = 2
+        run = variant(scales)(term_table_energy(label))
+        nonzero = [e for e in run.series.terms if e not in run.mask]
+        assert nonzero, "a fault in this term would pass the check"
+        assert len(nonzero) == count
 
 
 class TestMutation:

@@ -1,7 +1,8 @@
 """Every module-level function and class in src/taubench has a caller there,
-every record field there (of a dataclass, a NamedTuple or a __slots__
-class) is read there, and every function the benchmark's tracer hooks still
-exists.
+and so does every non-dunder method of a class there whose bases are all
+src/ classes; every record field there (of a dataclass, a NamedTuple or a
+__slots__ class) is read there, and every function the benchmark's tracer
+hooks still exists.
 
 Code that only the tests call lives in the tests, as an oracle next to the
 assertions that use it, so src/ holds what the CLI and the suite run; a
@@ -62,6 +63,63 @@ def test_the_guard_sees_an_unused_definition(tmp_path):
     assert unreferenced_definitions(tmp_path) == [("a.py", "recursive"), ("a.py", "Orphan")]
 
 
+def base_name(node) -> str | None:
+    """The class name a base expression ends in: Base or module.Base."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def uncalled_methods(src: pathlib.Path) -> list[tuple[str, str, str]]:
+    """(file, class, method) of each non-dunder method of a src/ class with
+    no outside base that no src/ code names outside the method's own body.
+    A class with an outside base (Exception, NamedTuple, ...) is skipped:
+    that base may call its methods."""
+    trees = parsed_modules(src)
+    everywhere = sum((referenced_names(tree) for tree in trees.values()), collections.Counter())
+    classes = [
+        (file, node)
+        for file, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    ]
+    ours = {node.name for _, node in classes}
+    return [
+        (file, node.name, stmt.name)
+        for file, node in classes
+        if all(base_name(base) in ours for base in node.bases)
+        for stmt in node.body
+        if isinstance(stmt, ast.FunctionDef)
+        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+        and everywhere[stmt.name] == referenced_names(stmt)[stmt.name]
+    ]
+
+
+def test_no_test_only_methods_in_src():
+    assert uncalled_methods(SRC) == []
+
+
+def test_the_method_guard_sees_an_uncalled_method(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Base:\n"
+        "    def used(self):\n        return self.helper()\n\n"
+        "    def helper(self):\n        return 1\n\n"
+        "    def recursive(self, n):\n        return self.recursive(n - 1) if n else 0\n\n"
+        "    def __len__(self):\n        return 0\n\n\n"
+        "class Child(Base):\n"
+        "    @property\n"
+        "    def size(self):\n        return 2\n\n"
+        "    def orphan(self):\n        return 3\n\n\n"
+        "class Failure(Exception):\n"
+        "    def hook(self):\n        return 4\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import Child\n\n\n"
+        "def run(child: Child):\n    return child.used() + child.size\n"
+    )
+    assert uncalled_methods(tmp_path) == [
+        ("a.py", "Base", "recursive"), ("a.py", "Child", "orphan"),
+    ]
+
+
 def is_dataclass_decorator(node) -> bool:
     """@dataclass, @dataclass(...) or @dataclasses.dataclass(...)."""
     target = node.func if isinstance(node, ast.Call) else node
@@ -71,8 +129,7 @@ def is_dataclass_decorator(node) -> bool:
 
 def is_named_tuple_base(node) -> bool:
     """NamedTuple or typing.NamedTuple as a base class."""
-    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-    return name == "NamedTuple"
+    return base_name(node) == "NamedTuple"
 
 
 def record_fields(node: ast.ClassDef) -> list[str]:
