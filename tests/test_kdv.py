@@ -674,7 +674,8 @@ class TestFormulaRuns:
             # F from the memo's key, the formula's own series, then the copy
             assert len(built) == run + 2, name
             assert built[0] == fe.series and built[0] is not fe.series, name
-            assert [series is miss.series for series in built] == [False] * (run + 1) + [True]
+            handed_out = [series is miss.series for series in built]
+            assert handed_out == [False] * (run + 1) + [True], name
             built.clear()
             hit = kdv._masked_residual(name, fe)[1]
             assert hit == miss and hit.series is not miss.series, name
