@@ -22,7 +22,6 @@ from .errors import (
     NumericError,
     TaubenchError,
     TruncationError,
-    Unsupported,
 )
 
 EXIT_PASS = 0
@@ -258,7 +257,7 @@ def _cmd_matrix_match(args, config):
         max_darts=config.max_darts,
         max_matchings=config.max_matchings,
     )
-    return report, None, report["agree"] and report.get("order2_agrees", True)
+    return report, None, True  # a disagreement raises ConventionMismatch
 
 
 def _cmd_matrix_hciz(args, config):
@@ -441,7 +440,7 @@ def run(argv=None) -> int:
     except (ConventionMismatch, TruncationError) as exc:
         _error(exc, "verification")
         return EXIT_FAIL
-    except (DomainError, Unsupported, TaubenchError, OSError, ValueError) as exc:
+    except (TaubenchError, OSError, ValueError) as exc:
         _error(exc, "usage")
         return EXIT_USAGE
 

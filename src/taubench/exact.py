@@ -150,18 +150,23 @@ class TruncatedSeries:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other):
+    def _accumulate(self, other, op):
+        """self op other for op in (operator.add, operator.sub): other's terms
+        folded into a copy of self's, one series built at the lower cap."""
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(self.variables, self.weights, self.cap, other)
         cap = self._require_compatible(other)
         terms = dict(self.terms)
         for expo, coeff in other.terms.items():
-            acc = terms.get(expo, 0) + coeff
+            acc = op(terms.get(expo, 0), coeff)
             if acc:
                 terms[expo] = acc
             else:
                 terms.pop(expo, None)
         return TruncatedSeries(self.variables, self.weights, cap, terms)
+
+    def __add__(self, other):
+        return self._accumulate(other, operator.add)
 
     __radd__ = __add__
 
@@ -172,9 +177,7 @@ class TruncatedSeries:
         )
 
     def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(self.variables, self.weights, self.cap, other)
-        return self + (-other)
+        return self._accumulate(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other

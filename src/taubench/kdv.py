@@ -1,21 +1,21 @@
 """Free-energy assembly and exact KdV / string-equation residuals.
 
-The free energy F(t_0..t_K) is built from the (g, n) blocks, the index
-tuples with sum(d_i) = 3g - 3 + n (the dimension of M_{g,n}), each walked
-once: the entry (g, d) over prod k_i! is the coefficient of prod t_i^{k_i},
-k_i the number of d_j equal to i.  A table never covers every block, so
-every series here carries a mask of monomials whose coefficients are not
-fully determined; residual coefficients are classified as verified_zero,
-uncovered or nonzero accordingly.
+The free energy F(t_0..t_K) is a MaskedSeries built from the (g, n) blocks,
+the index tuples with sum(d_i) = 3g - 3 + n (the dimension of M_{g,n}), each
+walked once: the entry (g, d) over prod k_i! is the coefficient of prod
+t_i^{k_i}, k_i the number of d_j equal to i.  A block is covered when the
+table has it (the table chose its genera); no table covers every block, so
+F masks the monomials of the others, whose coefficients are not determined,
+and residual coefficients are classified as verified_zero, uncovered or
+nonzero accordingly.
 
 Each residual is one formula in F, written once for a MaskedSeries, whose
 cap is the degree it is reliable to: a derivative lowers it, and a sum or a
-product runs at the lower cap of its sides, so each residual's window is the
-cap its formula leaves.  A mask depends on the (g, n) fragments covered and
-on which covered coefficients are nonzero, so each residual's masked run is
-memoized on F's mask and terms: a first request runs each formula once, a
-repeated one runs none, and the mutation harness costs one unmasked run per
-formula and entry.
+product runs at the lower cap of its sides, so a residual's window is its
+cap.  A mask depends on the (g, n) fragments covered and on which covered
+coefficients are nonzero, so each residual's masked run is memoized on F's
+mask and terms: a first request runs each formula once, a repeated one runs
+none, and the mutation harness costs one unmasked run per formula and entry.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class MaskedSeries:
         )
 
     def __repr__(self) -> str:
-        return f"MaskedSeries({self.series!r}, mask={sorted(self.mask)!r})"
+        return f"{type(self).__name__}({self.series!r}, mask={sorted(self.mask)!r})"
 
     def _mask_to(self, cap: int) -> frozenset[Exponents]:
         """The mask cut to cap, which is at most this side's own."""
@@ -131,12 +131,12 @@ class MaskedSeries:
         return MaskedSeries(series, mask)
 
 
-class FreeEnergy:
-    """Assembled free energy: the series, the monomials it leaves undetermined
-    (mask, from the (g, n, d) of coverage_gap) and each entry's monomial.
-    Two are equal when their series, masks and gaps are."""
+class FreeEnergy(MaskedSeries):
+    """Assembled free energy: a MaskedSeries whose mask holds the monomials
+    of the missing (g, n, d) in coverage_gap; it adds only that gap and each
+    entry's monomial.  Two are equal when their series, masks and gaps are."""
 
-    __slots__ = ("series", "mask", "coverage_gap", "entry_monomials")
+    __slots__ = ("coverage_gap", "entry_monomials")
 
     def __init__(
         self,
@@ -146,25 +146,13 @@ class FreeEnergy:
         # (g, d) of each entry read -> (prod t_i^{k_i}, 1 / prod k_i!); not compared
         entry_monomials: dict,
     ):
-        self.series, self.mask, self.coverage_gap = series, mask, coverage_gap
-        self.entry_monomials = entry_monomials
+        super().__init__(series, mask)
+        self.coverage_gap, self.entry_monomials = coverage_gap, entry_monomials
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FreeEnergy):
             return NotImplemented
-        return (self.series, self.mask, self.coverage_gap) == (
-            other.series, other.mask, other.coverage_gap
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"FreeEnergy(series={self.series!r}, mask={self.mask!r},"
-            f" coverage_gap={self.coverage_gap!r})"
-        )
-
-    @property
-    def cap(self) -> int:
-        return self.series.cap
+        return super().__eq__(other) and self.coverage_gap == other.coverage_gap
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -184,15 +172,13 @@ def _assembly_layout(cap: int, max_index: int) -> tuple:
 
 
 def assemble_free_energy(
-    table: IntersectionTable,
-    max_genus: int = 1,
-    cap: int = DEFAULT_CAP,
-    max_index: int = DEFAULT_MAX_INDEX,
+    table: IntersectionTable, cap: int = DEFAULT_CAP, max_index: int = DEFAULT_MAX_INDEX
 ) -> FreeEnergy:
     """Build F from each block (g, n) with n <= cap and indices <= max_index.
-    A covered block (g <= max_genus, (g, n) in the table) writes its entries;
-    any other block's monomials are masked and listed in the coverage gap (no
-    exception: the gap report is the contract, no finite table covers all)."""
+    A covered block ((g, n) in the table; the table chose its genera) writes
+    its entries; any other block's monomials are masked and listed in the
+    coverage gap (no exception: the gap report is the contract, no finite
+    table covers all)."""
     monomials = math.comb(cap + max_index, max_index + 1)
     if monomials > MAX_FREE_ENERGY_MONOMIALS:
         raise BudgetError(
@@ -203,7 +189,7 @@ def assemble_free_energy(
     fragments = table.fragments()
     terms, read, mask, gap = {}, {}, set(), []
     for g, n, blocks in _assembly_layout(cap, max_index):
-        covered = g <= max_genus and (g, n) in fragments
+        covered = (g, n) in fragments
         for dtuple, expo in blocks:
             if not covered:
                 mask.add(expo)
@@ -215,10 +201,7 @@ def assemble_free_energy(
                 read[g, dtuple] = expo, weight
                 terms[expo] = table.entries[g, dtuple] * weight
     return FreeEnergy(
-        series=TruncatedSeries(names, weights, cap, terms),
-        mask=frozenset(mask),
-        coverage_gap=tuple(sorted(gap)),
-        entry_monomials=read,
+        TruncatedSeries(names, weights, cap, terms), frozenset(mask), tuple(sorted(gap)), read
     )
 
 
@@ -281,37 +264,34 @@ def _residual_run(name: str, mask, terms, family) -> tuple:
     return run.series.cap, tuple(run.series.terms.items()), run.mask
 
 
-def _masked_residual(name: str, free_energy: FreeEnergy) -> tuple[int, MaskedSeries]:
-    """(window, residual) from the memoized run (_residual_run); the window
-    is the run's cap, the degree its formula leaves reliable, and a negative
-    one is refused.  Every call, hit or miss, gets a fresh series of the
-    memo's terms with the memo's frozen mask."""
+def _masked_residual(name: str, free_energy: FreeEnergy) -> MaskedSeries:
+    """The residual from the memoized run (_residual_run); its cap, the
+    degree its formula leaves reliable, is its window, and a negative one is
+    refused.  Every call, hit or miss, gets a fresh series of the memo's
+    terms with the memo's frozen mask."""
     f = free_energy.series
     window, terms, mask = _residual_run(
         name, free_energy.mask, frozenset(f.terms.items()), (f.variables, f.weights, f.cap)
     )
     if window < 0:
         raise DomainError("series cap too small for a reliable window")
-    return window, MaskedSeries(TruncatedSeries(f.variables, f.weights, window, dict(terms)), mask)
+    return MaskedSeries(TruncatedSeries(f.variables, f.weights, window, dict(terms)), mask)
 
 
 def kdv_residual(free_energy: FreeEnergy) -> dict:
     """The report (_classify) of the KdV residual R of F, reliable to
     cap - 5; higher degrees would be truncation artifacts."""
-    return _classify("kdv", _masked_residual("kdv", free_energy)[1])
+    return _classify("kdv", _masked_residual("kdv", free_energy))
 
 
 def string_residual(free_energy: FreeEnergy) -> dict:
     """The report (_classify) of the string residual S of F, reliable to
     cap - 1."""
-    return _classify("string", _masked_residual("string", free_energy)[1])
+    return _classify("string", _masked_residual("string", free_energy))
 
 
 def mutation_report(
-    table: IntersectionTable,
-    max_genus: int = 1,
-    cap: int = DEFAULT_CAP,
-    max_index: int = DEFAULT_MAX_INDEX,
+    table: IntersectionTable, cap: int = DEFAULT_CAP, max_index: int = DEFAULT_MAX_INDEX
 ) -> dict:
     """Perturb each table entry by +1 and record, per entry, every covered
     coefficient of the KdV or the string residual that is nonzero.
@@ -323,9 +303,9 @@ def mutation_report(
     so each entry costs one unmasked run per formula."""
     if not table.entries:
         return {}
-    fe = assemble_free_energy(table, max_genus, cap, max_index)
+    fe = assemble_free_energy(table, cap, max_index)
     bases = [
-        (name, formula, _masked_residual(name, fe)[1].mask)
+        (name, formula, _masked_residual(name, fe).mask)
         for name, formula in _RESIDUALS.items()
     ]
     out = {}

@@ -24,7 +24,7 @@ from .errors import (
     PoleError,
     Unstable,
 )
-from .exact import common_denominator, double_factorial, solve_linear_exact
+from .exact import common_denominator, double_factorial, rational_to_str, solve_linear_exact
 
 DEFAULT_MAX_DARTS = 12
 # rooted maps x face labelings x roots; the 18-dart block (0, 5) needs
@@ -197,7 +197,6 @@ def _trivalent_darts(g: int, n: int, max_darts: int) -> int:
     return darts
 
 
-@lru_cache(maxsize=None)
 def enumerate_trivalent(
     g: int, n: int, max_darts: int = DEFAULT_MAX_DARTS
 ) -> tuple[RibbonGraphClass, ...]:
@@ -310,8 +309,6 @@ class IntersectionTable(NamedTuple):
         return {(g, len(d)) for g, d in self.entries}
 
     def to_json(self) -> dict:
-        from .exact import rational_to_str
-
         return {entry_key(g, d): rational_to_str(v) for (g, d), v in sorted(self.entries.items())}
 
 

@@ -56,7 +56,7 @@ def _crit_kdv(config, full):
     table = base_table(max_darts=config.max_darts)
     fe = assemble_free_energy(table, cap=config.cap_or(DEFAULT_CAP))
     counts = kdv_residual(fe)["counts"]
-    flips = mutation_report(table, cap=fe.cap)
+    flips = mutation_report(table, cap=fe.series.cap)
     invisible = sorted(k for k, v in flips.items() if not v)
     reachable_ok = all(v for k, v in flips.items() if k not in invisible)
     return _criterion(

@@ -25,7 +25,7 @@ from jsonschema import Draft202012Validator, ValidationError
 from referencing import Registry, Resource
 
 from taubench.cli import CONFIG_ENV, RunConfig, build_parser, run
-from taubench import ribbon, schur
+from taubench import ribbon, schur, wick
 from taubench.kdv import assemble_free_energy, kdv_residual, string_residual
 from taubench.schur import partitions_of
 
@@ -95,6 +95,18 @@ class TestExitCodes:
 
     def test_missing_subcommand_is_two(self, capsys):
         assert invoke(capsys, "matrix")[0] == 2
+
+    def test_a_planted_order2_fault_is_one(self, capsys, monkeypatch):
+        # doubled source times leave the Wick and graph sides agreeing but
+        # not t0^3/6 + t1/24, so order2_agrees is false and the match raises
+        times = wick.source_times
+        monkeypatch.setattr(wick, "source_times", lambda lams, count: [
+            2 * t for t in times(lams, count)
+        ])
+        code, out, err = invoke(capsys, "matrix", "match")
+        assert (code, out) == (1, "")
+        assert_one_error_line(err)
+        assert json.loads(err)["error"] == "verification"
 
     def test_budget_error_is_three(self, capsys):
         code, _, err = invoke(

@@ -149,7 +149,7 @@ class TestOnlyFockIsComplex:
         # <tau_0^3> leaves coefficients in both to check
         wrong = IntersectionTable({**base_table().entries, (0, (0, 0, 0)): Fraction(2)})
         fe = assemble_free_energy(wrong, cap=6)
-        residuals = [_masked_residual(name, fe)[1].series for name in ("kdv", "string")]
+        residuals = [_masked_residual(name, fe).series for name in ("kdv", "string")]
         for series in [fe.series, *residuals]:
             assert_rational(series.terms.values())
 
@@ -254,6 +254,29 @@ class TestTruncatedSeries:
         assert a.terms == b.terms
         assert a != b and b != a
         assert a == b.with_cap(cap)
+
+    def test_a_sum_or_difference_builds_one_series(self, monkeypatch):
+        # other's terms fold into a copy of self's: no negated series first
+        names, weights, cap = x_variables(3, 6)
+        x1, x2 = (TruncatedSeries.variable(names, weights, cap, v) for v in ("x1", "x2"))
+        a = (x1 + 1) * (x2 + Fraction(1, 2))
+        pairs = [(a, x1 * x2), (a, a), (a, (x1 * x1).with_cap(3)), (x2.with_cap(2), a)]
+        expected = [(left + (-right), left - right) for left, right in pairs]
+        built = []
+        init = TruncatedSeries.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(TruncatedSeries, "__init__", counted)
+        for (left, right), (plus_negated, _) in zip(pairs, expected):
+            for op in (operator.add, operator.sub):
+                built.clear()
+                result = op(left, right)
+                assert built == [result], op
+            assert result == plus_negated
+        assert [difference.is_zero() for _, difference in expected] == [False, True, False, False]
 
     def test_cap_drops_terms(self):
         names, weights, cap = _series(cap=2)

@@ -95,7 +95,14 @@ class TestRecords:
         assert fe != FreeEnergy(**{**fields, "mask": frozenset()}, entry_monomials={})
         assert fe != FreeEnergy(**{**fields, "coverage_gap": ()}, entry_monomials={})
         assert fe != FreeEnergy(**{**fields, "series": fe.series.scale(2)}, entry_monomials={})
-        assert fe.cap == fe.series.cap == 6
+
+    def test_free_energy_is_a_masked_series(self, table):
+        # F keeps only its gap and entry monomials: series, mask and cap are
+        # the MaskedSeries's, so a formula runs on F itself
+        fe = assemble_free_energy(table, cap=6)
+        assert isinstance(fe, MaskedSeries)
+        assert FreeEnergy.__slots__ == ("coverage_gap", "entry_monomials")
+        assert not hasattr(fe, "cap") and fe.series.cap == 6
 
     def test_intersection_table_equality_is_by_entries(self, table):
         assert IntersectionTable(dict(table.entries)) == table
@@ -170,6 +177,12 @@ def accepted_caps(max_index):
     )
 
 
+def genera(table, max_genus):
+    """The table's entries of genus <= max_genus: the table base_table gives
+    at that max_genus, from which F covers only those genera."""
+    return IntersectionTable({key: v for key, v in table.entries.items() if key[0] <= max_genus})
+
+
 @functools.lru_cache(maxsize=None)
 def genus_two_table(max_darts):
     """The base table with genus 2 extracted too: (2, 1) at 18 darts."""
@@ -198,8 +211,8 @@ class TestBlockWalk:
         with pytest.raises(TypeError):
             first[0] = (0, 0, 0)
         # the walk that assembles F reads the cache: equal tables each time
-        table = genus_two_table(12)
-        assert assemble_free_energy(table, 1, 10) == assemble_free_energy(table, 1, 10)
+        table = genera(genus_two_table(12), 1)
+        assert assemble_free_energy(table, 10) == assemble_free_energy(table, 10)
 
     @pytest.mark.parametrize("max_darts", [12, 18])
     @pytest.mark.parametrize("max_index", [1, 2, 3, 4, 5])
@@ -207,7 +220,7 @@ class TestBlockWalk:
         table = genus_two_table(max_darts)
         for cap in accepted_caps(max_index):
             for max_genus in range(3):
-                fe = assemble_free_energy(table, max_genus, cap, max_index)
+                fe = assemble_free_energy(genera(table, max_genus), cap, max_index)
                 oracle = oracle_assemble_free_energy(table, max_genus, cap, max_index)
                 assert fe == oracle, (cap, max_genus)
                 assert fe.entry_monomials == oracle.entry_monomials, (cap, max_genus)
@@ -427,12 +440,12 @@ class TestMaskedSeries:
 class TestResiduals:
     def test_zero_free_energy_gives_zero_kdv(self):
         fe = assemble_free_energy(IntersectionTable({}))
-        assert kdv._masked_residual("kdv", fe)[1].series.is_zero()
+        assert kdv._masked_residual("kdv", fe).series.is_zero()
 
     def test_zero_free_energy_string_keeps_inhomogeneous_term(self):
         fe = assemble_free_energy(IntersectionTable({}))
         report = string_residual(fe)
-        residual = kdv._masked_residual("string", fe)[1].series
+        residual = kdv._masked_residual("string", fe).series
         assert residual.coefficient((2, 0, 0, 0, 0)).real == Fraction(-1, 2)
         # the missing <tau_0^3> contribution could cancel it, so the status
         # is uncovered rather than nonzero
@@ -469,15 +482,15 @@ class TestResiduals:
     def test_each_window_is_the_cap_its_formula_leaves(self, table, cap):
         fe = assemble_free_energy(table, cap=cap)
         for name, report, loss in (("kdv", kdv_residual, 5), ("string", string_residual, 1)):
-            window, residual = kdv._masked_residual(name, fe)
-            assert window == residual.series.cap == report(fe)["window"] == cap - loss, name
+            residual = kdv._masked_residual(name, fe)
+            assert residual.series.cap == report(fe)["window"] == cap - loss, name
 
     def test_a_new_formula_needs_no_window_entry(self, table, monkeypatch):
         # dF/dt1 - F: one t1-derivative, so reliable to cap - 1
         monkeypatch.setitem(kdv._RESIDUALS, "flow", lambda f: f.diff("t1") - f)
         fe = assemble_free_energy(table, cap=8)
-        window, residual = kdv._masked_residual("flow", fe)
-        assert window == residual.series.cap == 7
+        residual = kdv._masked_residual("flow", fe)
+        assert residual.series.cap == 7
         direct = fe.series.diff("t1") - fe.series
         assert residual.series.terms == {
             e: c for e, c in direct.terms.items() if fe.series.degree_of(e) <= 7
@@ -538,7 +551,7 @@ class TestPinnedResiduals:
         residual = {"kdv": kdv_residual, "string": string_residual}[name]
         free_energy = assemble_free_energy(table, cap=cap)
         report = residual(free_energy)
-        mask = kdv._masked_residual(name, free_energy)[1].mask
+        mask = kdv._masked_residual(name, free_energy).mask
         assert (len(mask), _digest(sorted(mask)), _digest(report)) == (
             PINNED_RESIDUALS[cap, name]
         )
@@ -558,7 +571,7 @@ class TestPinnedResiduals:
 
 def _formula_run(name, fe):
     """The residual of the formula run on the masked F, no memo read."""
-    return kdv._RESIDUALS[name](MaskedSeries(fe.series, fe.mask))
+    return kdv._RESIDUALS[name](fe)
 
 
 class TestResidualMemo:
@@ -573,7 +586,7 @@ class TestResidualMemo:
         )
         assert zeroed.mask == primed.mask
         assert kdv_residual(zeroed)["counts"]["nonzero"] == 1
-        assert kdv._masked_residual("kdv", zeroed)[1] == _formula_run("kdv", zeroed)
+        assert kdv._masked_residual("kdv", zeroed) == _formula_run("kdv", zeroed)
 
     @pytest.mark.parametrize("max_darts,max_genus,caps", [
         (12, 1, range(5, 13)),
@@ -582,12 +595,12 @@ class TestResidualMemo:
     def test_a_hit_equals_a_miss(self, max_darts, max_genus, caps):
         table = base_table(max_genus=max_genus, max_darts=max_darts)
         for cap in caps:
-            fe = assemble_free_energy(table, max_genus, cap)
+            fe = assemble_free_energy(table, cap)
             for name in kdv._RESIDUALS:
                 expected = _formula_run(name, fe)
                 kdv._residual_run.cache_clear()
                 for hits in (0, 1):
-                    residual = kdv._masked_residual(name, fe)[1]
+                    residual = kdv._masked_residual(name, fe)
                     assert kdv._residual_run.cache_info().hits == hits
                     assert residual.series == expected.series, (cap, name, hits)
                     assert residual.mask == expected.mask, (cap, name, hits)
@@ -602,12 +615,12 @@ class TestResidualMemo:
     def test_a_handed_out_mask_is_frozen(self, table):
         fe = assemble_free_energy(table, cap=8)
         expected = _formula_run("kdv", fe).mask
-        residual = kdv._masked_residual("kdv", fe)[1]
+        residual = kdv._masked_residual("kdv", fe)
         assert isinstance(residual.mask, frozenset)
         with pytest.raises(AttributeError):
             residual.mask.add((0,) * 5)
         residual.mask = frozenset()  # rebinds the caller's object, not the memo's
-        assert kdv._masked_residual("kdv", fe)[1].mask == expected
+        assert kdv._masked_residual("kdv", fe).mask == expected
 
     def test_the_memo_is_bounded(self, table):
         info = kdv._residual_run.cache_info()
@@ -648,11 +661,24 @@ class TestFormulaRuns:
         runs = len(table.entries) + 1  # the masked miss, then one per entry
         assert calls == {"kdv": runs, "string": runs}
 
+    @pytest.mark.parametrize("max_darts", [12, 18])
+    @pytest.mark.parametrize("name", sorted(kdv._RESIDUALS))
+    def test_the_run_on_f_itself_is_the_masked_residual(self, max_darts, name):
+        # F is a MaskedSeries, so the formula runs on F as it is, and the
+        # memo hands out that run's series and mask
+        table = genus_two_table(max_darts)
+        for cap in (5, 8, 10, 12):
+            fe = assemble_free_energy(table, cap)
+            run = kdv._RESIDUALS[name](fe)
+            residual = kdv._masked_residual(name, fe)
+            assert run.series == residual.series, cap
+            assert run.mask == residual.mask, cap
+
     def test_a_handed_out_series_is_fresh(self, table):
         fe = assemble_free_energy(table, cap=8)
         expected = _formula_run("string", fe)
-        kdv._masked_residual("string", fe)[1].series.terms.clear()
-        assert kdv._masked_residual("string", fe)[1] == expected
+        kdv._masked_residual("string", fe).series.terms.clear()
+        assert kdv._masked_residual("string", fe) == expected
 
     def test_a_miss_builds_the_run_f_and_a_copy_and_a_hit_one_copy(self, table, monkeypatch):
         fe = assemble_free_energy(table, cap=8)
@@ -670,14 +696,14 @@ class TestFormulaRuns:
             run = len(built)
             kdv._residual_run.cache_clear()
             built.clear()
-            miss = kdv._masked_residual(name, fe)[1]
+            miss = kdv._masked_residual(name, fe)
             # F from the memo's key, the formula's own series, then the copy
             assert len(built) == run + 2, name
             assert built[0] == fe.series and built[0] is not fe.series, name
             handed_out = [series is miss.series for series in built]
             assert handed_out == [False] * (run + 1) + [True], name
             built.clear()
-            hit = kdv._masked_residual(name, fe)[1]
+            hit = kdv._masked_residual(name, fe)
             assert hit == miss and hit.series is not miss.series, name
             assert built == [hit.series], name  # the copy of the memo's terms
 
@@ -736,9 +762,7 @@ BLIND = {
 @functools.lru_cache(maxsize=None)
 def term_table_energy(label):
     max_darts, max_genus, cap = TERM_TABLES[label]
-    table = base_table(max_genus=max_genus, max_darts=max_darts)
-    fe = assemble_free_energy(table, max_genus, cap)
-    return MaskedSeries(fe.series, fe.mask)
+    return assemble_free_energy(base_table(max_genus=max_genus, max_darts=max_darts), cap)
 
 
 def term_cases():
@@ -793,7 +817,7 @@ class TestMutation:
         assert any(flip.startswith("kdv:") for flip in report["g0:(0,0,0)"])
 
 
-def oracle_mutation_report(table, max_genus=1, cap=8, max_index=4):
+def oracle_mutation_report(table, cap=8, max_index=4):
     """Reference harness: re-assemble F and re-run both masked residuals for
     every perturbed entry, listing each covered nonzero coefficient.  The
     mask memo is cleared before each perturbed table's reports, so every
@@ -803,7 +827,7 @@ def oracle_mutation_report(table, max_genus=1, cap=8, max_index=4):
         g, dtuple = key
         mutated = IntersectionTable(dict(table.entries))
         mutated.entries[key] = mutated.entries[key] + 1
-        fe = assemble_free_energy(mutated, max_genus, cap, max_index)
+        fe = assemble_free_energy(mutated, cap, max_index)
         kdv._residual_run.cache_clear()
         flips = []
         for report in (kdv_residual(fe), string_residual(fe)):
@@ -845,10 +869,15 @@ class TestMutationOracle:
     @example(IntersectionTable(dict(_base_entries(12))), 5, 1, 4)
     @example(IntersectionTable(dict(_base_entries(12))), 6, 1, 4)
     # a wrong <tau_0^3> gives the table's own F covered nonzeros, which every
-    # report keeps, also for the genus-1 entries F leaves out at max_genus 0
+    # report keeps, on the genus-0 table and also for the entries F leaves out
+    # at max_index 1
     @example(
         IntersectionTable({**dict(_base_entries(12)), (0, (0, 0, 0)): Fraction(2)}),
         8, 0, 4,
+    )
+    @example(
+        IntersectionTable({**dict(_base_entries(12)), (0, (0, 0, 0)): Fraction(2)}),
+        8, 1, 1,
     )
     # the 18-dart table with one entry zeroed and one made wrong, at cap 11
     @example(
@@ -860,8 +889,9 @@ class TestMutationOracle:
         11, 1, 4,
     )
     def test_matches_per_entry_reassembly(self, table, cap, max_genus, max_index):
-        assert mutation_report(table, max_genus, cap, max_index) == (
-            oracle_mutation_report(table, max_genus, cap, max_index)
+        table = genera(table, max_genus)
+        assert mutation_report(table, cap, max_index) == (
+            oracle_mutation_report(table, cap, max_index)
         )
 
 
@@ -884,5 +914,4 @@ class TestMutationContract:
         assert mutation_report(table, cap=12) == oracle_mutation_report(table, cap=12)
 
     def test_entries_outside_f_flip_nothing(self, table):
-        assert mutation_report(table, max_genus=0, cap=10)["g1:(1)"] == []  # genus 1 > 0
         assert mutation_report(table, max_index=1, cap=10)["g1:(2,0)"] == []  # index 2 > 1

@@ -21,6 +21,7 @@ record) at a time; enumerate_trivalent computes the same canonical form and
 automorphism order inline.
 """
 
+import functools
 import hashlib
 import itertools
 from collections import Counter
@@ -177,10 +178,17 @@ def edge_face_pairs(struct: DartStructure) -> tuple[tuple[int, int], ...]:
     ))
 
 
+@functools.lru_cache(maxsize=None)
+def classes_of(g, n, max_darts):
+    """enumerate_trivalent's classes, memoized for the oracles below, which
+    read a block once per drawn example; the library keeps no such memo."""
+    return enumerate_trivalent(g, n, max_darts)
+
+
 def class_fold(g, n, max_darts) -> dict[tuple, Fraction]:
     """Sum of 2^{-V}/|Aut| over the classes, per edge_face_pairs tuple."""
     fold = {}
-    for cls in enumerate_trivalent(g, n, max_darts):
+    for cls in classes_of(g, n, max_darts):
         key = edge_face_pairs(structure(cls))
         weight = Fraction(1, 2 ** structure(cls).vertex_count * cls.aut_order)
         fold[key] = fold.get(key, 0) + weight
@@ -195,7 +203,7 @@ def oracle_kontsevich_sum(g, n, lams, max_darts=12) -> Fraction:
     if len(lams) != n:
         raise DomainError("need one lambda per face")
     classes = [
-        (cls, edge_face_pairs(structure(cls))) for cls in enumerate_trivalent(g, n, max_darts)
+        (cls, edge_face_pairs(structure(cls))) for cls in classes_of(g, n, max_darts)
     ]
     pair_weight = {}
     for f1, f2 in sorted({pair for _, pairs in classes for pair in pairs}):
