@@ -9,10 +9,6 @@ class DomainError(TaubenchError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-class Unstable(DomainError):
-    """The requested (genus, face count) admits no trivalent ribbon graph."""
-
-
 class PoleError(DomainError):
     """A denominator in an exact evaluation vanished."""
 
@@ -36,10 +32,6 @@ class InconsistentSystem(TaubenchError):
         self.residual = residual
 
 
-class RankDeficient(TaubenchError):
-    """An exact linear system does not determine all unknowns."""
-
-
 class ConventionMismatch(TaubenchError):
     """The graph-sum normalisation failed its base-case self check."""
 
@@ -54,27 +46,3 @@ class BudgetError(TaubenchError):
 
 class NumericError(TaubenchError):
     """A floating-point verification path failed to converge."""
-
-
-class Unsupported(TaubenchError):
-    """The operation is guarded to a smaller parameter range."""
-
-
-class DegenerateSlice(DomainError):
-    """A tau-function restricted to the evaluation slice is identically zero."""
-
-
-class InvalidComplex(TaubenchError):
-    """Boundary maps do not satisfy d o d = 0."""
-
-
-class NotAcyclic(TaubenchError):
-    """Torsion requested for a chain complex with nonzero homology."""
-
-
-class NotExact(TaubenchError):
-    """The given maps do not form a degreewise short exact sequence."""
-
-
-class NotRationallyAcyclic(TaubenchError):
-    """An integer chain complex has infinite homology in some degree."""

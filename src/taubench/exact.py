@@ -6,9 +6,10 @@ cap, consistently on both sides of products.  A series stores the
 coefficients it is given (int or Fraction; fock's Q(i) type where an i*lambda
 term enters) and only drops zeros.
 
-Matrices over Q are plain lists of Fraction rows (`Matrix`).  Solving, rank,
-determinant and the torsion pivots all rest on one Gauss-Jordan elimination,
-`row_reduce`, which also fixes the pivot order.
+Matrices over Q are plain lists of Fraction rows (`Matrix`).  Rank,
+determinant, the torsion pivots and `solve`, the one linear solve, all rest
+on one Gauss-Jordan elimination, `row_reduce`, which also fixes the pivot
+order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DomainError, InconsistentSystem, RankDeficient
+from .errors import DomainError, InconsistentSystem
 
 Exponents = tuple[int, ...]
 
@@ -429,27 +430,44 @@ def row_reduce(
     return mat, pivots, det
 
 
+def solve(
+    a: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence[Fraction]]
+) -> tuple[Matrix, int]:
+    """(X, rank A): one exact X of A X = RHS with every free variable zero,
+    from one row_reduce of [A | RHS]; the only reader of its reduced rows.
+
+    Raises InconsistentSystem, carrying the first nonzero right-hand entry
+    of a zero row of the reduced A, when no X exists.
+    """
+    if len(a) != len(rhs):
+        raise DomainError("right-hand side length mismatch")
+    n = len(a[0]) if a else 0
+    reduced, pivots, _ = row_reduce([list(row) + list(r) for row, r in zip(a, rhs)], n)
+    for row in reduced[len(pivots):]:
+        residual = next((x for x in row[n:] if x), 0)
+        if residual:
+            raise InconsistentSystem("no exact solution", residual=residual)
+    x = [[Fraction(0)] * (len(rhs[0]) if rhs else 0) for _ in range(n)]
+    for row, c in zip(reduced, pivots):
+        x[c] = row[n:]
+    return x, len(pivots)
+
+
 def solve_linear_exact(
     a: Sequence[Sequence[Fraction]], y: Sequence[Fraction]
 ) -> list[Fraction]:
     """Solve A x = y exactly; the system may be overdetermined but consistent.
 
     Raises InconsistentSystem (with the offending residual) when no solution
-    exists and RankDeficient when the solution is not unique.
+    exists and DomainError when the solution is not unique.
     """
-    if len(a) != len(y):
-        raise DomainError("right-hand side length mismatch")
-    n = len(a[0]) if a else 0
-    reduced, pivots, _ = row_reduce([list(row) + [y_i] for row, y_i in zip(a, y)], n)
-    for row in reduced[len(pivots):]:
-        if row[n]:
-            raise InconsistentSystem("no exact solution", residual=row[n])
-    if len(pivots) < n:
-        raise RankDeficient(f"rank {len(pivots)} < {n} unknowns")
-    solution = [row[n] for row in reduced[:n]]
+    x, rank = solve(a, [[y_i] for y_i in y])
+    if rank < len(x):
+        raise DomainError(f"rank {rank} < {len(x)} unknowns")
+    solution = [row[0] for row in x]
     # exact residual audit for the overdetermined rows
     for row, y_i in zip(a, y):
-        lhs = sum((x * s for x, s in zip(row, solution)), Fraction(0))
+        lhs = sum((a_ij * s for a_ij, s in zip(row, solution)), Fraction(0))
         if lhs != y_i:
             raise InconsistentSystem("nonzero residual", residual=lhs - y_i)
     return solution

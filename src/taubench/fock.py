@@ -47,7 +47,7 @@ from .exact import (
     rational_rank,
     rational_to_str,
     rational_vector,
-    row_reduce,
+    solve,
     weight_monomials,
     x_variables,
 )
@@ -538,6 +538,8 @@ class CohomologyData:
         if not isinstance(self.eta, (list, tuple)):
             raise DomainError("eta must be a square matrix")
         d = len(self.eta)
+        if not d:  # dimension 0 has the one monomial 1: every closure verdict is vacuous
+            raise DomainError("eta must have dimension at least 1")
         if d**4 > MAX_COHOMOLOGY_WORK:
             raise BudgetError(
                 f"cohomology work {d**4} (dim^4) exceeds the budget {MAX_COHOMOLOGY_WORK}"
@@ -562,10 +564,8 @@ class CohomologyData:
         return len(self.eta)
 
     def eta_inverse(self) -> list[list[Fraction]]:
-        # __post_init__ checked eta invertible: reducing [eta | 1] leaves [1 | eta^-1]
         d = self.dim
-        augmented = [row + [Fraction(i == k) for k in range(d)] for i, row in enumerate(self.eta)]
-        return [row[d:] for row in row_reduce(augmented, d)[0]]
+        return solve(self.eta, [[Fraction(i == k) for k in range(d)] for i in range(d)])[0]
 
     @classmethod
     def from_json(cls, payload) -> "CohomologyData":

@@ -17,13 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import (
-    BudgetError,
-    ConventionMismatch,
-    DomainError,
-    PoleError,
-    Unstable,
-)
+from .errors import BudgetError, ConventionMismatch, DomainError, PoleError
 from .exact import common_denominator, double_factorial, rational_to_str, solve_linear_exact
 
 DEFAULT_MAX_DARTS = 12
@@ -185,7 +179,7 @@ def _trivalent_darts(g: int, n: int, max_darts: int) -> int:
         raise DomainError("need genus >= 0 and at least one face")
     k = n + 2 * g - 2
     if k < 1:
-        raise Unstable(f"no trivalent graph for (g, n) = ({g}, {n})")
+        raise DomainError(f"no trivalent graph for (g, n) = ({g}, {n})")
     darts = 6 * k
     if darts > max_darts:
         raise BudgetError(f"{darts} darts exceeds budget {max_darts}")

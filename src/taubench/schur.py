@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetError, DegenerateSlice, DomainError
+from .errors import BudgetError, DomainError
 from .exact import TruncatedSeries, x_variables
 
 
@@ -208,7 +208,7 @@ def kp_pde_residual(tau: TruncatedSeries) -> TruncatedSeries:
     """
     tau3 = restrict_to_xyt(tau)
     if tau3.is_zero():
-        raise DegenerateSlice("tau vanishes identically on the slice")
+        raise DomainError("tau vanishes identically on the slice")
     weight = max((tau3.degree_of(e) for e in tau3.terms), default=0)
     work_cap = 8 * max(weight, 1) + 8
     tau3 = tau3.with_cap(work_cap)

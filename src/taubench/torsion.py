@@ -22,14 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    BudgetError,
-    DomainError,
-    InvalidComplex,
-    NotAcyclic,
-    NotExact,
-    NotRationallyAcyclic,
-)
+from .errors import BudgetError, DomainError
 from .exact import (
     Matrix,
     determinant,
@@ -38,6 +31,7 @@ from .exact import (
     rational_rank,
     rational_to_str,
     row_reduce,
+    solve,
 )
 
 
@@ -55,19 +49,6 @@ def _is_zero(a: Matrix) -> bool:
     return all(not x for row in a for x in row)
 
 
-def _particular_solution(a: Matrix, rhs: Matrix) -> Matrix:
-    """One exact solution X of A X = RHS with free variables set to zero."""
-    cols = len(a[0]) if a else 0
-    k = len(rhs[0]) if rhs else 0
-    reduced, pivots, _ = row_reduce([a_row + r_row for a_row, r_row in zip(a, rhs)], cols)
-    if any(any(row[cols:]) for row in reduced[len(pivots):]):
-        raise DomainError("inconsistent lift system")
-    x = _mat(cols, k)
-    for row, c in zip(reduced, pivots):
-        x[c] = row[cols:]
-    return x
-
-
 @dataclass(frozen=True)
 class BasedChainComplex:
     """ranks[i] = n_i for degrees 0..m; boundaries[i] = d_{i+1}: C_{i+1}->C_i."""
@@ -81,9 +62,9 @@ class BasedChainComplex:
         if not isinstance(ranks, (list, tuple)) or not ranks or any(
             type(n) is not int or n < 0 for n in ranks
         ):
-            raise InvalidComplex("ranks must be a nonempty list of nonnegative integers")
+            raise DomainError("ranks must be a nonempty list of nonnegative integers")
         if not isinstance(self.boundaries, (list, tuple)) or len(self.boundaries) != len(ranks) - 1:
-            raise InvalidComplex("need exactly len(ranks)-1 boundary maps")
+            raise DomainError("need exactly len(ranks)-1 boundary maps")
         mats = [
             tuple(map(tuple, rational_matrix(raw, ranks[i], ranks[i + 1], f"d_{i + 1}")))
             for i, raw in enumerate(self.boundaries)
@@ -97,7 +78,7 @@ class BasedChainComplex:
         object.__setattr__(self, "boundaries", tuple(mats))
         for i in range(len(mats) - 1):
             if not _is_zero(mat_mul(self.boundary(i + 1), self.boundary(i + 2))):
-                raise InvalidComplex("boundary maps do not compose to zero")
+                raise DomainError("boundary maps do not compose to zero")
 
     @functools.cached_property
     def _pivot_columns(self) -> list[list[int]]:
@@ -142,7 +123,7 @@ def torsion(c: BasedChainComplex) -> Fraction:
     tau = prod det(T_i)^{(-1)^{i+1}}.
     """
     if not is_acyclic(c):
-        raise NotAcyclic("torsion requires an acyclic complex")
+        raise DomainError("torsion requires an acyclic complex")
     pivots = c._pivot_columns
     tau = Fraction(1)
     for i, n in enumerate(c.ranks):
@@ -205,7 +186,7 @@ def torsion_order_check(c: BasedChainComplex) -> dict:
     if any(x.denominator != 1 for mat in c.boundaries for row in mat for x in row):
         raise DomainError("order check needs integer boundaries")
     if not is_acyclic(c):
-        raise NotRationallyAcyclic("some H_i has positive rank")
+        raise DomainError("some H_i has positive rank")
     # Rationally acyclic: ker d_i is the saturation of im d_{i+1}, so H_i is
     # the torsion of Z^{n_i} / im d_{i+1}, of order the product of the
     # invariant factors of d_{i+1}
@@ -254,29 +235,26 @@ def ses_multiplicativity_check(
     short exact sequence, A_i = [inclusion | lift of the quotient basis]."""
     m = c.length
     if len(inclusions) != m + 1 or len(projections) != m + 1:
-        raise NotExact("need one inclusion and one projection per degree")
+        raise DomainError("need one inclusion and one projection per degree")
     basis_factor = Fraction(1)
     for i in range(m + 1):
         n_p, n, n_pp = cp.rank(i), c.ranks[i], cpp.rank(i)
         incl = rational_matrix(inclusions[i], n, n_p, f"inclusion {i}")
         proj = rational_matrix(projections[i], n_pp, n, f"projection {i}")
         if n_p + n_pp != n:
-            raise NotExact(f"rank mismatch in degree {i}")
+            raise DomainError(f"rank mismatch in degree {i}")
         if n_p and rational_rank(incl) != n_p:
-            raise NotExact(f"inclusion not injective in degree {i}")
+            raise DomainError(f"inclusion not injective in degree {i}")
         if n_pp and rational_rank(proj) != n_pp:
-            raise NotExact(f"projection not surjective in degree {i}")
+            raise DomainError(f"projection not surjective in degree {i}")
         if n_p and n_pp and not _is_zero(mat_mul(proj, incl)):
-            raise NotExact(f"projection o inclusion != 0 in degree {i}")
-        lift = (
-            _particular_solution(proj, [[Fraction(r == s) for s in range(n_pp)] for r in range(n_pp)])
-            if n_pp
-            else _mat(n, 0)
-        )
+            raise DomainError(f"projection o inclusion != 0 in degree {i}")
+        identity = [[Fraction(r == s) for s in range(n_pp)] for r in range(n_pp)]
+        lift = solve(proj, identity)[0] if n_pp else _mat(n, 0)
         a_i = [incl[r] + lift[r] for r in range(n)]
         det = determinant(a_i) if a_i else Fraction(1)
         if det == 0:
-            raise NotExact(f"sequence not split-compatible in degree {i}")
+            raise DomainError(f"sequence not split-compatible in degree {i}")
         basis_factor *= abs(det)
     tau_c = torsion(c)
     tau_p = torsion(cp)

@@ -36,13 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    BudgetError,
-    ConventionMismatch,
-    DomainError,
-    NumericError,
-    Unsupported,
-)
+from .errors import BudgetError, ConventionMismatch, DomainError, NumericError
 from .exact import TruncatedSeries, common_denominator, double_factorial, rational_to_str
 from .ribbon import DEFAULT_MAX_DARTS, face_numbers, kontsevich_sum
 
@@ -452,7 +446,7 @@ def gaussian_normalization_check(lambda_diag: Sequence[Fraction], tol: float) ->
     exact = [Fraction(v) for v in lambda_diag]
     N = len(exact)
     if N not in (1, 2):
-        raise Unsupported("quadrature check is guarded to N <= 2")
+        raise DomainError("quadrature check is guarded to N <= 2")
     if any(v <= 0 for v in exact):
         raise DomainError("need N positive diagonal entries")
     try:

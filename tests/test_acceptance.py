@@ -4,19 +4,23 @@ pass/fail line (visible with `pytest -s tests/test_acceptance.py`).
 Criteria 1-12 are defined once, in `taubench.suite.CRITERIA`; each test
 here runs one of them with the default configuration and asserts its
 result and its time budget, so the gate and `taubench suite` check the
-same thing.  Criterion 13 runs `suite quick` twice through the CLI and
-compares the bytes.  The strict reading of the mutation criterion
-("perturb any one table entry") is carried as a strict xfail for the one
-entry that no residual window can reach at the shipped coverage; see the
-repository notes for the analysis.
+same thing.  Each of criteria 1-12 is also shown to fail: one fault
+planted in the mathematics it reads (a formula, a constant or a
+convention, by monkeypatch) must turn its result to FAIL.  Criterion 13
+runs `suite quick` twice through the CLI and compares the bytes.  The
+strict reading of the mutation criterion ("perturb any one table entry")
+is carried as a strict xfail for the one entry that no residual window can
+reach at the shipped coverage; see the repository notes for the analysis.
 """
 
 import itertools
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
+from taubench import fock, kdv, ribbon, schur, torsion, wick
 from taubench.cli import RunConfig, run
 from taubench.kdv import mutation_report
 from taubench.ribbon import base_table
@@ -96,6 +100,82 @@ def _changing_hciz():
 )
 def test_criterion_catches_drift(monkeypatch, number, target, make_fake):
     monkeypatch.setattr(target, make_fake())
+    assert CRITERIA[number - 1](RunConfig(), False)["pass"] is False
+
+
+def _kdv_double_u_u0(formula):
+    def faulty(f):
+        u = f.diff("t0", 2)
+        return formula(f) - u * u.diff("t0")
+
+    return faulty
+
+
+def _string_without_t0_squared(formula):
+    return lambda f: formula(f) + (f.variable("t0") * f.variable("t0")).scale(Fraction(1, 2))
+
+
+def _on_block_12(kontsevich_sum):
+    return lambda g, n, *args: kontsevich_sum(g, n, *args) * (2 if (g, n) == (1, 2) else 1)
+
+
+def _without_pair_factor(formula_value):
+    return lambda lams: formula_value(lams) / 2.0 ** (len(lams) * (len(lams) - 1) / 2)
+
+
+# test id -> (criterion, owner, name, fault made from the original): one
+# planted fault in the mathematics the criterion reads, never a faked report
+PLANTED_FAULTS = {
+    "01-minus-one-double-factorial": (
+        1, ribbon, "double_factorial", lambda df: lambda n: 2 if n == -1 else df(n)),
+    "02-block-12-doubled": (2, ribbon, "kontsevich_sum", _on_block_12),
+    # not the dispersive term, which no covered coefficient reads at 12 darts
+    "03-kdv-u-u0-doubled": (3, kdv._RESIDUALS, "kdv", _kdv_double_u_u0),
+    "04-string-without-t0-squared": (4, kdv._RESIDUALS, "string", _string_without_t0_squared),
+    "05-odd-characters-negated": (
+        5, schur, "_character",
+        lambda chi: lambda beads, cycles, memo: (-1) ** len(cycles) * chi(beads, cycles, memo)),
+    "06-raising-mode-n-plus-one": (
+        6, fock, "_mode",
+        lambda mode: lambda n, mu: (1 - n, (f"x{-n}",), ()) if n < 0 else mode(n, mu)),
+    "07-coeff-c-doubled": (7, fock, "coeff_C", lambda coeff: lambda *args: 2 * coeff(*args)),
+    "08-matchings-doubled": (
+        8, wick, "_shape_table",
+        lambda table: lambda word: tuple((e, f, 2 * m) for e, f, m in table(word))),
+    "09-source-times-negated": (
+        9, wick, "source_times", lambda times: lambda *args: [-t for t in times(*args)]),
+    "10-no-pair-factor": (10, wick, "_formula_value", _without_pair_factor),
+    "11-hciz-scaled": (11, wick, "hciz_closed_form", lambda hciz: lambda x, y: 1.01 * hciz(x, y)),
+    # a magnitude: the criterion compares absolute values, so a sign flip passes
+    "12-torsion-doubled": (12, torsion, "torsion", lambda tau: lambda c: 2 * tau(c)),
+}
+# memos a planted fault would feed, or whose values from the sound code it
+# would read in place of its own
+MEMOS = (
+    ribbon._graph_sum_table,
+    ribbon._convention_ratios,
+    kdv._residual_run,
+    wick._multigraph_table,
+    fock.oscillator_virasoro,
+)
+
+
+@pytest.fixture
+def cold_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("fault", PLANTED_FAULTS)
+def test_criterion_fails_on_a_planted_fault(monkeypatch, cold_memos, fault):
+    number, owner, name, make_fault = PLANTED_FAULTS[fault]
+    if isinstance(owner, dict):
+        monkeypatch.setitem(owner, name, make_fault(owner[name]))
+    else:
+        monkeypatch.setattr(owner, name, make_fault(getattr(owner, name)))
     assert CRITERIA[number - 1](RunConfig(), False)["pass"] is False
 
 

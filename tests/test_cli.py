@@ -518,6 +518,16 @@ class TestVirasoroArgs:
         assert (code, err) == (0, "")
         validate("virasoro-target-v1", json.loads(out))
 
+    def test_dimension_zero_data_is_two(self, capsys, tmp_path):
+        # the one window monomial, 1, gave a vacuous "all_zero": true and exit 0
+        (tmp_path / "empty.json").write_text(
+            json.dumps({"eta": [], "cmat": [], "b": [], "b_raised": []})
+        )
+        code, out, err = invoke(capsys, "virasoro", "target", "--data", str(tmp_path / "empty.json"))
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert json.loads(err) == {"error": "usage", "message": "eta must have dimension at least 1"}
+
     def test_oversized_cohomology_data_is_three_at_once(self, capsys, tmp_path):
         # dimension 40 (eta antidiagonal, C the shift) took 12.9 s at --window 1
         d = 40

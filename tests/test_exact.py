@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taubench.errors import DomainError, InconsistentSystem, RankDeficient
+from taubench.errors import DomainError, InconsistentSystem
 from taubench.exact import (
     MAX_RATIONAL_DIGITS,
     TruncatedSeries,
@@ -24,6 +24,7 @@ from taubench.exact import (
     rational_to_str,
     rational_rank,
     row_reduce,
+    solve,
     solve_linear_exact,
     t_variables,
     to_rational,
@@ -43,7 +44,6 @@ from taubench.fock import (
 from taubench.kdv import _masked_residual, assemble_free_energy
 from taubench.ribbon import IntersectionTable, base_table
 from taubench.schur import Partition, schur_lambda
-from taubench.torsion import _particular_solution
 
 fractions = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -391,7 +391,7 @@ class TestSolveLinearExact:
 
     def test_rank_deficient(self):
         a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        with pytest.raises(RankDeficient):
+        with pytest.raises(DomainError, match="^rank 1 < 2 unknowns$"):
             solve_linear_exact(a, [Fraction(1), Fraction(2)])
 
     def test_rational_rank(self):
@@ -481,7 +481,7 @@ class TestRowReduce:
             [sum((row[i] * planted[i][j] for i in range(cols)), Fraction(0)) for j in range(k)]
             for row in a
         ]
-        x = _particular_solution(a, rhs)
+        x = solve(a, rhs)[0]
         assert [
             [sum((row[i] * x[i][j] for i in range(cols)), Fraction(0)) for j in range(k)]
             for row in a
@@ -503,6 +503,23 @@ class TestRowReduce:
             with pytest.raises(InconsistentSystem) as err:
                 solve_linear_exact(a, y)
             assert err.value.residual == residual
+
+    def test_inconsistent_block_reports_first_nonzero_entry(self):
+        # the zero row of [A | RHS] reduces to [0 0 | 0 3 -1]: column 0 of
+        # RHS is consistent, column 1 is the first that is not
+        a = [[1, 1], [2, 2]]
+        rhs = [[1, 2, 3], [2, 7, 5]]
+        with pytest.raises(InconsistentSystem, match="^no exact solution$") as err:
+            solve(a, rhs)
+        assert err.value.residual == 3
+
+    @given(matrices())
+    @settings(max_examples=60)
+    def test_solve_returns_the_rank(self, a):
+        rhs = [[Fraction(0)] for _ in a]
+        x, rank = solve(a, rhs)
+        assert rank == rational_rank(a)
+        assert x == [[0]] * len(a[0])
 
     @pytest.mark.parametrize(
         "a", [[[1, 2], [3]], [[1], [2, 3]]], ids=["short-last", "short-first"]

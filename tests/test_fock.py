@@ -723,6 +723,12 @@ class TestCohomologyData:
         with pytest.raises(DomainError):
             CohomologyData(eta=[[1, 0], [0, 1]], cmat=[[1, 0], [0, 1]], b=[0, 0], b_raised=[0, 0])
 
+    def test_dimension_zero_refused(self):
+        # dimension 0 has one window monomial, 1, and no operator term, so
+        # every closure verdict on it would be vacuous
+        with pytest.raises(DomainError, match="^eta must have dimension at least 1$"):
+            CohomologyData(eta=[], cmat=[], b=[], b_raised=[])
+
     @staticmethod
     def shift_data(d, corner=0):
         # eta antidiagonal, C the shift (C^d = 0, C^(d-1) != 0); a corner

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taubench.cli import run
-from taubench.errors import BudgetError, DomainError, Unsupported
+from taubench.errors import BudgetError, DomainError
 from taubench.ribbon import kontsevich_sum
 from taubench.exact import double_factorial
 from taubench import wick
@@ -648,7 +648,7 @@ class TestGaussianNormalization:
         assert "convention" in report
 
     def test_guards(self):
-        with pytest.raises(Unsupported):
+        with pytest.raises(DomainError, match=r"^quadrature check is guarded to N <= 2$"):
             gaussian_normalization_check((1, 1, 1), 1e-6)
         with pytest.raises(DomainError):
             gaussian_normalization_check((Fraction(1), Fraction(-1)), 1e-6)

@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 
 from taubench import ribbon, wick
 from taubench.cli import run
-from taubench.errors import BudgetError, DomainError, PoleError, Unstable
+from taubench.errors import BudgetError, DomainError, PoleError
 from taubench.ribbon import (
     RibbonGraphClass,
     _canonical_sigma,
@@ -442,7 +442,7 @@ class TestRootedMapGeneration:
 class TestEnumeration:
     def test_unstable_cases_raise(self):
         for g, n in [(0, 1), (0, 2)]:
-            with pytest.raises(Unstable):
+            with pytest.raises(DomainError, match=rf"^no trivalent graph for \(g, n\) = \({g}, {n}\)$"):
                 enumerate_trivalent(g, n)
 
     def test_budget_guard(self):
@@ -692,5 +692,5 @@ class TestExtraction:
         assert table.to_json() == {"g0:(0,0,0)": "1", "g1:(1)": "1/24"}
 
     def test_unstable_guard(self):
-        with pytest.raises(Unstable):
+        with pytest.raises(DomainError, match=r"^no trivalent graph for \(g, n\) = \(0, 2\)$"):
             extract_intersection_numbers(0, 2)

@@ -1,12 +1,14 @@
 """Every module-level function and class in src/taubench has a caller there,
 and so does every non-dunder method of a class there whose bases are all
 src/ classes; every record field there (of a dataclass, a NamedTuple or a
-__slots__ class) is read there, and every function the benchmark's tracer
-hooks still exists.
+__slots__ class) is read there; every exception class is told apart from
+its base; and every function the benchmark's tracer hooks still exists.
 
 Code that only the tests call lives in the tests, as an oracle next to the
 assertions that use it, so src/ holds what the CLI and the suite run; a
-field nothing in src/ reads is a second copy of a fact or a dead one.  The
+field nothing in src/ reads is a second copy of a fact or a dead one, and
+so is an exception class that no handler catches and no payload sets apart
+from its base.  The
 tracer (perfbench/tracer.py) names its hooks as strings, so a rename in src/
 would silently drop a layer's timings; the hook test reads those names.
 """
@@ -211,6 +213,59 @@ def test_the_field_guard_sees_an_unread_field(tmp_path):
         ("a.py", "Point", "label"), ("a.py", "Box", "width"),
         ("a.py", "Pair", "right"), ("a.py", "Slotted", "outer"),
     ]
+
+
+def indistinct_exceptions(src: pathlib.Path) -> list[str]:
+    """The classes of src/errors.py that nothing tells apart: no src/
+    except clause names them, they define no __init__ of their own (a
+    payload), and they are no base, direct or not, of a class that is told
+    apart.  A caller can catch such a class only as its base."""
+    trees = parsed_modules(src)
+    classes = {
+        node.name: node for node in trees["errors.py"].body if isinstance(node, ast.ClassDef)
+    }
+    caught = {
+        name
+        for tree in trees.values()
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        for name in referenced_names(handler.type)
+    }
+    told_apart = [
+        name for name, node in classes.items()
+        if name in caught
+        or any(isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__" for stmt in node.body)
+    ]
+    while told_apart:
+        name = told_apart.pop()
+        if name in classes:
+            told_apart += [base_name(base) for base in classes.pop(name).bases]
+    return list(classes)
+
+
+def test_every_exception_class_is_told_apart():
+    assert indistinct_exceptions(SRC) == []
+
+
+def test_the_exception_guard_sees_an_orphan_class(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "class Base(Exception):\n    pass\n\n\n"
+        "class Caught(Base):\n    pass\n\n\n"
+        "class Middle(Base):\n    pass\n\n\n"
+        "class Payload(Middle):\n"
+        "    def __init__(self, message, value=None):\n"
+        "        super().__init__(message)\n        self.value = value\n\n\n"
+        "class Orphan(Base):\n    pass\n\n\n"
+        "class Leaf(Orphan):\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import errors\n\n\n"
+        "def run(step):\n"
+        "    try:\n        return step()\n"
+        "    except (errors.Caught, KeyError):\n        return None\n"
+        "    except Exception:\n        raise errors.Orphan('raised, never caught')\n"
+    )
+    assert indistinct_exceptions(tmp_path) == ["Orphan", "Leaf"]
 
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -21,18 +21,10 @@ from hypothesis import strategies as st
 
 from taubench import torsion as torsion_module
 from taubench.cli import run
-from taubench.errors import (
-    BudgetError,
-    DomainError,
-    InvalidComplex,
-    NotAcyclic,
-    NotExact,
-    NotRationallyAcyclic,
-)
-from taubench.exact import row_reduce
+from taubench.errors import BudgetError, DomainError
+from taubench.exact import row_reduce, solve
 from taubench.torsion import (
     BasedChainComplex,
-    _particular_solution,
     determinant,
     direct_sum,
     invariant_factors,
@@ -71,7 +63,7 @@ def torsion_by_solved_lifts(c, lift_rng=None):
     elimination of d_{i+1}; an optional RNG perturbs the lifts by image
     elements, which leaves the torsion unchanged."""
     if not is_acyclic(c):
-        raise NotAcyclic("torsion requires an acyclic complex")
+        raise DomainError("torsion requires an acyclic complex")
     image_bases = []
     for i in range(c.length + 1):
         d_next = c.boundary(i + 1)
@@ -84,7 +76,7 @@ def torsion_by_solved_lifts(c, lift_rng=None):
         if i == 0 or not prev or not prev[0]:
             lift = [[] for _ in range(c.ranks[i])]
         else:
-            lift = _particular_solution(c.boundary(i), prev)
+            lift = solve(c.boundary(i), prev)[0]
             if lift_rng is not None and b_here and b_here[0]:
                 k = len(b_here[0])
                 for col in range(len(lift[0]) if lift else 0):
@@ -115,7 +107,7 @@ class TestDeterminant:
 
 class TestComplexValidation:
     def test_d_squared_enforced(self):
-        with pytest.raises(InvalidComplex):
+        with pytest.raises(DomainError, match="^boundary maps do not compose to zero$"):
             BasedChainComplex((1, 1, 1), [[[1]], [[1]]])
 
     def test_shape_enforced(self):
@@ -151,7 +143,7 @@ class TestTorsion:
             assert torsion(c) == 1
 
     def test_not_acyclic_raises(self):
-        with pytest.raises(NotAcyclic):
+        with pytest.raises(DomainError, match="^torsion requires an acyclic complex$"):
             torsion(BasedChainComplex((1, 1), [[[0]]]))
 
     def test_direct_sum_multiplies_up_to_sign(self):
@@ -341,7 +333,7 @@ class TestOrderTheorem:
         assert report["orders"] == [6, 1]
 
     def test_zero_boundary_rejected(self):
-        with pytest.raises(NotRationallyAcyclic):
+        with pytest.raises(DomainError, match="^some H_i has positive rank$"):
             torsion_order_check(BasedChainComplex((1, 1), [[[0]]]))
 
     def test_rational_entries_rejected(self):
@@ -392,7 +384,7 @@ class TestSesMultiplicativity:
         incl, proj = standard_sum_maps(cp, cpp, c)
         # break exactness: make the projection kill everything
         bad_proj = [[[Fraction(0) for _ in r] for r in p] for p in proj]
-        with pytest.raises(NotExact):
+        with pytest.raises(DomainError, match="^projection not surjective in degree 0$"):
             ses_multiplicativity_check(cp, c, cpp, incl, bad_proj)
 
     def test_rank_mismatch_detected(self):
@@ -401,5 +393,5 @@ class TestSesMultiplicativity:
         c = direct_sum(cp, cpp)
         incl, proj = standard_sum_maps(cp, cpp, c)
         # quotient claimed to be all of C: ranks 1 + 2 != 2
-        with pytest.raises(NotExact):
+        with pytest.raises(DomainError, match="^rank mismatch in degree 0$"):
             ses_multiplicativity_check(cp, c, c, incl, standard_sum_maps(cp, c, c)[1])
