@@ -264,6 +264,35 @@ def _graph_sum_table(g: int, n: int, max_darts: int) -> tuple:
     return pairs, darts // 2, den // divisor, terms
 
 
+@lru_cache(maxsize=None)
+def _graph_sum_plan(g: int, n: int, max_darts: int) -> tuple:
+    """(pairs, E, den, steps, start): a trie over each term's sorted pair indices,
+    with (node, pair, parent) per non-root node in reverse preorder and c at each
+    term's last node in start; one product per node, (0, 4) 221 against 354."""
+    pairs, edges, den, terms = _graph_sum_table(g, n, max_darts)
+    steps, start, path, prev = [], [0], [0], (None,) * edges  # path: prev's nodes
+    for key, c in sorted(terms):
+        depth = 0
+        while key[depth] == prev[depth]:  # the keys are distinct, so it stops
+            depth += 1
+        del path[depth + 1 :]
+        for pair in key[depth:]:
+            steps.append((len(start), pair, path[-1]))
+            path.append(len(start))
+            start.append(0)
+        start[-1] = c
+        prev = key
+    return pairs, edges, den, tuple(reversed(steps)), tuple(start)
+
+
+def _walk(steps, start, weight: Sequence[int]) -> int:
+    """sum_terms c * prod_e weight[pair] on a _graph_sum_plan, by Horner."""
+    acc = list(start)
+    for node, pair, parent in steps:
+        acc[parent] += weight[pair] * acc[node]
+    return acc[0]
+
+
 def kontsevich_sum(
     g: int, n: int, lams: Sequence[Fraction], max_darts: int = DEFAULT_MAX_DARTS
 ) -> Fraction:
@@ -273,13 +302,15 @@ def kontsevich_sum(
     With lambda_i = P_i/D and L = lcm(P_a + P_b) over the block's face
     pairs, each edge factor is (2D/L) * L/(P_a + P_b), so the terms are
     summed in integers over _graph_sum_table's den and divided once:
-    sum = sum_terms c * prod_e L/(P_a + P_b) * (2D)^E / (den * L^E).
-    A zero pair sum raises PoleError on the least vanishing face pair (a, b).
+    sum = sum_terms c * prod_e L/(P_a + P_b) * (2D)^E / (den * L^E), the
+    integer sum walked (_walk) on the block's Horner plan (_graph_sum_plan):
+    data, no source compiled.  A zero pair sum raises PoleError on the least
+    vanishing face pair (a, b).
     """
-    lams = [Fraction(x) for x in lams]
+    lams = [x if type(x) is Fraction else Fraction(x) for x in lams]
     if len(lams) != n:
         raise DomainError("need one lambda per face")
-    pairs, edges, den, terms = _graph_sum_table(g, n, max_darts)
+    pairs, edges, den, steps, start = _graph_sum_plan(g, n, max_darts)
     denom, scaled = common_denominator(lams)
     sums = []
     for f1, f2 in pairs:
@@ -288,8 +319,7 @@ def kontsevich_sum(
             raise PoleError(f"lambda_{f1} + lambda_{f2} = 0")
         sums.append(s)
     lcm = math.lcm(*sums)
-    weight = [lcm // s for s in sums]
-    total = sum(c * math.prod(map(weight.__getitem__, key)) for key, c in terms)
+    total = _walk(steps, start, [lcm // s for s in sums])
     return Fraction(total * (2 * denom) ** edges, den * lcm**edges)
 
 
@@ -356,15 +386,10 @@ def _convention_ratios(max_darts: int) -> tuple[Fraction, Fraction]:
 
 
 def extract_intersection_numbers(
-    g: int,
-    n: int,
-    max_darts: int = DEFAULT_MAX_DARTS,
+    g: int, n: int, max_darts: int = DEFAULT_MAX_DARTS
 ) -> IntersectionTable:
-    """Solve the main identity for all amplitudes with sum(d_i) = 3g-3+n.
-
-    Evaluates the graph sum at >= 25% more deterministic sample points than
-    unknowns and demands an exactly zero overdetermination residual.
-    """
+    """Solve the main identity for all amplitudes with sum(d_i) = 3g-3+n: the
+    checks on every call, the solve once per block, a fresh table each call."""
     _trivalent_darts(g, n, max_darts)  # refuse a bad or over-budget block before any sum
     ratios = _convention_ratios(max_darts)
     if ratios != (Fraction(1), Fraction(1)):
@@ -372,12 +397,19 @@ def extract_intersection_numbers(
             "graph-sum normalisation does not close at the base cases",
             ratios=ratios,
         )
+    return IntersectionTable(dict(_block_amplitudes(g, n, max_darts)))
+
+
+@lru_cache(maxsize=None)
+def _block_amplitudes(g: int, n: int, max_darts: int) -> tuple:
+    """((g, d), amplitude) per index tuple d of block (g, n), solved from the
+    graph sum at >= 25% more deterministic sample points than unknowns with
+    an exactly zero overdetermination residual."""
     multisets = block_indices(g, n)
     unknowns = len(multisets)
     count = max(unknowns + 1, -(-unknowns * 5 // 4))
     points = _sample_points(n, count)
-    rows = []
-    rhs = []
+    rows, rhs = [], []
     for lams in points:
         row = []
         for ms in multisets:
@@ -394,9 +426,7 @@ def extract_intersection_numbers(
         rows.append(row)
         rhs.append(kontsevich_sum(g, n, lams, max_darts))
     solution = solve_linear_exact(rows, rhs)
-    return IntersectionTable(
-        {(g, ms): value for ms, value in zip(multisets, solution)}
-    )
+    return tuple(((g, ms), value) for ms, value in zip(multisets, solution))
 
 
 def base_table(max_genus: int = 1, max_darts: int = DEFAULT_MAX_DARTS) -> IntersectionTable:

@@ -69,21 +69,24 @@ class TraceWord:
             if not chunk.startswith("tr"):
                 raise DomainError(f"cannot parse trace factor {chunk!r}")
             body = chunk[2:]
-            if "^" in body:
-                base, _, mult = body.partition("^")
-                if int(mult) < 0:
-                    raise DomainError(f"negative multiplicity in {chunk!r}")
-                if len(powers) + int(mult) > MAX_WORD_FACTORS:
-                    raise BudgetError(f"the word has over {MAX_WORD_FACTORS} trace factors")
-                powers.extend([int(base)] * int(mult))
-            else:
-                powers.append(int(body))
+            try:
+                if "^" in body:
+                    base, _, mult = body.partition("^")
+                    if int(mult) < 0:
+                        raise DomainError(f"negative multiplicity in {chunk!r}")
+                    if len(powers) + int(mult) > MAX_WORD_FACTORS:
+                        raise BudgetError(f"the word has over {MAX_WORD_FACTORS} trace factors")
+                    powers.extend([int(base)] * int(mult))
+                else:
+                    powers.append(int(body))
+            except ValueError:  # int()'s own message names no factor
+                raise DomainError(f"cannot parse trace factor {chunk!r}") from None
         return cls(tuple(powers))
 
 
 def _diagonal(lambda_diag: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """The diagonal of Lambda as Fractions; refuses an empty or non-positive one."""
-    lams = tuple(Fraction(v) for v in lambda_diag)
+    lams = tuple(v if type(v) is Fraction else Fraction(v) for v in lambda_diag)
     if not lams:
         raise DomainError("matrix size must be positive")
     if any(v <= 0 for v in lams):

@@ -153,11 +153,25 @@ PLANTED_FAULTS = {
 # would read in place of its own
 MEMOS = (
     ribbon._graph_sum_table,
+    ribbon._graph_sum_plan,
     ribbon._convention_ratios,
+    ribbon._block_amplitudes,
     kdv._residual_run,
     wick._multigraph_table,
     fock.oscillator_virasoro,
 )
+# (module, memo) -> why no planted fault reads it; every other memo in
+# src/ must be in MEMOS (tests/test_src_surface.py checks both lists)
+UNFAULTED_MEMOS = {
+    ("taubench.ribbon", "block_indices"):
+        "index tuples of a block, from its genus and face count alone",
+    ("taubench.kdv", "_assembly_layout"):
+        "the walk order of block_indices' tuples; no fault changes an index",
+    ("taubench.wick", "_shape_table"):
+        "fault 08 replaces it whole and rescales what the sound memo returns",
+    ("taubench.wick", "_legendre_rule"):
+        "Gauss-Legendre nodes; fault 10 changes the closed form, not the rule",
+}
 
 
 @pytest.fixture

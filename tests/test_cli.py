@@ -580,6 +580,22 @@ class TestVirasoroArgs:
 
 
 class TestMatrixArgs:
+    @pytest.mark.parametrize(
+        "argv, chunk",
+        [
+            (("matrix", "moment", "--word", "trx"), "trx"),
+            (("matrix", "moment", "--word", "tr3^"), "tr3^"),
+            (("matrix", "moment", "--word", "tr2,tr3^x"), "tr3^x"),
+            (("matrix", "moment", "--word", "tr3^2^2"), "tr3^2^2"),
+            (("matrix", "genus", "--word", "tr2tr2"), "tr2tr2"),
+        ],
+    )
+    def test_a_malformed_trace_factor_is_named(self, capsys, argv, chunk):
+        # int()'s own "invalid literal" message once reached stderr
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f'{{"error":"usage","message":"cannot parse trace factor {chunk!r}"}}\n'
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from(["moment", "match", "normalization"]),
@@ -706,7 +722,8 @@ class TestEighteenDarts:
 
     def test_genus_two_two_faces_at_24_darts(self, capsys):
         # the table comes from 8112 rooted maps x 2 labelings, no class
-        ribbon._graph_sum_table.cache_clear()
+        for memo in (ribbon._graph_sum_table, ribbon._graph_sum_plan, ribbon._block_amplitudes):
+            memo.cache_clear()
         start = time.perf_counter()
         code, out, _ = invoke(capsys, "--max-darts", "24", "intersect", "-g", "2", "-n", "2")
         assert time.perf_counter() - start < 1.5

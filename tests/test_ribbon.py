@@ -11,8 +11,9 @@ Oracles used here are independent of the production code paths:
   against a test-side cycle walk (face_cycles), which validate also uses;
 - extracted amplitudes are checked against hand-frozen table values;
 - kontsevich_sum, built from the rooted maps with no class, is checked
-  against the per-class Fraction loop (oracle_kontsevich_sum) and its
-  integer table against the class-by-class fold, and the class lists up
+  against the per-class Fraction loop (oracle_kontsevich_sum), its
+  integer table against the class-by-class fold and its Horner plan
+  against the flat sum over that table's terms, and the class lists up
   to 18 darts against sha256 digests of the `graphs enumerate` bytes.
 
 The per-structure oracles validate, canonical_encoding and
@@ -27,15 +28,15 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taubench import ribbon, wick
-from taubench.cli import run
-from taubench.errors import BudgetError, DomainError, PoleError
+from taubench.cli import RunConfig, run
+from taubench.errors import BudgetError, ConventionMismatch, DomainError, PoleError
 from taubench.ribbon import (
     RibbonGraphClass,
     _canonical_sigma,
@@ -48,6 +49,7 @@ from taubench.ribbon import (
     face_numbers,
     kontsevich_sum,
 )
+from taubench.suite import run_suite
 from taubench.wick import kontsevich_match
 
 
@@ -639,6 +641,27 @@ class TestKontsevichSum:
             assert {tuple(pairs[i] for i in key): Fraction(c, den) for key, c in terms} == fold
             assert gcd(den, *(c for _, c in terms)) == 1
 
+    @given(
+        st.sampled_from([(g, n, 18) for g, n in BLOCKS_UP_TO_18] + [(2, 2, 24)]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_walked_plan_equals_the_flat_sum(self, block, data):
+        # oracle: the flat sum over the table's terms that kontsevich_sum
+        # once took, at integer weights 0, small and 200 bits wide
+        pairs, edges, den, terms = ribbon._graph_sum_table(*block)
+        plan = ribbon._graph_sum_plan(*block)
+        assert plan[:3] == (pairs, edges, den)
+        weight = data.draw(
+            st.lists(
+                st.just(0) | st.integers(1, 9) | st.integers(2**199, 2**200),
+                min_size=len(pairs),
+                max_size=len(pairs),
+            )
+        )
+        flat = sum(c * prod(map(weight.__getitem__, key)) for key, c in terms)
+        assert ribbon._walk(*plan[3:], weight) == flat
+
     def test_the_sum_needs_no_classes(self, monkeypatch, capsys):
         lams = [Fraction(3), Fraction(5, 2)]
         expected = oracle_kontsevich_sum(1, 2, lams)
@@ -649,7 +672,9 @@ class TestKontsevichSum:
         # the caches are bypassed, so every table is built afresh
         monkeypatch.setattr(ribbon, "enumerate_trivalent", refuse)
         monkeypatch.setattr(ribbon, "_graph_sum_table", ribbon._graph_sum_table.__wrapped__)
+        monkeypatch.setattr(ribbon, "_graph_sum_plan", ribbon._graph_sum_plan.__wrapped__)
         monkeypatch.setattr(ribbon, "_convention_ratios", ribbon._convention_ratios.__wrapped__)
+        monkeypatch.setattr(ribbon, "_block_amplitudes", ribbon._block_amplitudes.__wrapped__)
         assert kontsevich_sum(1, 2, lams) == expected
         assert extract_intersection_numbers(1, 2).entries == {
             (1, (1, 1)): Fraction(1, 24),
@@ -680,6 +705,7 @@ class TestExtraction:
         for g, n in [(0, 4), (1, 2)]:
             a = extract_intersection_numbers(g, n)
             monkeypatch.setattr(ribbon, "SAMPLE_DENOMINATOR", 13)
+            monkeypatch.setattr(ribbon, "_block_amplitudes", ribbon._block_amplitudes.__wrapped__)
             assert ribbon._sample_points(n, 2)[0][0] == Fraction(2) + Fraction(1, 13)
             b = extract_intersection_numbers(g, n)
             monkeypatch.undo()
@@ -690,6 +716,54 @@ class TestExtraction:
         table = base_table(max_darts=6)
         assert table.fragments() == {(0, 3), (1, 1)}
         assert table.to_json() == {"g0:(0,0,0)": "1", "g1:(1)": "1/24"}
+
+    def test_a_changed_table_leaves_the_next_call_alone(self):
+        first = extract_intersection_numbers(1, 2)
+        expected = dict(first.entries)
+        first.entries[(1, (1, 1))] = Fraction(7)
+        first.entries[(1, (3, -1))] = Fraction(1)
+        assert extract_intersection_numbers(1, 2).entries == expected
+        table = base_table()
+        table.entries.clear()
+        assert base_table().entries[(1, (2, 0))] == Fraction(1, 24)
+
+    def test_refusals_run_on_every_call_before_any_sum(self, monkeypatch):
+        extract_intersection_numbers(1, 2)  # the block's amplitudes are memoized
+
+        def refuse(*args):
+            raise AssertionError("summed before the refusal")
+
+        monkeypatch.setattr(ribbon, "kontsevich_sum", refuse)
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"^no trivalent graph for \(g, n\) = \(0, 2\)$"):
+                extract_intersection_numbers(0, 2)
+            with pytest.raises(BudgetError, match="^12 darts exceeds budget 6$"):
+                extract_intersection_numbers(1, 2, 6)
+        monkeypatch.setattr(ribbon, "MAX_GRAPH_WORK", 10)
+        for _ in range(2):
+            with pytest.raises(BudgetError, match="rooted maps x face labelings x roots$"):
+                extract_intersection_numbers(1, 2)
+        monkeypatch.undo()
+        monkeypatch.setattr(ribbon, "_convention_ratios", lambda max_darts: (Fraction(2), 1))
+        with pytest.raises(ConventionMismatch):
+            extract_intersection_numbers(1, 2)
+
+    def test_suite_quick_extracts_each_block_once(self, monkeypatch):
+        # from an empty memo, one extraction per block; unmemoized, criteria
+        # 1-4 extracted each of the 4 blocks 3 times (12 calls)
+        calls = Counter()
+        sample_points = ribbon._sample_points
+
+        def counted(n, count):
+            calls[n] += 1
+            return sample_points(n, count)
+
+        cold = functools.lru_cache(maxsize=None)(ribbon._block_amplitudes.__wrapped__)
+        monkeypatch.setattr(ribbon, "_block_amplitudes", cold)
+        monkeypatch.setattr(ribbon, "_sample_points", counted)
+        for _ in range(2):
+            assert run_suite("quick", RunConfig())["all_pass"]
+        assert calls == {3: 1, 1: 1, 4: 1, 2: 1}
 
     def test_unstable_guard(self):
         with pytest.raises(DomainError, match=r"^no trivalent graph for \(g, n\) = \(0, 2\)$"):

@@ -2,21 +2,27 @@
 and so does every non-dunder method of a class there whose bases are all
 src/ classes; every record field there (of a dataclass, a NamedTuple or a
 __slots__ class) is read there; every exception class is told apart from
-its base; and every function the benchmark's tracer hooks still exists.
+its base; every memo is cleared for the planted faults of the acceptance
+gate or listed with the reason none reads it; and every function the
+benchmark's tracer hooks still exists.
 
 Code that only the tests call lives in the tests, as an oracle next to the
 assertions that use it, so src/ holds what the CLI and the suite run; a
 field nothing in src/ reads is a second copy of a fact or a dead one, and
 so is an exception class that no handler catches and no payload sets apart
-from its base.  The
-tracer (perfbench/tracer.py) names its hooks as strings, so a rename in src/
-would silently drop a layer's timings; the hook test reads those names.
+from its base.  A memo filled before a fault is planted serves the sound
+values, so a planted-fault test that does not clear it can pass for the
+wrong reason.  The tracer (perfbench/tracer.py) names its hooks as
+strings, so a rename in src/ would silently drop a layer's timings; the
+hook test reads those names.
 """
 
 import ast
 import collections
 import importlib
 import pathlib
+
+from test_acceptance import MEMOS, UNFAULTED_MEMOS
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "taubench"
 
@@ -266,6 +272,48 @@ def test_the_exception_guard_sees_an_orphan_class(tmp_path):
         "    except Exception:\n        raise errors.Orphan('raised, never caught')\n"
     )
     assert indistinct_exceptions(tmp_path) == ["Orphan", "Leaf"]
+
+
+def is_memo_decorator(node) -> bool:
+    """@lru_cache, @cache, @functools.lru_cache(...) and the like."""
+    target = node.func if isinstance(node, ast.Call) else node
+    return base_name(target) in ("lru_cache", "cache")
+
+
+def unlisted_memos(src: pathlib.Path, listed) -> list[tuple[str, str]]:
+    """(module, function) of each memoized function of src/ not in listed,
+    the module named from the directory as src/taubench/ names taubench."""
+    return [
+        (f"{src.name}.{path.stem}", node.name)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and any(map(is_memo_decorator, node.decorator_list))
+        and (f"{src.name}.{path.stem}", node.name) not in listed
+    ]
+
+
+def test_every_memo_is_cleared_for_the_planted_faults():
+    cleared = {(memo.__module__, memo.__name__) for memo in MEMOS}
+    assert all(UNFAULTED_MEMOS.values())
+    # the memos MEMOS leaves out are exactly the listed ones, none stale
+    assert sorted(unlisted_memos(SRC, cleared)) == sorted(UNFAULTED_MEMOS)
+
+
+def test_the_memo_guard_sees_an_unlisted_memo(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import functools\nfrom functools import cache, lru_cache\n\n\n"
+        "@functools.lru_cache(maxsize=None)\ndef listed(n):\n    return n\n\n\n"
+        "@lru_cache\ndef bare(n):\n    return n\n\n\n"
+        "@cache\ndef planted(n):\n    return n\n\n\n"
+        "@functools.wraps(listed)\ndef plain(n):\n    return n\n\n\n"
+        "class Holder:\n"
+        "    @functools.lru_cache(maxsize=8)\n    def method(self):\n        return 1\n"
+    )
+    module = f"{tmp_path.name}.a"
+    assert unlisted_memos(tmp_path, {(module, "listed")}) == [
+        (module, "bare"), (module, "planted"), (module, "method"),
+    ]
 
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
